@@ -15,7 +15,9 @@ routes recover s from psi:
                           s = (sin n pi / pi) integral_0^x psi(a) (x-a)**(n-1) da,
 
 plus ``solve_piecewise`` for the classical n = 1/2 treatment of
-segment-wise psi, and a grid-sampling wrapper for the numeric routes.
+segment-wise psi, and ``solve_on_grid``, which runs a backend over a whole
+grid in one vectorised pass (the pointwise numeric routes are its
+one-point case).
 The numeric routes never inspect psi's algebraic structure beyond its
 leading power at 0 (a quadrature hint); cross-checking them against the
 exact series map is the point of having three.
@@ -36,7 +38,6 @@ from .functions import (
     PiecewisePowerSum,
     PowerSum,
     TabulatedFunction,
-    _eval_terms,
     as_order,
 )
 from .fracops import _gamma_ratio, caputo_derivative
@@ -45,6 +46,7 @@ from .quadrature import (
     QuadratureConfig,
     kernel_integral,
     singular_integral,
+    singular_integral_tabulated,
 )
 from .special_functions import gamma, reflection_factor
 
@@ -164,27 +166,10 @@ def solve_convolution(
 
     psi is treated as a black box evaluated at quadrature nodes (product
     integration on its own grid when tabulated); only its leading power
-    at 0 is used as a weight hint.
+    at 0 is used as a weight hint.  This is the one-point case of
+    :func:`solve_on_grid`.
     """
-    x = float(x)
-    if x < 0.0:
-        raise DomainError(f"x must be >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    n = float(problem.n)
-    psi = problem.psi
-    if isinstance(psi, (PiecewisePowerSum, TabulatedFunction)):
-        integral = kernel_integral(psi, x, n, cfg)
-    else:
-        le = _psi_left_exponent(psi)
-        if le > 0.0:
-            shifted = tuple((c, e - le) for c, e in psi.terms)
-            integral = singular_integral(
-                lambda t: _eval_terms(shifted, t), x, n, cfg, left_exponent=le
-            )
-        else:
-            integral = singular_integral(psi, x, n, cfg)
-    return reflection_factor(n) * integral
+    return _solve_at(problem, x, cfg, SolutionBackend.CONVOLUTION_1826)
 
 
 def solve_theorem(
@@ -195,33 +180,67 @@ def solve_theorem(
     """s(x) by the scaling closed form
     (sin n pi / pi) * x**n * integral_0^1 psi(x t) (1-t)**(n-1) dt.
 
-    Same analytic content as the convolution form but integrated on the
-    unit interval in the scaled variable, which places quadrature nodes
-    differently; piecewise psi (whose breakpoints do not scale) is routed
-    through its breakpoint-respecting path instead.
+    Same analytic content as the convolution form, with convergence judged
+    on the unit-interval integral; piecewise psi (whose breakpoints do not
+    scale) is routed through its breakpoint-respecting path instead.  This
+    is the one-point case of :func:`solve_on_grid`.
     """
+    return _solve_at(problem, x, cfg, SolutionBackend.THEOREM_1823)
+
+
+def _solve_at(
+    problem: AbelProblem, x, cfg: QuadratureConfig, backend: SolutionBackend
+) -> float:
     x = float(x)
     if x < 0.0:
         raise DomainError(f"x must be >= 0, got {x!r}")
     if x == 0.0:
         return 0.0
+    return float(_solve_points(problem, x, cfg, backend))
+
+
+def _solve_points(
+    problem: AbelProblem, x, cfg: QuadratureConfig, backend: SolutionBackend
+):
+    """s at x >= 0 (a point, or every point of a 1-d grid in one pass) by
+    a quadrature backend."""
     n = float(problem.n)
     psi = problem.psi
-    if isinstance(psi, PiecewisePowerSum):
-        # scaled breakpoints would fall at b/x; equivalent and cleaner to
-        # integrate in the unscaled variable with the breakpoint splits
-        return solve_convolution(problem, x, cfg)
-    le = _psi_left_exponent(psi)
-    if le > 0.0:
-        # psi(x t) / t**le evaluated via exponent shift; the stray x**(-le)
-        # this introduces is multiplied back at the end
-        shifted = tuple((c, e - le) for c, e in psi.terms)
-        integral = x**le * singular_integral(
-            lambda t: _eval_terms(shifted, x * t), 1.0, n, cfg, left_exponent=le
-        )
+    theorem = backend is SolutionBackend.THEOREM_1823
+    if backend is SolutionBackend.NUMERIC_PRODUCT and not isinstance(
+        psi, TabulatedFunction
+    ):
+        psi = _sampled(psi, float(np.max(x)), np.size(x))
+    if isinstance(psi, TabulatedFunction) and not theorem:
+        integral = singular_integral_tabulated(psi, x, n)
+    elif isinstance(psi, PiecewisePowerSum):
+        # each x splits its integral at the breakpoints below it
+        integral = np.vectorize(
+            lambda a: kernel_integral(psi, a, n, cfg), otypes=[float]
+        )(x)
     else:
-        integral = singular_integral(lambda t: psi(x * t), 1.0, n, cfg)
-    return reflection_factor(n) * x**n * integral
+        # psi's leading power at 0 goes into the Jacobi weight
+        le = _psi_left_exponent(psi)
+        if le > 0.0:
+            psi = PowerSum((c, e - le) for c, e in psi.terms)
+        abs_tol = None
+        if theorem:
+            # the scaling form tests the unit-interval integral, which is
+            # this one divided by x**(n + le)
+            abs_tol = cfg.abs_tol * np.asarray(x) ** (n + le)
+        integral = singular_integral(
+            psi, x, n, cfg, left_exponent=le, abs_tol=abs_tol
+        )
+    return reflection_factor(n) * integral
+
+
+def _sampled(psi, x_max: float, points: int) -> TabulatedFunction:
+    """psi sampled on a fine graded mesh, dense enough that the O(h^2)
+    interpolation error of the product rule stays below the numeric-backend
+    tolerances."""
+    fine = max(8 * (points - 1) + 1, 2049)
+    mesh = x_max * np.linspace(0.0, 1.0, fine) ** 2.0
+    return TabulatedFunction(mesh, psi(mesh))
 
 
 def solve_piecewise(
@@ -261,47 +280,21 @@ def solve_on_grid(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     backend: SolutionBackend = SolutionBackend.CONVOLUTION_1826,
 ) -> ArcLengthSolution:
-    """Sample a pointwise backend onto a grid (which must start at 0) and
-    wrap the result as a tabulated arc length."""
+    """Solve on a whole grid (which must start at 0) in one vectorised
+    pass and wrap the result as a tabulated arc length.
+
+    The numeric backend treats psi as tabulated data (sampled onto a fine
+    graded mesh if given in closed form) and convolves it by product
+    integration; the others give every point the value of their pointwise
+    routine.
+    """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size < 2 or xs[0] != 0.0 or np.any(np.diff(xs) <= 0):
         raise DomainError("grid must be 1-d, start at 0, strictly increasing")
-    if backend == SolutionBackend.SERIES_1823:
-        sol = solve_series(problem)
-        values = sol.s(xs)
-        return ArcLengthSolution(
-            TabulatedFunction(xs, values), SolutionBackend.SERIES_1823
-        )
-    if backend == SolutionBackend.CONVOLUTION_1826:
-        point = solve_convolution
-    elif backend == SolutionBackend.THEOREM_1823:
-        point = solve_theorem
-    elif backend == SolutionBackend.NUMERIC_PRODUCT:
-        return _solve_product(problem, xs, cfg)
-    else:
+    if not isinstance(backend, SolutionBackend):
         raise DomainError(f"unknown backend {backend!r}")
-    values = np.array([point(problem, float(x), cfg) for x in xs])
+    if backend is SolutionBackend.SERIES_1823:
+        values = solve_series(problem).s(xs)
+    else:
+        values = _solve_points(problem, xs, cfg, backend)
     return ArcLengthSolution(TabulatedFunction(xs, values), backend)
-
-
-def _solve_product(
-    problem: AbelProblem, xs: np.ndarray, cfg: QuadratureConfig
-) -> ArcLengthSolution:
-    """Fully discrete route: psi as tabulated data (sampled onto a fine
-    graded mesh if given in closed form), convolved by product
-    integration."""
-    n = float(problem.n)
-    psi = problem.psi
-    if not isinstance(psi, TabulatedFunction):
-        # sample densely enough that the O(h^2) interpolation error of the
-        # product rule stays below the numeric-backend tolerances
-        fine = max(8 * (xs.size - 1) + 1, 2049)
-        mesh = float(xs[-1]) * np.linspace(0.0, 1.0, fine) ** 2.0
-        psi = TabulatedFunction(mesh, psi(mesh))
-    rf = reflection_factor(n)
-    values = np.array(
-        [rf * kernel_integral(psi, float(x), n, cfg) for x in xs]
-    )
-    return ArcLengthSolution(
-        TabulatedFunction(xs, values), SolutionBackend.NUMERIC_PRODUCT
-    )

@@ -41,11 +41,8 @@ from .abel_solver import (
     AbelProblem,
     SolutionBackend,
     forward,
-    solve_convolution,
     solve_on_grid,
     solve_piecewise,
-    solve_series,
-    solve_theorem,
 )
 from .errors import (
     ContinuityError,
@@ -337,16 +334,10 @@ def _cmd_solve(args) -> tuple[list[str], list[tuple]]:
         else:
             backend = "numeric"
 
-    if backend == "series":
-        values = solve_series(problem).s(xs)
-    elif backend == "piecewise":
+    if backend == "piecewise":
         values = np.array([solve_piecewise(problem, float(x), cfg) for x in xs])
-    elif backend == "convolution":
-        values = np.array([solve_convolution(problem, float(x), cfg) for x in xs])
-    elif backend == "theorem":
-        values = np.array([solve_theorem(problem, float(x), cfg) for x in xs])
-    else:  # numeric
-        sol = solve_on_grid(problem, xs, cfg, SolutionBackend.NUMERIC_PRODUCT)
+    else:
+        sol = solve_on_grid(problem, xs, cfg, SolutionBackend(backend))
         values = sol.s.values
     return ["x", "s"], [(float(x), float(v)) for x, v in zip(xs, values)]
 

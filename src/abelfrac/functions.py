@@ -261,13 +261,12 @@ class TabulatedFunction:
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)
-        if np.any(xs < 0.0) or np.any(xs > self.xs[-1] * (1.0 + 1e-12) + 1e-300):
-            bad = xs.reshape(-1)[
-                (xs.reshape(-1) < 0.0) | (xs.reshape(-1) > self.xs[-1])
-            ][0]
+        outside = (xs < 0.0) | (xs > self.xs[-1] * (1.0 + 1e-12) + 1e-300)
+        if outside.any():
+            bad = float(xs[outside].flat[0])
             raise DomainError(
                 f"evaluation point {bad!r} outside tabulated range "
-                f"[0, {self.xs[-1]!r}]"
+                f"[0, {self.x_max!r}]"
             )
         out = np.interp(xs, self.xs, self.values)
         return float(out) if np.isscalar(x) else out

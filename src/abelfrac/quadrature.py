@@ -14,12 +14,18 @@ For tabulated data there is a product-integration path: f is taken
 piecewise linear on its own grid and the kernel moments of every cell are
 integrated in closed form, which is exact for piecewise-linear f and
 avoids sampling f anywhere but its own nodes.
+
+Both paths also take a 1-d array of upper limits and evaluate the whole
+grid in one vectorised pass.  Gauss-Jacobi is affine-invariant, so the
+nodes of every x are x * (1 + xi) / 2 and one matrix product gives the
+integral at all of them; each point still stops doubling at its own
+tolerance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -50,6 +56,10 @@ __all__ = [
 
 #: hard cap on nodes per rule during adaptive doubling
 MAX_NODES = 4096
+
+#: elements per row block of the grid routines (128 KiB of float64), which
+#: keeps their live temporaries near 1 MiB whatever the grid size
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -112,13 +122,20 @@ def _sample(g: Callable, t: np.ndarray) -> np.ndarray:
     except (TypeError, ValueError):
         out = None
     if out is None or out.shape != t.shape:
-        out = np.array([float(g(ti)) for ti in t])
+        out = np.array([float(g(ti)) for ti in t.ravel()]).reshape(t.shape)
     if not np.all(np.isfinite(out)):
         bad = float(t[~np.isfinite(out)][0])
         raise EvaluationError(
             f"integrand returned a non-finite value at t = {bad!r}", bad
         )
     return out
+
+
+def _stalled(n: int, err: float, tol: float) -> ConvergenceError:
+    return ConvergenceError(
+        f"quadrature stalled at {n} nodes "
+        f"(last change {err:.3e}, tolerance {tol:.3e})"
+    )
 
 
 def _doubling(estimate: Callable[[int], float], cfg: QuadratureConfig) -> float:
@@ -137,15 +154,50 @@ def _doubling(estimate: Callable[[int], float], cfg: QuadratureConfig) -> float:
                 return val
             if n >= MAX_NODES:
                 if err > 100.0 * tol:
-                    raise ConvergenceError(
-                        f"quadrature stalled at {n} nodes "
-                        f"(last change {err:.3e}, tolerance {tol:.3e})"
-                    )
+                    raise _stalled(n, err, tol)
                 return val
         elif n >= MAX_NODES:
             return val
         prev = val
         n = min(2 * n, MAX_NODES)
+
+
+def _doubling_grid(
+    estimate: Callable[[int, np.ndarray], np.ndarray],
+    abs_tol: np.ndarray,
+    cfg: QuadratureConfig,
+) -> np.ndarray:
+    """:func:`_doubling` applied to every point of a grid at once.
+
+    estimate(n, idx) returns the n-node estimates at the points idx.  A
+    point leaves the pass at the first doubling that meets its own
+    tolerance max(abs_tol[i], rel_tol * |value|), so each value is the one
+    the scalar rule returns for that point alone; only unconverged points
+    are estimated again.  The cap rule is the scalar one, and a stall is
+    reported for the first stalled point in grid order.
+    """
+    n = cfg.node_count
+    idx = np.arange(abs_tol.size)
+    out = np.empty(abs_tol.size)
+    val = estimate(n, idx)
+    while n < MAX_NODES:
+        n = min(2 * n, MAX_NODES)
+        prev, val = val, estimate(n, idx)
+        err = np.abs(val - prev)
+        tol = np.maximum(abs_tol[idx], cfg.rel_tol * np.abs(val))
+        if n >= MAX_NODES:
+            stalled = np.flatnonzero(err > 100.0 * tol)
+            if stalled.size:
+                k = stalled[0]
+                raise _stalled(n, float(err[k]), float(tol[k]))
+            break
+        done = err <= tol
+        out[idx[done]] = val[done]
+        idx, val = idx[~done], val[~done]
+        if idx.size == 0:
+            return out
+    out[idx] = val
+    return out
 
 
 def _order_like(p) -> float:
@@ -154,28 +206,36 @@ def _order_like(p) -> float:
 
 def singular_integral(
     g: Callable,
-    x: float,
+    x,
     p,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     *,
     left_exponent: float = 0.0,
-) -> float:
+    abs_tol=None,
+):
     """integral_0^x g(t) * t**left_exponent * (x - t)**(p - 1) dt.
 
     ``left_exponent`` (> -1) lets callers factor a known algebraic
     behaviour of the integrand at t = 0 into the weight; the remaining g
     should then be smooth for spectral convergence.  With the default 0
     this is the plain kernel integral of g.
+
+    x may also be a 1-d array of upper limits: the whole grid is then
+    evaluated in one pass and an array returned, each value the one a
+    scalar call gives.  ``abs_tol`` (a scalar, or one per point) replaces
+    ``cfg.abs_tol``.
     """
     p = _order_like(p)
+    if not isinstance(x, float) and np.ndim(x):
+        return _singular_integral_grid(g, x, p, cfg, left_exponent, abs_tol)
     x = float(x)
     if x < 0.0:
         raise DomainError(f"upper limit must be >= 0, got {x!r}")
     if x == 0.0:
         return 0.0
-    le = float(left_exponent)
-    if not (math.isfinite(le) and le > -1.0):
-        raise DomainError(f"left_exponent must be > -1, got {left_exponent!r}")
+    le = _left_exponent(left_exponent)
+    if abs_tol is not None:
+        cfg = replace(cfg, abs_tol=float(abs_tol))
 
     # map [0, x] onto [-1, 1]; the Jacobi weight (1-xi)^(p-1) (1+xi)^le
     # soaks up both endpoint behaviours
@@ -186,6 +246,44 @@ def singular_integral(
         return scale * float(np.dot(w, _sample(g, x * (1.0 + xi) * 0.5)))
 
     return _doubling(estimate, cfg)
+
+
+def _left_exponent(left_exponent) -> float:
+    le = float(left_exponent)
+    if not (math.isfinite(le) and le > -1.0):
+        raise DomainError(f"left_exponent must be > -1, got {left_exponent!r}")
+    return le
+
+
+def _singular_integral_grid(g, xs, p: float, cfg, left_exponent, abs_tol):
+    # Gauss-Jacobi is affine-invariant: the nodes of every point are
+    # x * (1 + xi) / 2, so one matrix product per rule gives all values;
+    # g is sampled one row block at a time
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise DomainError("upper limits must be a scalar or a 1-d array")
+    if np.any(xs < 0.0):
+        raise DomainError(f"upper limit must be >= 0, got {float(xs.min())!r}")
+    le = _left_exponent(left_exponent)
+    tol = np.broadcast_to(cfg.abs_tol if abs_tol is None else abs_tol, xs.shape)
+    out = np.zeros(xs.shape)
+    pos = np.flatnonzero(xs > 0.0)
+    if pos.size == 0:
+        return out
+    x = xs[pos]
+    scale = (0.5 * x) ** (p + le)
+
+    def estimate(n: int, idx: np.ndarray) -> np.ndarray:
+        xi, w = _jacobi_rule(n, p - 1.0, le)
+        sums = np.empty(idx.size)
+        rows = max(1, _BLOCK // n)
+        for r in range(0, idx.size, rows):
+            block = x[idx[r : r + rows], None]
+            sums[r : r + rows] = _sample(g, block * (1.0 + xi) * 0.5) @ w
+        return scale[idx] * sums
+
+    out[pos] = _doubling_grid(estimate, tol[pos], cfg)
+    return out
 
 
 def smooth_integral(
@@ -221,9 +319,7 @@ def left_weighted_integral(
     b = float(b)
     if b <= 0.0:
         return 0.0
-    le = float(left_exponent)
-    if not (math.isfinite(le) and le > -1.0):
-        raise DomainError(f"left_exponent must be > -1, got {left_exponent!r}")
+    le = _left_exponent(left_exponent)
     scale = (0.5 * b) ** (le + 1.0)
 
     def estimate(n: int) -> float:
@@ -268,14 +364,32 @@ def _pow_diff(B: np.ndarray, A: np.ndarray, q: float) -> np.ndarray:
     return out
 
 
-def singular_integral_tabulated(f: TabulatedFunction, x: float, p) -> float:
+def _cell_moments(B: np.ndarray, A: np.ndarray, p: float):
+    """Kernel moments of cells [a, b] below an upper limit x, given
+    B = x - a and A = x - b: the integrals of (x-t)**(p-1) and of
+    (t - a) * (x-t)**(p-1) over the cell.  A = B = 0 gives zero moments."""
+    d0 = _pow_diff(B, A, p)
+    d1 = _pow_diff(B, A, p + 1.0)
+    return d0 / p, (B * d0) / p - d1 / (p + 1.0)
+
+
+def singular_integral_tabulated(f: TabulatedFunction, x, p):
     """Product integration of the kernel integral for tabulated f.
 
     f is treated as piecewise linear between its own samples; each cell's
     kernel moments are integrated in closed form, so the only error is the
     linear interpolation of f itself.
+
+    x may also be a 1-d array of upper limits; the cell weights are then
+    built once for the grid.  When x is the table's own uniform grid they
+    depend only on the lag between output point and cell, so the
+    lower-triangular Toeplitz product is one convolution per moment.  Any
+    other grid gets the same weights in dense row blocks that span only
+    the cells below each row's x.
     """
     p = _order_like(p)
+    if not isinstance(x, float) and np.ndim(x):
+        return _tabulated_grid(f, x, p)
     x = float(x)
     if x < 0.0 or x > f.x_max * (1.0 + 1e-12):
         raise DomainError(f"x = {x!r} outside tabulated range [0, {f.x_max!r}]")
@@ -291,13 +405,73 @@ def singular_integral_tabulated(f: TabulatedFunction, x: float, p) -> float:
     b = nodes[1:]
     fa = vals[:-1]
     slope = (vals[1:] - fa) / (b - a)
-    B = x - a
-    A = np.maximum(x - b, 0.0)
-    d0 = _pow_diff(B, A, p)
-    d1 = _pow_diff(B, A, p + 1.0)
-    m0 = d0 / p
-    m1 = (B * d0) / p - d1 / (p + 1.0)  # moment of (t - a) over the cell
+    m0, m1 = _cell_moments(x - a, np.maximum(x - b, 0.0), p)
     return float(np.dot(fa, m0) + np.dot(slope, m1))
+
+
+def _tabulated_grid(f: TabulatedFunction, xs, p: float) -> np.ndarray:
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise DomainError("upper limits must be a scalar or a 1-d array")
+    bad = (xs < 0.0) | (xs > f.x_max * (1.0 + 1e-12))
+    if bad.any():
+        raise DomainError(
+            f"x = {float(xs[bad][0])!r} outside tabulated range [0, {f.x_max!r}]"
+        )
+    t, v = f.xs, f.values
+    slope = np.diff(v) / np.diff(t)
+    if np.array_equal(xs, t) and _is_uniform(t):
+        return _tabulated_toeplitz(t, v, slope, p)
+    return _tabulated_dense(f, np.minimum(xs, f.x_max), slope, p)
+
+
+def _is_uniform(t: np.ndarray) -> bool:
+    """Nodes equal to k * h up to a few ulps of each node (np.linspace
+    grids qualify), so lag-only weights match the per-node ones."""
+    k = np.arange(t.size)
+    h = t[-1] / (t.size - 1)
+    return bool(np.all(np.abs(t - k * h) <= 4.0 * np.finfo(float).eps * t))
+
+
+def _tabulated_toeplitz(t, v, slope, p: float) -> np.ndarray:
+    # cell k seen from node i > k spans lags (i-k-1)h .. (i-k)h; lag 0
+    # (the cells at and above node i) gets zero moments
+    lag = np.arange(t.size) * (t[-1] / (t.size - 1))
+    m0, m1 = _cell_moments(lag, np.concatenate(([0.0], lag[:-1])), p)
+    return (np.convolve(v[:-1], m0) + np.convolve(slope, m1))[: t.size]
+
+
+def _tabulated_dense(f: TabulatedFunction, xs, slope, p: float) -> np.ndarray:
+    t, v = f.xs, f.values
+    out = np.zeros(xs.shape)
+    pos = np.flatnonzero(xs > 0.0)
+    if pos.size == 0:
+        return out
+    x = xs[pos]
+    # the last cell of each row ends at x itself: [t[j-1], x], f(x) interpolated
+    j = np.searchsorted(t, x, side="left")
+    a = t[j - 1]
+    fa = v[j - 1]
+    B = x - a
+    last0, last1 = _cell_moments(B, np.zeros_like(B), p)
+    sums = fa * last0 + (f(x) - fa) / B * last1
+    # whole table cells [t[k], t[k+1]] with t[k+1] < x
+    order = np.argsort(x, kind="stable")
+    rows = max(1, _BLOCK // t.size)
+    for r in range(0, order.size, rows):
+        blk = order[r : r + rows]
+        cells = int(j[blk].max()) - 1
+        if cells <= 0:
+            continue
+        xb = x[blk, None]
+        A = xb - t[1 : cells + 1]
+        full = A > 0.0
+        A = np.where(full, A, 0.0)
+        Bm = np.where(full, xb - t[:cells], 0.0)
+        m0, m1 = _cell_moments(Bm, A, p)
+        sums[blk] += m0 @ v[:cells] + m1 @ slope[:cells]
+    out[pos] = sums
+    return out
 
 
 def tabulated_derivative_kernel(f: TabulatedFunction, x: float, p) -> float:

@@ -180,6 +180,15 @@ class TestTabulatedFunction:
         # tiny float noise just past the end is tolerated
         assert f(1.0 + 1e-15) == pytest.approx(1.0)
 
+    def test_domain_error_names_the_point_outside(self):
+        # 1 + 1e-14 lies inside the tolerated band; 3.0 is the offender
+        f = TabulatedFunction([0.0, 1.0], [0.0, 1.0])
+        with pytest.raises(DomainError) as exc:
+            f([1.0 + 1e-14, 3.0])
+        assert str(exc.value) == (
+            "evaluation point 3.0 outside tabulated range [0, 1.0]"
+        )
+
     def test_arrays_read_only(self):
         f = TabulatedFunction([0.0, 1.0], [0.0, 1.0])
         with pytest.raises(ValueError):

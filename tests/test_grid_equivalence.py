@@ -1,0 +1,185 @@
+"""The one-pass grid routines against the per-point routines they batch.
+
+solve_on_grid evaluates a whole grid in one vectorised pass; every value
+must equal what the scalar route returns for that point alone, including
+where the node cap makes it return or raise.  The references are built from
+the scalar public routines (singular_integral, singular_integral_tabulated),
+which keep their own per-point implementations.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from abelfrac import (
+    DEFAULT_CONFIG,
+    AbelProblem,
+    ConvergenceError,
+    Order,
+    PowerSum,
+    QuadratureConfig,
+    SolutionBackend,
+    TabulatedFunction,
+    reflection_factor,
+    singular_integral,
+    solve_convolution,
+    solve_on_grid,
+    solve_theorem,
+)
+from abelfrac import quadrature
+from abelfrac.quadrature import graded_mesh, singular_integral_tabulated
+
+CONV = SolutionBackend.CONVOLUTION_1826
+THEOREM = SolutionBackend.THEOREM_1823
+RTOL = 1e-13
+
+# exponents from {0, 1/2, 1, 3/2, 2} with no two 1/2 apart (such pairs
+# stall the doubling at the node cap)
+EXPONENT_SETS = [
+    s
+    for k in (1, 2, 3)
+    for s in itertools.combinations((0.0, 0.5, 1.0, 1.5, 2.0), k)
+    if all(abs(b - a) != 0.5 for a, b in itertools.combinations(s, 2))
+]
+
+
+def scalar_route(prob: AbelProblem, x: float, backend, cfg=DEFAULT_CONFIG) -> float:
+    """s(x) through the per-point rule: the leading power of psi factored
+    into the Jacobi weight, on [0, x] (convolution) or on the unit
+    interval in the scaled variable (theorem)."""
+    n = float(prob.n)
+    le = prob.psi.min_exponent
+    g = PowerSum((c, e - le) for c, e in prob.psi.terms)
+    if backend is CONV:
+        integral = singular_integral(g, x, n, cfg, left_exponent=le)
+    else:
+        unit = singular_integral(lambda t: g(x * t), 1.0, n, cfg, left_exponent=le)
+        integral = x**n * x**le * unit
+    return reflection_factor(n) * integral
+
+
+def assert_close(got, ref):
+    got = np.asarray(got, dtype=float)
+    ref = np.asarray(ref, dtype=float)
+    np.testing.assert_array_equal(got == 0.0, ref == 0.0)
+    nz = ref != 0.0
+    assert np.max(np.abs(got[nz] - ref[nz]) / np.abs(ref[nz]), initial=0.0) <= RTOL
+
+
+@st.composite
+def power_sums(draw):
+    exps = draw(st.sampled_from(EXPONENT_SETS))
+    coefs = draw(
+        st.lists(st.floats(0.1, 3.0), min_size=len(exps), max_size=len(exps))
+    )
+    return PowerSum(zip(coefs, exps))
+
+
+class TestClosedFormGrid:
+    # node_count=2 makes the points of one grid converge at different
+    # doublings, and abs_tol=1e-4 lets the theorem's unit-interval scale
+    # decide where they stop
+    @pytest.mark.parametrize("backend", [CONV, THEOREM])
+    @pytest.mark.parametrize(
+        "cfg", [DEFAULT_CONFIG, QuadratureConfig(node_count=2, abs_tol=1e-4)]
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(psi=power_sums(), n=st.floats(0.05, 0.95), x_max=st.floats(0.2, 3.0))
+    def test_grid_equals_scalar_route(self, backend, cfg, psi, n, x_max):
+        prob = AbelProblem(psi, Order(n))
+        xs = np.linspace(0.0, x_max, 33)
+        got = solve_on_grid(prob, xs, cfg, backend).s.values
+        ref = [0.0] + [scalar_route(prob, x, backend, cfg) for x in xs[1:]]
+        assert_close(got, ref)
+        point = solve_convolution if backend is CONV else solve_theorem
+        assert_close(got, [point(prob, x, cfg) for x in xs])
+
+
+class TestNodeCapParity:
+    @pytest.mark.parametrize("backend", [CONV, THEOREM])
+    def test_returns_or_raises_where_scalar_does(self, backend, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_NODES", 128)
+        prob = AbelProblem(PowerSum([(1.0, 0.0), (1.0, 0.5)]), Order(0.5))
+        xs = np.linspace(0.0, 4.0, 41)
+        ref = [0.0]
+        for x in xs[1:]:
+            try:
+                ref.append(scalar_route(prob, x, backend))
+            except ConvergenceError:
+                break
+        # both outcomes occur on this grid: mild shortfalls return, then
+        # the scalar route raises from some point on
+        first_raise = len(ref)
+        assert 2 < first_raise < xs.size
+        sol = solve_on_grid(prob, xs[:first_raise], backend=backend)
+        assert_close(sol.s.values, ref)
+        with pytest.raises(ConvergenceError, match="128 nodes"):
+            solve_on_grid(prob, xs[: first_raise + 1], backend=backend)
+        for x in xs[first_raise:]:
+            with pytest.raises(ConvergenceError):
+                scalar_route(prob, x, backend)
+
+
+def _table(t, values_seed):
+    rng = np.random.default_rng(values_seed)
+    return TabulatedFunction(t, 1.0 + np.sqrt(t) + 0.1 * rng.random(t.size))
+
+
+def _per_point(f, xs, p):
+    return [singular_integral_tabulated(f, float(x), p) for x in xs]
+
+
+def _forbid(monkeypatch, name):
+    def fail(*args):
+        raise AssertionError(f"{name} must not run on this grid")
+
+    monkeypatch.setattr(quadrature, name, fail)
+
+
+class TestTabulatedGrid:
+    @settings(max_examples=15, deadline=None)
+    @given(p=st.floats(0.05, 0.95), x_max=st.floats(0.2, 5.0), seed=st.integers(0, 99))
+    def test_uniform_on_node_grid_is_one_convolution(self, p, x_max, seed):
+        f = _table(np.linspace(0.0, x_max, 201), seed)
+        with pytest.MonkeyPatch.context() as mp:
+            _forbid(mp, "_tabulated_dense")
+            got = singular_integral_tabulated(f, f.xs, p)
+        assert_close(got, _per_point(f, f.xs, p))
+
+    @settings(max_examples=15, deadline=None)
+    @given(p=st.floats(0.05, 0.95), seed=st.integers(0, 99))
+    def test_perturbed_grid_takes_dense_path(self, p, seed):
+        t = np.linspace(0.0, 1.0, 201)
+        t[1:-1] += 1e-9 * np.random.default_rng(seed).uniform(-1.0, 1.0, t.size - 2)
+        f = _table(t, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            _forbid(mp, "_tabulated_toeplitz")
+            got = singular_integral_tabulated(f, f.xs, p)
+        assert_close(got, _per_point(f, f.xs, p))
+
+    @settings(max_examples=15, deadline=None)
+    @given(p=st.floats(0.05, 0.95), q=st.floats(1.0, 4.0), seed=st.integers(0, 99))
+    def test_graded_mesh(self, p, q, seed):
+        f = _table(graded_mesh(2.0, 201, exponent=q), seed)
+        got = singular_integral_tabulated(f, f.xs, p)
+        assert_close(got, _per_point(f, f.xs, p))
+
+    @settings(max_examples=15, deadline=None)
+    @given(p=st.floats(0.05, 0.95), seed=st.integers(0, 99))
+    def test_outputs_off_the_table_nodes(self, p, seed):
+        f = _table(np.linspace(0.0, 1.0, 1001), seed)
+        rng = np.random.default_rng(seed)
+        xs = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 20))))
+        got = singular_integral_tabulated(f, xs, p)
+        assert_close(got, _per_point(f, xs, p))
+
+    def test_grid_solvers_route_tabulated_psi_through_it(self):
+        f = _table(np.linspace(0.0, 1.0, 101), 0)
+        prob = AbelProblem(f, Order(0.3))
+        rf = reflection_factor(0.3)
+        for backend in (CONV, SolutionBackend.NUMERIC_PRODUCT):
+            got = solve_on_grid(prob, f.xs, backend=backend).s.values
+            assert_close(got, [rf * v for v in _per_point(f, f.xs, 0.3)])
