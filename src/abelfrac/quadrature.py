@@ -61,6 +61,10 @@ MAX_NODES = 4096
 #: keeps their live temporaries near 1 MiB whatever the grid size
 _BLOCK = 1 << 14
 
+#: relative distance (4 ulps) within which a point counts as node k * h of
+#: a uniform table; np.linspace grids meet it at every node
+_NODE_RTOL = 4.0 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -353,23 +357,23 @@ def graded_mesh(
     return x_max * u**exponent
 
 
-def _pow_diff(B: np.ndarray, A: np.ndarray, q: float) -> np.ndarray:
-    """B**q - A**q for 0 <= A < B, stable when A is close to B."""
-    out = np.empty_like(B)
-    zero = A <= 0.0
-    out[zero] = B[zero] ** q
-    nz = ~zero
-    if nz.any():
-        out[nz] = -(B[nz] ** q) * np.expm1(q * (np.log(A[nz]) - np.log(B[nz])))
-    return out
-
-
 def _cell_moments(B: np.ndarray, A: np.ndarray, p: float):
     """Kernel moments of cells [a, b] below an upper limit x, given
     B = x - a and A = x - b: the integrals of (x-t)**(p-1) and of
-    (t - a) * (x-t)**(p-1) over the cell.  A = B = 0 gives zero moments."""
-    d0 = _pow_diff(B, A, p)
-    d1 = _pow_diff(B, A, p + 1.0)
+    (t - a) * (x-t)**(p-1) over the cell.  A = B = 0 gives zero moments.
+
+    Both come from B**q - A**q at q = p and q = p + 1, taken as
+    -B**q * expm1(q * log(A/B)) so that cells far below x (A close to B)
+    keep their digits; the logs are shared by the two exponents.
+    """
+    zero = A <= 0.0
+    nz = ~zero
+    Bz, Bn = B[zero], B[nz]
+    log_ratio = np.log(A[nz]) - np.log(Bn)
+    d0, d1 = np.empty_like(B), np.empty_like(B)
+    for d, q in ((d0, p), (d1, p + 1.0)):
+        d[zero] = Bz**q
+        d[nz] = -(Bn**q) * np.expm1(q * log_ratio)
     return d0 / p, (B * d0) / p - d1 / (p + 1.0)
 
 
@@ -385,7 +389,9 @@ def singular_integral_tabulated(f: TabulatedFunction, x, p):
     depend only on the lag between output point and cell, so the
     lower-triangular Toeplitz product is one convolution per moment.  Any
     other grid gets the same weights in dense row blocks that span only
-    the cells below each row's x.
+    the cells below each row's x.  That convolution gives the integral at
+    every node of a uniform table; it is cached per (table, order), and
+    scalar calls at a node read it too.
     """
     p = _order_like(p)
     if not isinstance(x, float) and np.ndim(x):
@@ -396,6 +402,15 @@ def singular_integral_tabulated(f: TabulatedFunction, x, p):
     if x == 0.0:
         return 0.0
     x = min(x, f.x_max)
+    k = _node_index(f, x)
+    nodes = None if k is None else _node_integrals(f, p)
+    if nodes is not None:
+        return float(nodes[k])
+    return _tabulated_point(f, x, p)
+
+
+def _tabulated_point(f: TabulatedFunction, x: float, p: float) -> float:
+    """K[f](x) for one 0 < x <= x_max, summed cell by cell."""
     inside = f.xs < x
     nodes = np.append(f.xs[inside], x)
     vals = np.append(f.values[inside], f(x))
@@ -418,11 +433,11 @@ def _tabulated_grid(f: TabulatedFunction, xs, p: float) -> np.ndarray:
         raise DomainError(
             f"x = {float(xs[bad][0])!r} outside tabulated range [0, {f.x_max!r}]"
         )
-    t, v = f.xs, f.values
-    slope = np.diff(v) / np.diff(t)
-    if np.array_equal(xs, t) and _is_uniform(t):
-        return _tabulated_toeplitz(t, v, slope, p)
-    return _tabulated_dense(f, np.minimum(xs, f.x_max), slope, p)
+    if np.array_equal(xs, f.xs):
+        nodes = _node_integrals(f, p)
+        if nodes is not None:
+            return nodes.copy()
+    return _tabulated_dense(f, np.minimum(xs, f.x_max), p)
 
 
 def _is_uniform(t: np.ndarray) -> bool:
@@ -430,19 +445,46 @@ def _is_uniform(t: np.ndarray) -> bool:
     grids qualify), so lag-only weights match the per-node ones."""
     k = np.arange(t.size)
     h = t[-1] / (t.size - 1)
-    return bool(np.all(np.abs(t - k * h) <= 4.0 * np.finfo(float).eps * t))
+    return bool(np.all(np.abs(t - k * h) <= _NODE_RTOL * t))
 
 
-def _tabulated_toeplitz(t, v, slope, p: float) -> np.ndarray:
+def _node_index(f: TabulatedFunction, x: float) -> int | None:
+    """k when x is node k * h, h = x_max / (size - 1), to within
+    _NODE_RTOL: the nodes :func:`_node_integrals` holds when the table is
+    uniform."""
+    h = f.x_max / (f.xs.size - 1)
+    k = round(x / h)
+    if k < f.xs.size and abs(x - k * h) <= _NODE_RTOL * x:
+        return k
+    return None
+
+
+# Holds K[f] at every node of the last few (table, order) pairs, one
+# read-only array of table size each; non-uniform tables map to None.  The
+# key is the table's identity (TabulatedFunction compares by identity) and
+# its samples are read-only, so an entry cannot go stale, and the cache's
+# own reference keeps the id from being reused while the entry lives.
+@lru_cache(maxsize=8)
+def _node_integrals(f: TabulatedFunction, p: float) -> np.ndarray | None:
+    if not _is_uniform(f.xs):
+        return None
+    nodes = _tabulated_toeplitz(f.xs, f.values, p)
+    nodes.setflags(write=False)
+    return nodes
+
+
+def _tabulated_toeplitz(t, v, p: float) -> np.ndarray:
     # cell k seen from node i > k spans lags (i-k-1)h .. (i-k)h; lag 0
     # (the cells at and above node i) gets zero moments
     lag = np.arange(t.size) * (t[-1] / (t.size - 1))
     m0, m1 = _cell_moments(lag, np.concatenate(([0.0], lag[:-1])), p)
+    slope = np.diff(v) / np.diff(t)
     return (np.convolve(v[:-1], m0) + np.convolve(slope, m1))[: t.size]
 
 
-def _tabulated_dense(f: TabulatedFunction, xs, slope, p: float) -> np.ndarray:
+def _tabulated_dense(f: TabulatedFunction, xs, p: float) -> np.ndarray:
     t, v = f.xs, f.values
+    slope = np.diff(v) / np.diff(t)
     out = np.zeros(xs.shape)
     pos = np.flatnonzero(xs > 0.0)
     if pos.size == 0:
@@ -488,34 +530,42 @@ def tabulated_derivative_kernel(f: TabulatedFunction, x: float, p) -> float:
     K[f] comes from product integration (exact for the interpolant) and is
     smooth in x, so a second-order difference with a grid-sized step keeps
     the overall error at the level of the interpolation of f itself.
+    When x is a node of a uniform table the differences take K[f] at the
+    neighbouring nodes, which the table's cached node integrals hold.
     """
     p = _order_like(p)
     x = float(x)
     if x <= 0.0:
         raise DomainError(f"upper limit must be > 0, got {x!r}")
     xs = f.xs
-    j = int(np.clip(np.searchsorted(xs, min(x, f.x_max)), 1, xs.size - 1))
+    j = min(max(int(np.searchsorted(xs, min(x, f.x_max))), 1), xs.size - 1)
     step = xs[j] - xs[j - 1]
+    if x - step < 0.0 and x + step > f.x_max:
+        # the cell holding x is wider than the room on either side of x:
+        # step over the longer side so the one-sided differences below
+        # stay in [0, x_max]
+        step = max(x, f.x_max - x)
+    k = _node_index(f, x)
+    on_node = k is not None and _node_integrals(f, p) is not None
 
-    def J(a: float) -> float:
+    def J(m: int) -> float:
+        """K[f] at x + m * step; on a uniform table's node, at the node m
+        places away, whose value is cached."""
+        a = float(xs[k + m]) if on_node else x + m * step
         return singular_integral_tabulated(f, a, p)
 
     if x - step >= 0.0 and x + step <= f.x_max:
-        slope = (J(x + step) - J(x - step)) / (2.0 * step)
+        slope = (J(1) - J(-1)) / (2.0 * step)
     elif x + step > f.x_max:
         if x - 2.0 * step >= 0.0:
-            slope = (3.0 * J(x) - 4.0 * J(x - step) + J(x - 2.0 * step)) / (
-                2.0 * step
-            )
+            slope = (3.0 * J(0) - 4.0 * J(-1) + J(-2)) / (2.0 * step)
         else:
-            slope = (J(x) - J(x - step)) / step
+            slope = (J(0) - J(-1)) / step
     else:
         if x + 2.0 * step <= f.x_max:
-            slope = (-3.0 * J(x) + 4.0 * J(x + step) - J(x + 2.0 * step)) / (
-                2.0 * step
-            )
+            slope = (-3.0 * J(0) + 4.0 * J(1) - J(2)) / (2.0 * step)
         else:
-            slope = (J(x + step) - J(x)) / step
+            slope = (J(1) - J(0)) / step
     return float(slope) - float(f.values[0]) * x ** (p - 1.0)
 
 
