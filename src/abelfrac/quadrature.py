@@ -19,7 +19,8 @@ Both paths also take a 1-d array of upper limits and evaluate the whole
 grid in one vectorised pass.  Gauss-Jacobi is affine-invariant, so the
 nodes of every x are x * (1 + xi) / 2 and one matrix product gives the
 integral at all of them; each point still stops doubling at its own
-tolerance.
+tolerance.  The Gauss-Legendre rule for regular integrands takes arrays of
+intervals the same way, with the nodes of each at mid + half * xi.
 """
 
 from __future__ import annotations
@@ -292,12 +293,21 @@ def _singular_integral_grid(g, xs, p: float, cfg, left_exponent, abs_tol):
 
 def smooth_integral(
     g: Callable,
-    a: float,
-    b: float,
+    a,
+    b,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
+):
     """Gauss-Legendre with doubling, for integrands that are regular on
-    [a, b]."""
+    [a, b].
+
+    a and b may also be 1-d arrays of limits (one broadcast against the
+    other): every interval is then evaluated in one pass and an array
+    returned, each value the one a scalar call gives; empty or reversed
+    intervals give 0.
+    """
+    scalar = isinstance(a, float) and isinstance(b, float)
+    if not scalar and (np.ndim(a) or np.ndim(b)):
+        return _smooth_integral_grid(g, a, b, cfg)
     a = float(a)
     b = float(b)
     if b <= a:
@@ -310,6 +320,32 @@ def smooth_integral(
         return half * float(np.dot(w, _sample(g, mid + half * xi)))
 
     return _doubling(estimate, cfg)
+
+
+def _smooth_integral_grid(g, a, b, cfg) -> np.ndarray:
+    # the nodes of interval i are mid_i + half_i * xi: one matrix product
+    # per rule size and row block gives every interval's estimate
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if a.ndim != 1:
+        raise DomainError("limits must be scalars or 1-d arrays")
+    out = np.zeros(a.shape)
+    pos = np.flatnonzero(b > a)
+    if pos.size == 0:
+        return out
+    mid = 0.5 * (a[pos] + b[pos])
+    half = 0.5 * (b[pos] - a[pos])
+
+    def estimate(n: int, idx: np.ndarray) -> np.ndarray:
+        xi, w = _legendre_rule(n)
+        sums = np.empty(idx.size)
+        rows = max(1, _BLOCK // n)
+        for r in range(0, idx.size, rows):
+            blk = idx[r : r + rows, None]
+            sums[r : r + rows] = _sample(g, mid[blk] + half[blk] * xi) @ w
+        return half[idx] * sums
+
+    out[pos] = _doubling_grid(estimate, np.full(pos.size, cfg.abs_tol), cfg)
+    return out
 
 
 def left_weighted_integral(

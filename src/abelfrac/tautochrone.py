@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import PchipInterpolator
 
 from .abel_solver import forward
 from .errors import ConvergenceError, DomainError, InfeasibleCurveError
@@ -59,6 +57,15 @@ CHORD_RTOL = 0.05
 # a cell, so small rules converge immediately; tolerances much tighter
 # than the default because thousands of cells accumulate
 _CELL_CFG = QuadratureConfig(node_count=16, abs_tol=1e-14, rel_tol=1e-11)
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first use: scipy.integrate
+    and scipy.interpolate take about 0.4 s to import and only the descent
+    needs them."""
+    from scipy.integrate import solve_ivp as _solve_ivp
+
+    return _solve_ivp(*args, **kwargs)
 
 
 def _readonly(a) -> np.ndarray:
@@ -195,34 +202,43 @@ def _feasibility_scan(spans, xs: np.ndarray) -> None:
         raise InfeasibleCurveError(float(ts[i]), float(slopes[i]))
 
 
-def _horizontal_increment(spans, lo: float, hi: float) -> float:
-    """integral_lo^hi sqrt(s'(t)^2 - 1) dt, splitting at breakpoints and
-    weighting the t -> 0 end when s' blows up there."""
+def _arc_slope(terms):
+    """t -> sqrt(s'(t)^2 - 1) for one span's derivative terms."""
 
-    def w_from(terms):
-        def w(t):
-            v = _eval_terms(terms, t)
-            return np.sqrt(np.maximum(v * v - 1.0, 0.0))
-        return w
+    def w(t):
+        v = _eval_terms(terms, t)
+        return np.sqrt(np.maximum(v * v - 1.0, 0.0))
 
-    total = 0.0
+    return w
+
+
+def _horizontal_increments(spans, xs: np.ndarray) -> np.ndarray:
+    """integral of sqrt(s'(t)^2 - 1) over every cell [xs[i], xs[i+1]].
+
+    Cells are clipped to each span and each span's pieces go through one
+    array call of smooth_integral, each cell doubling to its own
+    tolerance.  When s' blows up at 0 the cell starting there gets a
+    weighted end rule instead.  A cell's pieces are summed in span order.
+    """
+    lo, hi = xs[:-1], xs[1:]
+    dy = np.zeros(lo.size)
     for seg_lo, seg_hi, terms in spans:
-        a = max(lo, seg_lo)
-        b = min(hi, seg_hi)
-        if b <= a:
+        a = np.maximum(lo, seg_lo)
+        b = np.minimum(hi, seg_hi)
+        cells = np.flatnonzero(b > a)
+        if cells.size == 0:
             continue
-        min_exp = min((e for _, e in terms), default=0.0)
-        if a == 0.0 and min_exp < 0.0:
-            # s' ~ t**min_exp (unbounded): w inherits the power; hand it
-            # to the Jacobi weight and integrate the bounded remainder
-            le = min_exp
-            w = w_from(terms)
-            total += left_weighted_integral(
-                lambda t: w(t) * t ** (-le), b, le, _CELL_CFG
+        w = _arc_slope(terms)
+        le = min((e for _, e in terms), default=0.0)
+        if a[cells[0]] == 0.0 and le < 0.0:
+            # s' ~ t**le (unbounded): w inherits the power; hand it to the
+            # Jacobi weight and integrate the bounded remainder
+            first, cells = cells[0], cells[1:]
+            dy[first] += left_weighted_integral(
+                lambda t: w(t) * t ** (-le), b[first], le, _CELL_CFG
             )
-        else:
-            total += smooth_integral(w_from(terms), a, b, _CELL_CFG)
-    return total
+        dy[cells] += smooth_integral(w, a[cells], b[cells], _CELL_CFG)
+    return dy
 
 
 def reconstruct_curve(
@@ -233,8 +249,9 @@ def reconstruct_curve(
 ) -> CurveSamples:
     """Build the curve realizing arc length s(x) on a uniform grid.
 
-    y is accumulated cell by cell as the integral of sqrt(s'**2 - 1);
-    the start singularity of s' (e.g. the x**(-1/2) of s = k sqrt(x)) is
+    y is the running sum of the cell integrals of sqrt(s'**2 - 1), all
+    cells of a span evaluated in one vectorised pass; the start
+    singularity of s' (e.g. the x**(-1/2) of s = k sqrt(x)) is
     integrable and handled by a weighted end rule.  Raises
     InfeasibleCurveError where s' < 1 - 1e-9.
     """
@@ -254,9 +271,7 @@ def reconstruct_curve(
 
     spans = _segment_slope_terms(s)
     _feasibility_scan(spans, xs)
-    y = np.zeros_like(xs)
-    for i in range(1, xs.size):
-        y[i] = y[i - 1] + _horizontal_increment(spans, float(xs[i - 1]), float(xs[i]))
+    y = np.concatenate(([0.0], np.cumsum(_horizontal_increments(spans, xs))))
     return CurveSamples(xs, s(xs), y, g)
 
 
@@ -321,6 +336,8 @@ def simulate_descent(
     if a == 0.0:
         return DescentResult(0.0, 0.0, 0, 0.0)
     a = min(a, curve.x_max)
+
+    from scipy.interpolate import PchipInterpolator
 
     s_of_x = PchipInterpolator(curve.xs, curve.s)
     # drop samples within float noise of a: a near-duplicate end node would

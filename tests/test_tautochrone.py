@@ -6,10 +6,15 @@ so agreement between the two is a genuine cross-check of both.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import abelfrac
 from abelfrac import (
     DomainError,
     InfeasibleCurveError,
@@ -144,3 +149,20 @@ class TestTimeIntegralConsistency:
         # closed form for s = 2 sqrt(x): psi = pi, T = pi/sqrt(2g)
         got = descent_time_integral(PowerSum.monomial(2.0, 0.5), 0.3, g=0.5)
         assert got == pytest.approx(math.pi, rel=1e-9)
+
+
+class TestLazyImports:
+    def test_import_leaves_scipy_integrate_and_interpolate_unloaded(self):
+        # only simulate_descent needs them; it imports them on first use
+        code = (
+            "import sys, abelfrac\n"
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate')"
+            " if m in sys.modules))"
+        )
+        src = str(Path(abelfrac.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        )
+        assert out.stdout.strip() == "[]"
