@@ -14,10 +14,10 @@ routes recover s from psi:
 * ``solve_convolution``-- the convolution closed form
                           s = (sin n pi / pi) integral_0^x psi(a) (x-a)**(n-1) da,
 
-plus ``solve_piecewise`` for the classical n = 1/2 treatment of
-segment-wise psi, and ``solve_on_grid``, which runs a backend over a whole
-grid in one vectorised pass (the pointwise numeric routes are its
-one-point case).
+plus ``solve_piecewise``, the classical n = 1/2 treatment of segment-wise
+psi (the convolution route at order 1/2), and ``solve_on_grid``, which
+runs a backend over a whole grid in one vectorised pass (the pointwise
+numeric routes are its one-point case).
 The numeric routes never inspect psi's algebraic structure beyond its
 leading power at 0 (a quadrature hint); cross-checking them against the
 exact series map is the point of having three.
@@ -40,7 +40,7 @@ from .functions import (
     TabulatedFunction,
     as_order,
 )
-from .fracops import _gamma_ratio, caputo_derivative
+from .fracops import caputo_derivative, rl_power_sum
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -141,10 +141,7 @@ def solve_series(problem: AbelProblem) -> ArcLengthSolution:
         raise DomainError("series backend requires a PowerSum psi")
     n = float(problem.n)
     g1 = gamma(1.0 - n)
-    terms = tuple(
-        (c * _gamma_ratio(k + 1.0, n + k + 1.0) / g1, n + k)
-        for c, k in problem.psi.terms
-    )
+    terms = tuple((c / g1, e) for c, e in rl_power_sum(problem.psi, n).terms)
     return ArcLengthSolution(PowerSum(terms), SolutionBackend.SERIES_1823)
 
 
@@ -215,9 +212,10 @@ def _solve_points(
         integral = singular_integral_tabulated(psi, x, n)
     elif isinstance(psi, PiecewisePowerSum):
         # each x splits its integral at the breakpoints below it
-        integral = np.vectorize(
-            lambda a: kernel_integral(psi, a, n, cfg), otypes=[float]
-        )(x)
+        if isinstance(x, float):
+            integral = kernel_integral(psi, x, problem.n, cfg)
+        else:
+            integral = np.array([kernel_integral(psi, a, problem.n, cfg) for a in x])
     else:
         # psi's leading power at 0 goes into the Jacobi weight
         le = _psi_left_exponent(psi)
@@ -248,30 +246,17 @@ def solve_piecewise(
     x: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> float:
-    """s(x) for segment-wise psi at n = 1/2:
+    """s(x) for segment-wise psi at n = 1/2 by the convolution route,
+    whose kernel integral splits at the breakpoints below x:
 
-    pi * s(x) = sum_i integral over segment i of psi_i(a) / sqrt(x - a) da,
-
-    only the final segment's upper limit being x.  Restricted to order
-    1/2 (the classical treatment); a bare PowerSum is accepted as the
-    single-segment case.
+    pi * s(x) = sum_i integral over segment i of psi_i(a) / sqrt(x - a) da.
     """
     n = float(problem.n)
     if abs(n - 0.5) > 1e-12:
         raise DomainError(
             f"piecewise solving is implemented for order 1/2 only, got n = {n!r}"
         )
-    x = float(x)
-    if x < 0.0:
-        raise DomainError(f"x must be >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    psi = problem.psi
-    if isinstance(psi, PowerSum):
-        psi = PiecewisePowerSum((), (psi,))
-    if not isinstance(psi, PiecewisePowerSum):
-        raise DomainError("piecewise backend requires piecewise or power-sum psi")
-    return kernel_integral(psi, x, 0.5, cfg) / math.pi
+    return solve_convolution(problem, x, cfg)
 
 
 def solve_on_grid(

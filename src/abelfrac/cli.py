@@ -42,7 +42,6 @@ from .abel_solver import (
     SolutionBackend,
     forward,
     solve_on_grid,
-    solve_piecewise,
 )
 from .errors import (
     ContinuityError,
@@ -330,15 +329,11 @@ def _cmd_solve(args) -> tuple[list[str], list[tuple]]:
         if isinstance(f, PowerSum):
             backend = "series"
         elif isinstance(f, PiecewisePowerSum):
-            backend = "piecewise"
+            backend = "convolution"
         else:
             backend = "numeric"
 
-    if backend == "piecewise":
-        values = np.array([solve_piecewise(problem, float(x), cfg) for x in xs])
-    else:
-        sol = solve_on_grid(problem, xs, cfg, SolutionBackend(backend))
-        values = sol.s.values
+    values = solve_on_grid(problem, xs, cfg, SolutionBackend(backend)).s.values
     return ["x", "s"], [(float(x), float(v)) for x, v in zip(xs, values)]
 
 

@@ -73,16 +73,12 @@ class QuadratureConfig:
 
     node_count
         starting rule size; doubled until convergence.
-    graded_mesh_exponent
-        clustering strength for :func:`graded_mesh`; ``None`` means pick
-        2/p at the point of use.
     abs_tol, rel_tol
         doubling stops when successive estimates differ by at most
         ``max(abs_tol, rel_tol * |I|)``.
     """
 
     node_count: int = 64
-    graded_mesh_exponent: float | None = None
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
 
@@ -91,9 +87,6 @@ class QuadratureConfig:
             raise DomainError(
                 f"node_count must be an int >= 2, got {self.node_count!r}"
             )
-        g = self.graded_mesh_exponent
-        if g is not None and not (math.isfinite(g) and g >= 1.0):
-            raise DomainError(f"graded_mesh_exponent must be >= 1, got {g!r}")
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise DomainError("tolerances must be positive")
 

@@ -96,20 +96,26 @@ class TestSolveCommand:
                 2.0 / math.pi * math.sqrt(0.5), rel=1e-6
             )
 
-    def test_piecewise_solve(self, capsys):
+    @pytest.mark.parametrize("n", [0.5, 0.3])
+    def test_piecewise_solve(self, n, capsys):
         code, out, _ = run_cli(
             [
                 "solve",
                 "--func", "piecewise: [0,1] 1.0 ; [1,2] -2.0 + 3*a^1",
-                "--order", "0.5", "--grid", "2:5",
+                "--order", str(n), "--grid", "2:5",
             ],
             capsys,
         )
         assert code == 0
         _, rows = csv_rows(out)
-        # closed form: (2 sqrt(x) + 4 max(x-1,0)^{3/2}) / pi
+        # psi = 1 + 3 (a-1)_+, so
+        # s = (sin n pi / pi) (x^n / n + 3 (x-1)_+^(n+1) / (n (n+1))):
+        # (2 sqrt(x) + 4 max(x-1,0)^{3/2}) / pi at n = 1/2, and 3.03772 at
+        # n = 0.3, x = 2
         for x, s in rows[1:]:
-            ref = (2.0 * math.sqrt(x) + 4.0 * max(x - 1.0, 0.0) ** 1.5) / math.pi
+            ref = math.sin(n * math.pi) / math.pi * (
+                x**n / n + 3.0 * max(x - 1.0, 0.0) ** (n + 1.0) / (n * (n + 1.0))
+            )
             assert s == pytest.approx(ref, rel=1e-7)
 
 

@@ -48,10 +48,6 @@ class TestConfig:
         with pytest.raises(DomainError):
             QuadratureConfig(rel_tol=-1e-9)
 
-    def test_rejects_bad_mesh_exponent(self):
-        with pytest.raises(DomainError):
-            QuadratureConfig(graded_mesh_exponent=0.5)
-
 
 class TestSingularIntegral:
     def test_constant_integrand_closed_form(self):

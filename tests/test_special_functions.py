@@ -26,6 +26,7 @@ GAMMA_TABLE = [
     (-2.5, -0.9453087204829419),
     (0.001, 999.4237724845955),
     (170.0, 4.269068009004705e304),
+    (171.5, 9.4833675668247993e307),  # just below overflow
 ]
 
 
@@ -57,6 +58,18 @@ def test_gamma_rejects_nonfinite():
         gamma(float("nan"))
     with pytest.raises(DomainError):
         gamma(float("inf"))
+
+
+def test_overflow_gives_signed_infinity():
+    assert gamma(172.0) == math.inf
+    assert gamma(1e-310) == math.inf
+    assert gamma(-1e-310) == -math.inf
+    assert log_gamma(1e306) == math.inf
+
+
+def test_log_gamma_subnormal_argument():
+    # mpmath.loggamma(1e-310), about -log(1e-310)
+    assert log_gamma(1e-310) == pytest.approx(713.80137882815417, rel=1e-14)
 
 
 def test_log_gamma_large_arguments():
