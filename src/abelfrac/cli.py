@@ -288,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(sub.add_parser("frac-der", help="fractional derivative on a grid"))
     _add_common(sub.add_parser("curve", help="reconstruct the plane curve"),
                 gravity=True)
-    _add_common(sub.add_parser("simulate", help="simulate descents from grid heights"),
+    _add_common(sub.add_parser("simulate", help="descent times along the sampled curve"),
                 gravity=True)
     sub.add_parser("verify", help="run the built-in verification suite")
     return p

@@ -11,10 +11,13 @@ height).  A bead released at height a slides with speed
 v = sqrt(2 g (a - x)); the default g = 1/2 makes v = sqrt(a - x), so
 descent times equal the bare kernel integral of s'.
 
-``simulate_descent`` is deliberately independent of the integral
-machinery: it integrates the equation of motion in time along the sampled
-curve, so agreement with ``descent_time_integral`` is a genuine
-cross-check of the whole pipeline rather than an identity.
+``simulate_descent`` is deliberately independent of
+``descent_time_integral``: it times the bead along the sampled curve, by
+quadrature of the separated equation of motion
+T = integral_0^L dsigma / sqrt(2g (a - x(sigma))) on the monotone cubic
+through the samples, never touching the analytic s' or the kernel
+integral, so agreement between the two is a genuine cross-check of the
+whole pipeline rather than an identity.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abel_solver import forward
-from .errors import ConvergenceError, DomainError, InfeasibleCurveError
+from .errors import DomainError, InfeasibleCurveError
 from .functions import (
     FunctionSpec,
     PiecewisePowerSum,
@@ -58,11 +61,14 @@ CHORD_RTOL = 0.05
 # than the default because thousands of cells accumulate
 _CELL_CFG = QuadratureConfig(node_count=16, abs_tol=1e-14, rel_tol=1e-11)
 
+# the descent's cell integrals are positive, so its relative tolerance
+# alone decides when a cell has converged
+_TINY = float(np.finfo(float).tiny)
+
 
 def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on first use: scipy.integrate
-    and scipy.interpolate take about 0.4 s to import and only the descent
-    needs them."""
+    """scipy.integrate.solve_ivp, imported on first use.  Nothing in the
+    package calls it; benchmarks/tracer.py wraps it by name."""
     from scipy.integrate import solve_ivp as _solve_ivp
 
     return _solve_ivp(*args, **kwargs)
@@ -139,11 +145,11 @@ class CurveSamples:
 class DescentResult:
     """Outcome of one simulated descent.
 
-    a: release height; T: arrival time at the bottom; steps: accepted
-    integrator steps (the analytic start-up step included); max_residual:
-    worst disagreement, relative to a, between monotone-cubic and linear
-    readings of the sampled arc along the trajectory -- an indicator of
-    how much the curve's sampling resolution could move the answer.
+    a: release height; T: arrival time at the bottom; steps: curve cells
+    crossed on the way down; max_residual: worst disagreement, relative
+    to a, between the monotone-cubic and linear readings of x(sigma) at
+    the midpoints of those cells -- an indicator of how much the curve's
+    sampling resolution could move the answer.
     """
 
     a: float
@@ -217,8 +223,10 @@ def _horizontal_increments(spans, xs: np.ndarray) -> np.ndarray:
 
     Cells are clipped to each span and each span's pieces go through one
     array call of smooth_integral, each cell doubling to its own
-    tolerance.  When s' blows up at 0 the cell starting there gets a
-    weighted end rule instead.  A cell's pieces are summed in span order.
+    tolerance.  When s' blows up at 0 the cell starting there is
+    integrated on its own: in u = sqrt(t) when every exponent of s' is a
+    multiple of 1/2, by a weighted end rule otherwise.  A cell's pieces
+    are summed in span order.
     """
     lo, hi = xs[:-1], xs[1:]
     dy = np.zeros(lo.size)
@@ -231,12 +239,18 @@ def _horizontal_increments(spans, xs: np.ndarray) -> np.ndarray:
         w = _arc_slope(terms)
         le = min((e for _, e in terms), default=0.0)
         if a[cells[0]] == 0.0 and le < 0.0:
-            # s' ~ t**le (unbounded): w inherits the power; hand it to the
-            # Jacobi weight and integrate the bounded remainder
             first, cells = cells[0], cells[1:]
-            dy[first] += left_weighted_integral(
-                lambda t: w(t) * t ** (-le), b[first], le, _CELL_CFG
-            )
+            if all(float(2.0 * e).is_integer() for _, e in terms):
+                # s' in powers of t**(1/2): w(u**2) 2u is smooth in u
+                dy[first] += smooth_integral(
+                    lambda u: w(u * u) * 2.0 * u, 0.0, math.sqrt(b[first]), _CELL_CFG
+                )
+            else:
+                # s' ~ t**le (unbounded): w inherits the power; hand it to
+                # the Jacobi weight and integrate the bounded remainder
+                dy[first] += left_weighted_integral(
+                    lambda t: w(t) * t ** (-le), b[first], le, _CELL_CFG
+                )
         dy[cells] += smooth_integral(w, a[cells], b[cells], _CELL_CFG)
     return dy
 
@@ -252,7 +266,7 @@ def reconstruct_curve(
     y is the running sum of the cell integrals of sqrt(s'**2 - 1), all
     cells of a span evaluated in one vectorised pass; the start
     singularity of s' (e.g. the x**(-1/2) of s = k sqrt(x)) is
-    integrable and handled by a weighted end rule.  Raises
+    integrable and handled on the first cell alone.  Raises
     InfeasibleCurveError where s' < 1 - 1e-9.
     """
     x_max = float(x_max)
@@ -312,19 +326,55 @@ def descent_time_integral(
     return forward(s, 0.5, a, cfg) / math.sqrt(2.0 * g)
 
 
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    # one-sided three-point slope, kept from overshooting the end cell
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Node slopes of the monotone cubic through (x, y), as scipy's
+    PchipInterpolator takes them (Fritsch & Carlson, SIAM J. Numer. Anal.
+    17, 1980): a weighted harmonic mean of the neighbouring secants inside,
+    0 where a secant vanishes or changes sign, a shape-preserving one-sided
+    rule at the ends, and the secant itself for two nodes."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if m.size == 1:
+        return np.array([m[0], m[0]])
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    mono = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        inner = np.where(mono, 1.0 / whmean, 0.0)
+    return np.concatenate((
+        [_pchip_end_slope(h[0], h[1], m[0], m[1])],
+        inner,
+        [_pchip_end_slope(h[-1], h[-2], m[-1], m[-2])],
+    ))
+
+
 def simulate_descent(
     curve: CurveSamples,
     a: float,
     rel_tol: float = 1e-9,
 ) -> DescentResult:
-    """Integrate the bead's equation of motion along the sampled curve.
+    """Time the bead's slide from height a along the sampled curve.
 
-    State is the arc distance travelled from release.  Time is integrated
-    in gravity-free units (speed sqrt(a - x)) and the result divided by
-    sqrt(2g) once at the end, so rescaling g rescales T exactly.  The
-    v = 0 release singularity is crossed with the closed-form solution on
-    a locally straight arc; adaptive stepping with an arrival event does
-    the rest.
+    The arc is read as the monotone cubic x(sigma) through the samples
+    (clipped at a, with s(a) from the monotone cubic s(x)), and the time
+    is T = integral_0^L dsigma / sqrt(2g (a - x(sigma))), L = s(a): the
+    equation of motion with its variables separated.  Substituting
+    sigma = L - r**2 makes the integrand 2r / sqrt(a - x) smooth on every
+    cell, the release point included; all cells go through one array call
+    of smooth_integral, each doubling its rule until it meets rel_tol.
+    T is integrated in gravity-free units (speed sqrt(a - x)) and divided
+    by sqrt(2g) once at the end, so rescaling g rescales T exactly.
     """
     a = float(a)
     if not (math.isfinite(a) and a >= 0.0):
@@ -336,60 +386,56 @@ def simulate_descent(
     if a == 0.0:
         return DescentResult(0.0, 0.0, 0, 0.0)
     a = min(a, curve.x_max)
+    cfg = QuadratureConfig(node_count=8, abs_tol=_TINY, rel_tol=rel_tol)
 
-    from scipy.interpolate import PchipInterpolator
-
-    s_of_x = PchipInterpolator(curve.xs, curve.s)
     # drop samples within float noise of a: a near-duplicate end node would
     # give the arc interpolant a degenerate final cell
     inside = curve.xs < a - 1e-12 * curve.x_max
     x_nodes = np.append(curve.xs[inside], a)
-    s_nodes = np.append(curve.s[inside], float(s_of_x(a)))
-    L = float(s_nodes[-1])
     if x_nodes.size < 2:
         raise DomainError("release height too close to 0 for the sampled grid")
-    x_of_s = PchipInterpolator(s_nodes, x_nodes)
+    s_nodes = np.append(curve.s[inside], _s_at(curve, a))
+    L = float(s_nodes[-1])
 
-    # analytic start: with x ~ a - rho/s'(a), v = sqrt(rho/s'(a)) and
-    # rho(tau) = tau^2 / (4 s'(a))
-    slope_a = float(s_of_x.derivative()(a))
-    rho0 = 1e-4 * L
-    tau0 = 2.0 * math.sqrt(rho0 * slope_a)
+    # cell k is sigma in [s_k, s_k+1], i.e. r in [sqrt(rho_k), sqrt(L - s_k)]
+    # with rho_k = L - s_k+1; on it a - x = drop_k + u (d_k+1 - u (c2 + u c3))
+    # in u = s_k+1 - sigma = r**2 - rho_k, so on the last cell
+    # (drop = rho = 0) it is r**2 times a positive factor and never a
+    # difference of nearly equal numbers
+    d = _pchip_slopes(s_nodes, x_nodes)
+    c2, c3 = _cubic_from_right(s_nodes, x_nodes, d)
+    drop = a - x_nodes[1:]
+    rho = L - s_nodes[1:]
+    neg_rho = -rho
 
-    def rhs(_tau, state):
-        sigma = min(max(L - state[0], 0.0), L)
-        return [math.sqrt(max(a - float(x_of_s(sigma)), 0.0))]
+    def integrand(r):
+        k = np.minimum(np.searchsorted(neg_rho, -r * r), rho.size - 1)
+        u = r * r - rho[k]
+        return 2.0 * r / np.sqrt(drop[k] + u * (d[k + 1] - u * (c2[k] + u * c3[k])))
 
-    def arrived(_tau, state):
-        return state[0] - L
+    tau = smooth_integral(integrand, np.sqrt(rho), np.sqrt(L - s_nodes[:-1]), cfg)
+    # cubic against linear arc at each cell's midpoint: h |d_k - d_k+1| / 8
+    h = np.diff(s_nodes)
+    max_residual = float(np.max(h * np.abs(np.diff(d))) / (8.0 * a))
+    T = float(np.sum(tau)) / math.sqrt(2.0 * curve.g)
+    return DescentResult(a, T, int(h.size), max_residual)
 
-    arrived.terminal = True
-    arrived.direction = 1.0
 
-    tau_budget = tau0 + 101.0 * math.sqrt(max(slope_a, 1.0) * L) + 1.0
-    sol = solve_ivp(
-        rhs,
-        (0.0, tau_budget),
-        [rho0],
-        method="RK45",
-        rtol=float(rel_tol),
-        atol=1e-12 * L,
-        events=arrived,
-    )
-    if sol.status == -1:
-        raise ConvergenceError(f"descent integration failed: {sol.message}")
-    if not sol.t_events[0].size:
-        raise ConvergenceError(
-            "bead failed to reach the bottom within the time budget"
-        )
-    tau_event = float(sol.t_events[0][0])
+def _cubic_from_right(x: np.ndarray, y: np.ndarray, d: np.ndarray):
+    """Per-cell (c2, c3) of the cubic through nodes (x, y) with slopes d,
+    in the distance u = x_k+1 - t to the cell's right end:
+    y(t) = y_k+1 - u (d_k+1 - u (c2 + u c3))."""
+    h = np.diff(x)
+    secant = np.diff(y) / h
+    return (2.0 * d[1:] + d[:-1] - 3.0 * secant) / h, (2.0 * secant - d[:-1] - d[1:]) / h**2
 
-    # discretization indicator along the visited states
-    rhos = np.clip(np.append(sol.y[0], L), 0.0, L)
-    sigmas = L - rhos
-    x_cubic = np.asarray(x_of_s(sigmas))
-    x_linear = np.interp(sigmas, s_nodes, x_nodes)
-    max_residual = float(np.max(np.abs(x_cubic - x_linear)) / a)
 
-    T = (tau0 + tau_event) / math.sqrt(2.0 * curve.g)
-    return DescentResult(a, T, int(sol.t.size), max_residual)
+def _s_at(curve: CurveSamples, a: float) -> float:
+    """s(a) on the monotone cubic through the curve's (xs, s) samples,
+    0 < a <= x_max."""
+    xs, s = curve.xs, curve.s
+    k = int(np.searchsorted(xs, a)) - 1
+    d = _pchip_slopes(xs, s)
+    c2, c3 = _cubic_from_right(xs[k : k + 2], s[k : k + 2], d[k : k + 2])
+    u = xs[k + 1] - a
+    return float(s[k + 1] - u * (d[k + 1] - u * (c2[0] + u * c3[0])))

@@ -3,10 +3,11 @@
 reconstruct_curve integrates sqrt(s'^2 - 1) over every cell of a span in
 one array call of smooth_integral.  The reference here is the per-cell
 route: each cell clipped to each span and integrated on its own by the
-scalar smooth_integral (left_weighted_integral for the cell at 0 when s'
-is unbounded there), the pieces summed in span order, then a cumulative
-sum.  Every value must agree, including where the node cap makes a cell
-raise.
+scalar smooth_integral, the pieces summed in span order, then a
+cumulative sum.  When s' is unbounded at 0 the cell there takes the
+substitution t = u**2 if every exponent of s' is a multiple of 1/2, and
+left_weighted_integral otherwise.  Every value must agree, including where
+the node cap makes a cell raise.
 """
 
 import math
@@ -56,9 +57,12 @@ def per_cell_y(s, xs: np.ndarray, cfg: QuadratureConfig) -> np.ndarray:
             w = _w(terms)
             le = min((e for _, e in terms), default=0.0)
             if a == 0.0 and le < 0.0:
-                total += left_weighted_integral(
-                    lambda t: w(t) * t ** (-le), b, le, cfg
-                )
+                if all((2.0 * e).is_integer() for _, e in terms):
+                    total += smooth_integral(lambda u: w(u * u) * 2.0 * u, 0.0, math.sqrt(b), cfg)
+                else:
+                    total += left_weighted_integral(
+                        lambda t: w(t) * t ** (-le), b, le, cfg
+                    )
             else:
                 total += smooth_integral(w, a, b, cfg)
         y.append(y[-1] + total)
@@ -100,15 +104,21 @@ class TestEquivalence:
     def test_series_map_matches_per_cell(self, cfg, psi, x_max, points):
         s = solve_series(AbelProblem(psi, 0.5)).s
         xs = np.linspace(0.0, x_max, points)
-        try:
-            ref = per_cell_y(s, xs, cfg)
-        except ConvergenceError:
-            # a wide first cell: the remainder of the weighted end rule is
-            # not smooth in t when s' mixes t**(-1/2) and t**0
-            with pytest.raises(ConvergenceError):
-                batched_y(s, x_max, points, cfg)
-            return
-        assert_close(batched_y(s, x_max, points, cfg), ref)
+        assert_close(batched_y(s, x_max, points, cfg), per_cell_y(s, xs, cfg))
+
+    def test_mixed_half_powers_converge_at_zero(self):
+        # s = 2 sqrt(x) + 1.5 x: s' = x**(-1/2) + 1.5 mixes t**(-1/2) and
+        # t**0, which stalled the weighted end rule at the node cap on a
+        # wide first cell.  Reference: mpmath.quad at 30 digits of
+        # integral_0^x sqrt((t**(-1/2) + 1.5)**2 - 1) dt, x = 0.1, ..., 1
+        ref = [
+            0.7745820768427022, 1.1741798806303405, 1.5106340836737775,
+            1.8140366700556936, 2.096134321190505, 2.3629895309710687,
+            2.618223317389967, 2.8642063673092646, 3.1025925377531265,
+            3.334590779813093,
+        ]
+        y = reconstruct_curve(PowerSum(((2.0, 0.5), (1.5, 1.0))), 1.0, 11).y
+        np.testing.assert_allclose(y[1:], ref, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=["cell_cfg", "loose"])
     def test_cycloid_matches_per_cell(self, cfg):

@@ -1,8 +1,8 @@
 """Curve reconstruction and gravity-descent simulation.
 
-The descent simulator integrates the bead ODE with an adaptive
-Runge-Kutta method and never sees the closed-form descent-time integral,
-so agreement between the two is a genuine cross-check of both.
+The descent simulator integrates dsigma / sqrt(2g (a - x(sigma))) along
+the sampled curve and never sees the closed-form descent-time integral
+of s', so agreement between the two is a genuine cross-check of both.
 """
 
 import math
@@ -121,8 +121,8 @@ class TestDescent:
 
     def test_gravity_scaling_is_exact(self):
         # T scales as 1/sqrt(g); the simulation integrates in normalised
-        # time, so the ratio must hold to rounding, not just to ODE
-        # tolerance
+        # time, so the ratio must hold to rounding, not just to
+        # quadrature tolerance
         s = PowerSum.monomial(2.0, 1.0)
         slow = simulate_descent(reconstruct_curve(s, 1.0, 501, g=0.5), 0.6)
         fast = simulate_descent(reconstruct_curve(s, 1.0, 501, g=2.0), 0.6)
@@ -152,10 +152,12 @@ class TestTimeIntegralConsistency:
 
 
 class TestLazyImports:
-    def test_import_leaves_scipy_integrate_and_interpolate_unloaded(self):
-        # only simulate_descent needs them; it imports them on first use
-        code = (
-            "import sys, abelfrac\n"
+    # the package needs neither scipy.integrate nor scipy.interpolate; only
+    # the unused tautochrone.solve_ivp wrapper would load the former
+    @staticmethod
+    def loaded_after(code: str) -> str:
+        code += (
+            "\nimport sys\n"
             "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate')"
             " if m in sys.modules))"
         )
@@ -165,4 +167,22 @@ class TestLazyImports:
             [sys.executable, "-c", code], env=env, capture_output=True,
             text=True, check=True, timeout=120,
         )
-        assert out.stdout.strip() == "[]"
+        return out.stdout.strip().splitlines()[-1]
+
+    def test_import_leaves_scipy_integrate_and_interpolate_unloaded(self):
+        assert self.loaded_after("import abelfrac") == "[]"
+
+    def test_descent_leaves_scipy_integrate_and_interpolate_unloaded(self):
+        code = (
+            "from abelfrac import PowerSum, reconstruct_curve, simulate_descent\n"
+            "curve = reconstruct_curve(PowerSum.monomial(2.0, 1.0), 1.0, 101)\n"
+            "assert simulate_descent(curve, 0.5).T > 0.0"
+        )
+        assert self.loaded_after(code) == "[]"
+
+    def test_cli_simulate_leaves_scipy_integrate_and_interpolate_unloaded(self):
+        code = (
+            "from abelfrac.cli import main\n"
+            "assert main(['simulate', '--func', '2*a^1', '--grid', '1:5']) == 0"
+        )
+        assert self.loaded_after(code) == "[]"
