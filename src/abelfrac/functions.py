@@ -65,11 +65,11 @@ def _eval_terms(terms, x):
     scalar = np.isscalar(x)
     xs = np.asarray(x, dtype=float)
     out = np.zeros_like(xs)
-    for coef, exp in terms:
-        if exp == 0.0:
-            out += coef
-        else:
-            with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore"):
+        for coef, exp in terms:
+            if exp == 0.0:
+                out += coef
+            else:
                 out += coef * np.power(xs, exp)
     return float(out) if scalar else out
 

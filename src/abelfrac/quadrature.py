@@ -21,6 +21,20 @@ nodes of every x are x * (1 + xi) / 2 and one matrix product gives the
 integral at all of them; each point still stops doubling at its own
 tolerance.  The Gauss-Legendre rule for regular integrands takes arrays of
 intervals the same way, with the nodes of each at mid + half * xi.
+
+The rules are built here, in numpy; no scipy is imported.  Node k is
+x = cos(theta_k), and each half of [-1, 1] is found from its own end (the
+half at -1 through P_n^(a,b)(-x) = (-1)^n P_n^(b,a)(x)), so 1 -/+ x =
+2 sin^2(theta/2) keeps its relative digits near either end.  From
+Gatteschi's asymptotic angles, Halley steps on the three-term recurrence
+converge in 3-4 vectorised passes; the recurrence is carried as
+P_k = r_k P_k-1 + D_k with r_k = P_k(1) / P_k-1(1), so D_k -> 0 at the end
+and nothing cancels there.  The weights are 1 / (dP_n/dtheta)^2, i.e.
+1 / ((1 - x^2) P_n'(x)^2) (Golub & Welsch, Math. Comp. 23, 1969),
+renormalised to the exact total 2^(a+b+1) B(a+1, b+1).  For exponents
+above about 11 the asymptotic angles can miss a root; the eigenvalues of
+the Jacobi matrix then give the start (Hale & Townsend, SIAM J. Sci.
+Comput. 35, 2013, survey both routes).  Legendre is a = b = 0.
 """
 
 from __future__ import annotations
@@ -31,7 +45,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import ConvergenceError, DomainError, EvaluationError
 from .functions import (
@@ -96,20 +109,145 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 @lru_cache(maxsize=256)
 def _jacobi_rule(n: int, alpha: float, beta: float):
-    # scipy's recurrence warns (spuriously) for exponents near -1
-    with np.errstate(invalid="ignore"):
-        x, w = roots_jacobi(n, alpha, beta)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    """n-point Gauss-Jacobi rule for the weight (1-x)**alpha (1+x)**beta
+    on [-1, 1]: nodes ascending, both arrays read-only."""
+    return _frozen(*_gauss_jacobi(n, float(alpha), float(beta)))
 
 
 @lru_cache(maxsize=64)
 def _legendre_rule(n: int):
-    x, w = roots_legendre(n)
+    return _frozen(*_gauss_jacobi(n, 0.0, 0.0))
+
+
+def _frozen(x: np.ndarray, w: np.ndarray):
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
+
+
+def _gauss_jacobi(n: int, alpha: float, beta: float):
+    a1, b1 = 1.0 + alpha, 1.0 + beta
+    rho = n + 0.5 * (a1 + b1 - 1.0)
+    right = _start_angles(n, rho, alpha, beta)
+    m = int(np.count_nonzero(right <= 0.5 * math.pi))
+    rule = _halley(n, a1, b1, right[:m], _start_angles(n - m, rho, beta, alpha))
+    if rule is None:
+        # Golub & Welsch: the nodes are the eigenvalues of the Jacobi matrix
+        x0 = np.linalg.eigvalsh(_jacobi_matrix(n, alpha, beta))
+        rule = _halley(
+            n, a1, b1, np.arccos(x0[x0 >= 0.0][::-1]), np.arccos(-x0[x0 < 0.0])
+        )
+    if rule is None:
+        raise ConvergenceError(
+            f"Gauss-Jacobi rule ({n}, {alpha!r}, {beta!r}) did not converge"
+        )
+    x, w = rule
+    log_mu0 = (
+        (a1 + b1 - 1.0) * math.log(2.0)
+        + math.lgamma(a1) + math.lgamma(b1) - math.lgamma(a1 + b1)
+    )
+    return x, w * (math.exp(log_mu0) / w.sum())
+
+
+def _start_angles(count: int, rho: float, alpha: float, beta: float) -> np.ndarray:
+    # Gatteschi & Pittaluga: theta_k of P_n^(alpha,beta), rho = n + (alpha+beta+1)/2
+    phi = (np.arange(1, count + 1) - 0.25 + 0.5 * alpha) * (math.pi / rho)
+    half = np.tan(0.5 * phi)
+    return phi + ((0.25 - alpha * alpha) / half - (0.25 - beta * beta) * half) / (
+        4.0 * rho * rho
+    )
+
+
+def _jacobi_matrix(n: int, alpha: float, beta: float) -> np.ndarray:
+    k = np.arange(1.0, n)
+    ab = alpha + beta
+    s = 2.0 * np.arange(n) + ab
+    diag = np.empty(n)
+    diag[0] = (beta - alpha) / (ab + 2.0)
+    diag[1:] = (beta * beta - alpha * alpha) / (s[1:] * (s[1:] + 2.0))
+    s = s[1:]
+    # (k + ab) / (s - 1) is 1 at k = 1, also where both vanish (ab = -1)
+    ratio = np.concatenate(([1.0], (k[1:] + ab) / (s[1:] - 1.0)))
+    off = np.sqrt(4.0 * k * (k + alpha) * (k + beta) * ratio / (s * s * (s + 1.0)))
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def _halley(n: int, a1: float, b1: float, right: np.ndarray, left: np.ndarray):
+    """Polish the angles of the nodes in (0, 1] (right, theta_k) and in
+    [-1, 0) (left, angles of -x) to the roots of P_n^(a1-1, b1-1); returns
+    (x, w) with w = 1 / (dP_n/dtheta)^2 up to one common factor, or None if
+    the passes do not settle on n distinct roots.
+
+    Row 0 of each array runs the recurrence of (alpha, beta) in
+    u = 1 - cos(theta), row 1 that of (beta, alpha); the shorter half is
+    padded with copies of its last angle.  Each row carries
+    Q_k = P_k / P_k(1) = Q_k-1 + E_k with E_k -> 0 as u -> 0, so the
+    values near each end keep their relative digits.  Every factor is
+    written as an integer plus a1 = alpha + 1 or b1 = beta + 1, which
+    holds its digits as alpha or beta nears -1.
+    """
+    m = right.size
+    h = max(m, n - m)
+    theta = np.empty((2, h))
+    for row, half in enumerate((right, left)):
+        theta[row, : half.size] = half
+        theta[row, half.size :] = half[-1] if half.size else 0.25 * math.pi
+    s = a1 + b1
+    own = np.array([[a1], [b1]])
+    other = own[::-1]
+    k = np.arange(2.0, n + 1.0)
+    c = 2.0 * (k - 1.0) + s
+    # 1 / r_k = P_k-1(1) / P_k(1)
+    shrink = k / (k - 1.0 + own)
+    a = ((2.0 * k - 3.0 + s) * c / (2.0 * k * (k - 2.0 + s)) * shrink).T[:, :, None]
+    g = (
+        (k - 1.0) * (k - 2.0 + other) * c
+        / (k * (k - 2.0 + s) * (2.0 * (k - 2.0) + s)) * shrink
+    ).T[:, :, None]
+    cn = 2.0 * (n - 1.0) + s
+    lead = 2.0 * (n - 1.0 + other)
+    tilt = own - other
+    lam = n * (n - 1.0 + s)
+    e1 = 0.5 * s / own
+    t = np.empty_like(theta)
+    for _ in range(12):
+        sh = np.sin(0.5 * theta)
+        u = 2.0 * sh * sh
+        e = -e1 * u
+        q = 1.0 + e
+        for ak, gk in zip(a, g):
+            e *= gk
+            np.multiply(u, ak, out=t)
+            t *= q
+            e -= t
+            q += e
+        sin = np.sin(theta)
+        # dQ/dtheta from the derivative identity; E_n = Q_n - Q_n-1
+        dq = -n * (cn * u * q - lead * e) / (cn * sin)
+        # the second derivative from the Jacobi equation in theta
+        d2q = -dq * ((s - 1.0) * (1.0 - u) + tilt) / sin - lam * q
+        step = q * dq / (dq * dq - 0.5 * q * d2q)
+        theta -= step
+        done = max(
+            np.max(np.abs(step[0, :m] / theta[0, :m]), initial=0.0),
+            np.max(np.abs(step[1, : n - m] / theta[1, : n - m]), initial=0.0),
+        )
+        if done <= 1e-14:
+            break
+    else:
+        return None
+    x = np.concatenate((-np.cos(theta[1, : n - m]), np.cos(theta[0, :m][::-1])))
+    rho = n + 0.5 * (s - 1.0)
+    if not (np.all(np.isfinite(x)) and np.all(np.diff(x) > 1e-8 / rho**2)):
+        return None
+    # w = 1 / (P_n(1) dQ/dtheta)^2, in logs: P_n(1) = binom(n + own - 1, n)
+    # differs between the rows and can be huge
+    log_p1 = np.log((np.arange(n) + own) / np.arange(1.0, n + 1.0)).sum(
+        axis=1, keepdims=True
+    )
+    log_w = -2.0 * (np.log(np.abs(dq)) + log_p1)
+    log_w = np.concatenate((log_w[1, : n - m], log_w[0, :m][::-1]))
+    return x, np.exp(log_w - log_w.max())
 
 
 def _sample(g: Callable, t: np.ndarray) -> np.ndarray:

@@ -435,7 +435,11 @@ def _s_at(curve: CurveSamples, a: float) -> float:
     0 < a <= x_max."""
     xs, s = curve.xs, curve.s
     k = int(np.searchsorted(xs, a)) - 1
-    d = _pchip_slopes(xs, s)
-    c2, c3 = _cubic_from_right(xs[k : k + 2], s[k : k + 2], d[k : k + 2])
+    # the slopes at nodes k and k+1 read only their neighbours (the end
+    # rule, two nodes inward, at a table end), so the window of nodes
+    # k-1 .. k+2 gives the whole table's values
+    lo = max(k - 1, 0)
+    d = _pchip_slopes(xs[lo : k + 3], s[lo : k + 3])[k - lo : k - lo + 2]
+    c2, c3 = _cubic_from_right(xs[k : k + 2], s[k : k + 2], d)
     u = xs[k + 1] - a
-    return float(s[k + 1] - u * (d[k + 1] - u * (c2[0] + u * c3[0])))
+    return float(s[k + 1] - u * (d[1] - u * (c2[0] + u * c3[0])))

@@ -23,7 +23,7 @@ from abelfrac import (
     reconstruct_curve,
     simulate_descent,
 )
-from abelfrac.tautochrone import CurveSamples
+from abelfrac.tautochrone import CurveSamples, _cubic_from_right, _pchip_slopes, _s_at
 
 # cycloid data: psi = 2 -> s = k sqrt(x) with k = 4/pi, rolling radius
 # r = k^2/8 = 2/pi^2, feasible out to x = 2r
@@ -152,25 +152,28 @@ class TestTimeIntegralConsistency:
 
 
 class TestLazyImports:
-    # the package needs neither scipy.integrate nor scipy.interpolate; only
-    # the unused tautochrone.solve_ivp wrapper would load the former
+    # no runtime code needs scipy: the rules are built in numpy, and only
+    # the unused tautochrone.solve_ivp wrapper would load scipy.integrate
     @staticmethod
-    def loaded_after(code: str) -> str:
-        code += (
-            "\nimport sys\n"
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate')"
-            " if m in sys.modules))"
-        )
+    def run(code: str) -> str:
         src = str(Path(abelfrac.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True,
             text=True, check=True, timeout=120,
         )
-        return out.stdout.strip().splitlines()[-1]
+        return out.stdout
+
+    @classmethod
+    def loaded_after(cls, code: str) -> str:
+        code += (
+            "\nimport sys\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        return cls.run(code).strip().splitlines()[-1]
 
     def test_import_leaves_scipy_integrate_and_interpolate_unloaded(self):
-        assert self.loaded_after("import abelfrac") == "[]"
+        assert self.loaded_after("import abelfrac, abelfrac.cli") == "[]"
 
     def test_descent_leaves_scipy_integrate_and_interpolate_unloaded(self):
         code = (
@@ -186,3 +189,72 @@ class TestLazyImports:
             "assert main(['simulate', '--func', '2*a^1', '--grid', '1:5']) == 0"
         )
         assert self.loaded_after(code) == "[]"
+
+    def test_every_cli_command_leaves_scipy_unloaded(self):
+        # one process runs the commands in turn and reports the scipy
+        # modules loaded after each
+        commands = [
+            ["solve", "--func", "1.0 + a^0.5", "--grid", "1:11"],
+            ["solve", "--func", "2.0 + 1*a^1", "--order", "0.25",
+             "--backend", "theorem", "--grid", "1:3"],
+            ["solve", "--func", "piecewise: [0,1] 1.0 ; [1,2] -2.0 + 3*a^1",
+             "--grid", "2:5"],
+            ["forward", "--func", "a^0.5", "--grid", "1:3"],
+            ["frac-int", "--func", "1*a^1", "--order", "0.5", "--grid", "1:3"],
+            ["frac-der", "--func", "a^1", "--order", "0.5", "--grid", "1:5"],
+            ["curve", "--func", "2*a^1", "--grid", "1:5"],
+            ["simulate", "--func", "2*a^1", "--grid", "1:5"],
+            ["verify"],
+        ]
+        code = (
+            "import contextlib, io, sys\n"
+            "from abelfrac.cli import main\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        status = main(argv)\n"
+            "    loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "    print(argv[0], status, loaded)\n"
+        )
+        lines = self.run(code).strip().splitlines()
+        assert lines == [f"{argv[0]} 0 []" for argv in commands]
+
+    def test_runs_with_scipy_unimportable(self):
+        # sys.modules['scipy'] = None makes every scipy import raise
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "from abelfrac import (AbelProblem, PowerSum, reconstruct_curve,\n"
+            "    simulate_descent, solve_on_grid)\n"
+            "from abelfrac.cli import main\n"
+            "prob = AbelProblem(PowerSum(((1.0, 0.0), (1.0, 0.5))), 0.5)\n"
+            "assert np.all(np.isfinite(solve_on_grid(prob, np.linspace(0.0, 1.0, 5)).s.values))\n"
+            "curve = reconstruct_curve(PowerSum.monomial(2.0, 1.0), 1.0, 101)\n"
+            "assert simulate_descent(curve, 0.5).T > 0.0\n"
+            "sys.exit(main(['verify']))\n"
+        )
+        self.run(code)
+
+
+def _s_at_whole_table(curve, a):
+    # the reference: s(a) on the cubic with the slopes of the whole table
+    xs, s = curve.xs, curve.s
+    k = int(np.searchsorted(xs, a)) - 1
+    d = _pchip_slopes(xs, s)
+    c2, c3 = _cubic_from_right(xs[k : k + 2], s[k : k + 2], d[k : k + 2])
+    u = xs[k + 1] - a
+    return float(s[k + 1] - u * (d[k + 1] - u * (c2[0] + u * c3[0])))
+
+
+class TestReleasePointArc:
+    """_s_at takes the slopes of the cell holding a from a window of at
+    most four nodes; they are local, so s(a) is bit for bit the value the
+    whole table's slopes give."""
+
+    @pytest.mark.parametrize("points", [2, 3, 4, 5, 1001])
+    def test_window_matches_whole_table_in_every_cell(self, points):
+        s = PowerSum(((2.0, 0.5), (1.5, 1.0), (0.3, 2.0)))
+        curve = reconstruct_curve(s, 1.0, points)
+        xs = curve.xs
+        for a in np.concatenate((0.5 * (xs[:-1] + xs[1:]), xs[1:])):
+            assert _s_at(curve, a) == _s_at_whole_table(curve, a)
