@@ -44,6 +44,7 @@ from .fracops import caputo_derivative, rl_power_sum
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
+    graded_mesh,
     kernel_integral,
     singular_integral,
     singular_integral_tabulated,
@@ -178,9 +179,11 @@ def solve_theorem(
     (sin n pi / pi) * x**n * integral_0^1 psi(x t) (1-t)**(n-1) dt.
 
     Same analytic content as the convolution form, with convergence judged
-    on the unit-interval integral; piecewise psi (whose breakpoints do not
-    scale) is routed through its breakpoint-respecting path instead.  This
-    is the one-point case of :func:`solve_on_grid`.
+    on the unit-interval integral.  Piecewise psi (whose breakpoints do not
+    scale) goes through its breakpoint-respecting path instead, and
+    tabulated psi through product integration on its own grid, so both
+    give the convolution route's values.  This is the one-point case of
+    :func:`solve_on_grid`.
     """
     return _solve_at(problem, x, cfg, SolutionBackend.THEOREM_1823)
 
@@ -203,12 +206,11 @@ def _solve_points(
     a quadrature backend."""
     n = float(problem.n)
     psi = problem.psi
-    theorem = backend is SolutionBackend.THEOREM_1823
     if backend is SolutionBackend.NUMERIC_PRODUCT and not isinstance(
         psi, TabulatedFunction
     ):
         psi = _sampled(psi, float(np.max(x)), np.size(x))
-    if isinstance(psi, TabulatedFunction) and not theorem:
+    if isinstance(psi, TabulatedFunction):
         integral = singular_integral_tabulated(psi, x, n)
     elif isinstance(psi, PiecewisePowerSum):
         # each x splits its integral at the breakpoints below it
@@ -222,7 +224,7 @@ def _solve_points(
         if le > 0.0:
             psi = PowerSum((c, e - le) for c, e in psi.terms)
         abs_tol = None
-        if theorem:
+        if backend is SolutionBackend.THEOREM_1823:
             # the scaling form tests the unit-interval integral, which is
             # this one divided by x**(n + le)
             abs_tol = cfg.abs_tol * np.asarray(x) ** (n + le)
@@ -236,8 +238,7 @@ def _sampled(psi, x_max: float, points: int) -> TabulatedFunction:
     """psi sampled on a fine graded mesh, dense enough that the O(h^2)
     interpolation error of the product rule stays below the numeric-backend
     tolerances."""
-    fine = max(8 * (points - 1) + 1, 2049)
-    mesh = x_max * np.linspace(0.0, 1.0, fine) ** 2.0
+    mesh = graded_mesh(x_max, max(8 * (points - 1) + 1, 2049))
     return TabulatedFunction(mesh, psi(mesh))
 
 

@@ -112,9 +112,7 @@ def _caputo_kernel(f, n: float, x: float, cfg: QuadratureConfig) -> float:
     """integral_0^x f'(t) (x-t)**(-n) dt by quadrature, i.e. the
     derivative-kernel integral before the 1/Gamma(1-n) normalisation."""
     p = 1.0 - n
-    if isinstance(f, PowerSum):
-        return _piecewise_kernel([(0.0, x, f.derivative_terms())], x, p, cfg)
-    if isinstance(f, PiecewisePowerSum):
+    if isinstance(f, (PowerSum, PiecewisePowerSum)):
         return _piecewise_kernel(
             ((lo, hi, seg.derivative_terms()) for lo, hi, seg in f.pieces(x)),
             x, p, cfg,

@@ -154,6 +154,12 @@ class PowerSum:
         """Term-by-term antiderivative vanishing at 0."""
         return PowerSum(tuple((c / (e + 1.0), e + 1.0) for c, e in self.terms))
 
+    def pieces(self, upper: float):
+        """Yield the one span (0, upper, self) when upper > 0, as
+        :meth:`PiecewisePowerSum.pieces` does for its segments."""
+        if upper > 0.0:
+            yield 0.0, upper, self
+
 
 @dataclass(frozen=True, init=False)
 class PiecewisePowerSum:

@@ -4,23 +4,29 @@ Everything here evaluates integrals of the form
 
     K[f](x) = integral_0^x f(t) * (x - t)**(p - 1) dt,    0 < p < 1,
 
-whose kernel blows up (integrably) at t = x.  The workhorse is a
-Gauss-Jacobi rule that absorbs the kernel into the weight, so smooth f
-converges spectrally and the rule is exact for polynomial f up to the
-rule degree.  Node counts double from ``node_count`` until two successive
-estimates agree to tolerance, capped at MAX_NODES.
+whose kernel blows up (integrably) at t = x.  One Gauss-Jacobi estimator,
+``_jacobi_integral``, evaluates
+
+    integral_a^b g(t) * (b - t)**(p - 1) * (t - a)**le dt
+
+with the weight (1 - xi)**(p - 1) (1 + xi)**le absorbing both end powers,
+so smooth g converges spectrally and the rule is exact for polynomial g up
+to the rule degree.  ``singular_integral`` is its case a = 0,
+``left_weighted_integral`` the case p = 1, and ``smooth_integral`` the
+Gauss-Legendre case p = 1, le = 0.  Node counts double from
+``node_count`` until two successive estimates agree to tolerance, capped
+at MAX_NODES.
 
 For tabulated data there is a product-integration path: f is taken
 piecewise linear on its own grid and the kernel moments of every cell are
 integrated in closed form, which is exact for piecewise-linear f and
 avoids sampling f anywhere but its own nodes.
 
-Both paths also take a 1-d array of upper limits and evaluate the whole
-grid in one vectorised pass.  Gauss-Jacobi is affine-invariant, so the
-nodes of every x are x * (1 + xi) / 2 and one matrix product gives the
-integral at all of them; each point still stops doubling at its own
-tolerance.  The Gauss-Legendre rule for regular integrands takes arrays of
-intervals the same way, with the nodes of each at mid + half * xi.
+Both paths also take 1-d arrays of limits and evaluate the whole grid in
+one vectorised pass.  Gauss-Jacobi is affine-invariant, so the nodes of
+every interval are a + (b - a)(1 + xi)/2 and one matrix product gives the
+integral over all of them; each point still stops doubling at its own
+tolerance.
 
 The rules are built here, in numpy; no scipy is imported.  Node k is
 x = cos(theta_k), and each half of [-1, 1] is found from its own end (the
@@ -112,11 +118,6 @@ def _jacobi_rule(n: int, alpha: float, beta: float):
     """n-point Gauss-Jacobi rule for the weight (1-x)**alpha (1+x)**beta
     on [-1, 1]: nodes ascending, both arrays read-only."""
     return _frozen(*_gauss_jacobi(n, float(alpha), float(beta)))
-
-
-@lru_cache(maxsize=64)
-def _legendre_rule(n: int):
-    return _frozen(*_gauss_jacobi(n, 0.0, 0.0))
 
 
 def _frozen(x: np.ndarray, w: np.ndarray):
@@ -340,6 +341,75 @@ def _order_like(p) -> float:
     return float(as_order(p))
 
 
+def _limits(x, error: str = "limits must be scalars or 1-d arrays"):
+    """x as a float, or as a 1-d float array."""
+    if isinstance(x, float) or not np.ndim(x):
+        return float(x)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise DomainError(error)
+    return x
+
+
+def _left_exponent(left_exponent) -> float:
+    le = float(left_exponent)
+    if not (math.isfinite(le) and le > -1.0):
+        raise DomainError(f"left_exponent must be > -1, got {left_exponent!r}")
+    return le
+
+
+def _jacobi_integral(
+    g: Callable, a, b, p: float, le: float, cfg: QuadratureConfig, abs_tol=None
+):
+    """integral_a^b g(t) * (b - t)**(p - 1) * (t - a)**le dt by Gauss-Jacobi
+    with doubling; empty or reversed intervals give 0.
+
+    The weight (1 - xi)**(p - 1) (1 + xi)**le on [-1, 1] absorbs both end
+    powers: the nodes of [a, b] are a + (b - a)(1 + xi)/2 and the scale is
+    ((b - a)/2)**(p + le).  Float limits give a float.  Array limits (1-d,
+    or one of them a float) give an array from one matrix product per rule
+    and row block, each point doubling to its own tolerance; ``abs_tol``
+    (a scalar, or one per point) replaces ``cfg.abs_tol``.
+    """
+    if isinstance(a, float) and isinstance(b, float):
+        # its own path: the operators call this point by point, and a
+        # one-point array call costs two to three times as much
+        if b <= a:
+            return 0.0
+        half = 0.5 * (b - a)
+        scale = half ** (p + le)
+        if abs_tol is not None:
+            cfg = replace(cfg, abs_tol=float(abs_tol))
+
+        def estimate(n: int) -> float:
+            xi, w = _jacobi_rule(n, p - 1.0, le)
+            return scale * float(np.dot(w, _sample(g, a + half * (1.0 + xi))))
+
+        return _doubling(estimate, cfg)
+
+    a, b = np.broadcast_arrays(a, b)
+    out = np.zeros(b.shape)
+    pos = np.flatnonzero(b > a)
+    if pos.size == 0:
+        return out
+    lo = a[pos]
+    half = 0.5 * (b[pos] - lo)
+    scale = half ** (p + le)
+    tol = np.broadcast_to(cfg.abs_tol if abs_tol is None else abs_tol, b.shape)
+
+    def estimate(n: int, idx: np.ndarray) -> np.ndarray:
+        xi, w = _jacobi_rule(n, p - 1.0, le)
+        sums = np.empty(idx.size)
+        rows = max(1, _BLOCK // n)
+        for r in range(0, idx.size, rows):
+            blk = idx[r : r + rows, None]
+            sums[r : r + rows] = _sample(g, lo[blk] + half[blk] * (1.0 + xi)) @ w
+        return scale[idx] * sums
+
+    out[pos] = _doubling_grid(estimate, tol[pos], cfg)
+    return out
+
+
 def singular_integral(
     g: Callable,
     x,
@@ -362,64 +432,12 @@ def singular_integral(
     ``cfg.abs_tol``.
     """
     p = _order_like(p)
-    if not isinstance(x, float) and np.ndim(x):
-        return _singular_integral_grid(g, x, p, cfg, left_exponent, abs_tol)
-    x = float(x)
-    if x < 0.0:
-        raise DomainError(f"upper limit must be >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
     le = _left_exponent(left_exponent)
-    if abs_tol is not None:
-        cfg = replace(cfg, abs_tol=float(abs_tol))
-
-    # map [0, x] onto [-1, 1]; the Jacobi weight (1-xi)^(p-1) (1+xi)^le
-    # soaks up both endpoint behaviours
-    scale = (0.5 * x) ** (p + le)
-
-    def estimate(n: int) -> float:
-        xi, w = _jacobi_rule(n, p - 1.0, le)
-        return scale * float(np.dot(w, _sample(g, x * (1.0 + xi) * 0.5)))
-
-    return _doubling(estimate, cfg)
-
-
-def _left_exponent(left_exponent) -> float:
-    le = float(left_exponent)
-    if not (math.isfinite(le) and le > -1.0):
-        raise DomainError(f"left_exponent must be > -1, got {left_exponent!r}")
-    return le
-
-
-def _singular_integral_grid(g, xs, p: float, cfg, left_exponent, abs_tol):
-    # Gauss-Jacobi is affine-invariant: the nodes of every point are
-    # x * (1 + xi) / 2, so one matrix product per rule gives all values;
-    # g is sampled one row block at a time
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1:
-        raise DomainError("upper limits must be a scalar or a 1-d array")
-    if np.any(xs < 0.0):
-        raise DomainError(f"upper limit must be >= 0, got {float(xs.min())!r}")
-    le = _left_exponent(left_exponent)
-    tol = np.broadcast_to(cfg.abs_tol if abs_tol is None else abs_tol, xs.shape)
-    out = np.zeros(xs.shape)
-    pos = np.flatnonzero(xs > 0.0)
-    if pos.size == 0:
-        return out
-    x = xs[pos]
-    scale = (0.5 * x) ** (p + le)
-
-    def estimate(n: int, idx: np.ndarray) -> np.ndarray:
-        xi, w = _jacobi_rule(n, p - 1.0, le)
-        sums = np.empty(idx.size)
-        rows = max(1, _BLOCK // n)
-        for r in range(0, idx.size, rows):
-            block = x[idx[r : r + rows], None]
-            sums[r : r + rows] = _sample(g, block * (1.0 + xi) * 0.5) @ w
-        return scale[idx] * sums
-
-    out[pos] = _doubling_grid(estimate, tol[pos], cfg)
-    return out
+    x = _limits(x, "upper limits must be a scalar or a 1-d array")
+    low = x if isinstance(x, float) else np.min(x, initial=0.0)
+    if low < 0.0:
+        raise DomainError(f"upper limit must be >= 0, got {float(low)!r}")
+    return _jacobi_integral(g, 0.0, x, p, le, cfg, abs_tol)
 
 
 def smooth_integral(
@@ -436,68 +454,20 @@ def smooth_integral(
     returned, each value the one a scalar call gives; empty or reversed
     intervals give 0.
     """
-    scalar = isinstance(a, float) and isinstance(b, float)
-    if not scalar and (np.ndim(a) or np.ndim(b)):
-        return _smooth_integral_grid(g, a, b, cfg)
-    a = float(a)
-    b = float(b)
-    if b <= a:
-        return 0.0
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-
-    def estimate(n: int) -> float:
-        xi, w = _legendre_rule(n)
-        return half * float(np.dot(w, _sample(g, mid + half * xi)))
-
-    return _doubling(estimate, cfg)
-
-
-def _smooth_integral_grid(g, a, b, cfg) -> np.ndarray:
-    # the nodes of interval i are mid_i + half_i * xi: one matrix product
-    # per rule size and row block gives every interval's estimate
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    if a.ndim != 1:
-        raise DomainError("limits must be scalars or 1-d arrays")
-    out = np.zeros(a.shape)
-    pos = np.flatnonzero(b > a)
-    if pos.size == 0:
-        return out
-    mid = 0.5 * (a[pos] + b[pos])
-    half = 0.5 * (b[pos] - a[pos])
-
-    def estimate(n: int, idx: np.ndarray) -> np.ndarray:
-        xi, w = _legendre_rule(n)
-        sums = np.empty(idx.size)
-        rows = max(1, _BLOCK // n)
-        for r in range(0, idx.size, rows):
-            blk = idx[r : r + rows, None]
-            sums[r : r + rows] = _sample(g, mid[blk] + half[blk] * xi) @ w
-        return half[idx] * sums
-
-    out[pos] = _doubling_grid(estimate, np.full(pos.size, cfg.abs_tol), cfg)
-    return out
+    return _jacobi_integral(g, _limits(a), _limits(b), 1.0, 0.0, cfg)
 
 
 def left_weighted_integral(
     g: Callable,
-    b: float,
+    b,
     left_exponent: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
+):
     """integral_0^b g(t) * t**left_exponent dt, the algebraic endpoint
-    factor absorbed into a Gauss-Jacobi weight (no singularity at b)."""
-    b = float(b)
-    if b <= 0.0:
-        return 0.0
+    factor absorbed into a Gauss-Jacobi weight (no singularity at b).
+    b may also be a 1-d array of upper limits; b <= 0 gives 0."""
     le = _left_exponent(left_exponent)
-    scale = (0.5 * b) ** (le + 1.0)
-
-    def estimate(n: int) -> float:
-        xi, w = _jacobi_rule(n, 0.0, le)
-        return scale * float(np.dot(w, _sample(g, b * (1.0 + xi) * 0.5)))
-
-    return _doubling(estimate, cfg)
+    return _jacobi_integral(g, 0.0, _limits(b), 1.0, le, cfg)
 
 
 def graded_mesh(
@@ -761,23 +731,16 @@ def _piecewise_kernel(pieces, x: float, p: float, cfg: QuadratureConfig) -> floa
         if not terms:
             continue
         le = min(e for _, e in terms) if lo == 0.0 else 0.0
+        shifted = tuple((c, e - le) for c, e in terms)
         if hi >= x:
             # the span carrying the kernel singularity at t = x
-            if lo == 0.0:
-                shifted = tuple((c, e - le) for c, e in terms)
-                total += singular_integral(
-                    lambda t: _eval_terms(shifted, t),
-                    x, p, cfg, left_exponent=le,
-                )
-            else:
-                total += singular_integral(
-                    lambda u: _eval_terms(terms, lo + u), x - lo, p, cfg
-                )
+            total += singular_integral(
+                lambda u: _eval_terms(shifted, lo + u), x - lo, p, cfg, left_exponent=le
+            )
         elif le < 0.0:
             # interior first span with a genuine singularity at t = 0:
             # give each end its matching weighted rule
             mid = 0.5 * hi
-            shifted = tuple((c, e - le) for c, e in terms)
             total += left_weighted_integral(
                 lambda t: _eval_terms(shifted, t) * (x - t) ** (p - 1.0),
                 mid, le, cfg,
@@ -808,10 +771,7 @@ def kernel_integral(
     if x == 0.0:
         return 0.0
 
-    if isinstance(f, PowerSum):
-        return _piecewise_kernel([(0.0, x, f.terms)], x, p, cfg)
-
-    if isinstance(f, PiecewisePowerSum):
+    if isinstance(f, (PowerSum, PiecewisePowerSum)):
         return _piecewise_kernel(
             ((lo, hi, seg.terms) for lo, hi, seg in f.pieces(x)), x, p, cfg
         )

@@ -170,15 +170,9 @@ class DescentResult:
 def _segment_slope_terms(s: FunctionSpec):
     """(lo, hi, derivative terms) spans covering the domain, hi = inf on
     the last span."""
-    if isinstance(s, PowerSum):
-        return [(0.0, math.inf, s.derivative_terms())]
-    if isinstance(s, PiecewisePowerSum):
-        edges = (0.0,) + s.breakpoints + (math.inf,)
-        return [
-            (edges[i], edges[i + 1], seg.derivative_terms())
-            for i, seg in enumerate(s.segments)
-        ]
-    raise DomainError(f"unsupported arc-length type {type(s).__name__}")
+    if not isinstance(s, (PowerSum, PiecewisePowerSum)):
+        raise DomainError(f"unsupported arc-length type {type(s).__name__}")
+    return [(lo, hi, seg.derivative_terms()) for lo, hi, seg in s.pieces(math.inf)]
 
 
 def _slope_samples(spans, ts: np.ndarray) -> np.ndarray:

@@ -202,6 +202,17 @@ class TestGridSolver:
         ref = exact(xs[1:])
         assert np.max(np.abs(got - ref) / ref) < 1e-4
 
+    def test_theorem_on_tabulated_psi_is_the_convolution(self):
+        # tabulated psi goes through product integration on its own grid
+        # whatever the backend, so the two routes give the same bits
+        grid = np.linspace(0.0, 1.0, 1001)
+        prob = AbelProblem(TabulatedFunction(grid, 2.0 + np.sqrt(grid)), Order(0.5))
+        xs = np.linspace(0.0, 1.0, 101)
+        theorem = solve_on_grid(prob, xs, backend=SolutionBackend.THEOREM_1823)
+        conv = solve_on_grid(prob, xs, backend=SolutionBackend.CONVOLUTION_1826)
+        assert np.array_equal(theorem.s.values, conv.s.values)
+        assert solve_theorem(prob, 0.5371) == solve_convolution(prob, 0.5371)
+
     def test_forward_round_trip(self):
         # forward of the gridded solution reproduces psi away from 0
         prob = AbelProblem(PowerSum([(2.0, 0.0), (1.0, 1.0)]), Order(0.5))

@@ -102,6 +102,12 @@ class TestPowerSum:
         with pytest.raises(AttributeError):
             p.terms = ()
 
+    def test_pieces_is_one_span_like_a_piecewise_sum(self):
+        p = PowerSum([(2.0, 0.0), (1.0, 0.5)])
+        assert list(p.pieces(1.5)) == [(0.0, 1.5, p)]
+        assert list(p.pieces(math.inf)) == [(0.0, math.inf, p)]
+        assert list(p.pieces(0.0)) == []
+
 
 class TestPiecewisePowerSum:
     def _two_segment(self):

@@ -119,6 +119,70 @@ class TestSmoothAndWeighted:
         assert got == pytest.approx(1.3274019427802723, rel=1e-12)
 
 
+def _beta(a: float, b: float) -> float:
+    return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+
+
+def _one(t):
+    return np.ones_like(t)
+
+
+def _power(x, q: float) -> np.ndarray:
+    # x**q, and 0 on the empty interval x = 0 whatever the sign of q
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    out[x > 0.0] = x[x > 0.0] ** q
+    return out
+
+
+# each public wrapper with g = 1 against its closed form, as
+# (call, reference) of the limits; the references take arrays
+CLOSED_FORMS = {
+    "singular": (
+        lambda x, p, le: singular_integral(_one, x, p, left_exponent=le),
+        lambda x, p, le: _beta(le + 1.0, p) * _power(x, p + le),
+    ),
+    "left_weighted": (
+        lambda b, p, le: left_weighted_integral(_one, b, le),
+        lambda b, p, le: _power(b, le + 1.0) / (le + 1.0),
+    ),
+    "smooth_from_0.4": (
+        lambda b, p, le: smooth_integral(_one, 0.4, b),
+        lambda b, p, le: np.maximum(np.asarray(b) - 0.4, 0.0),
+    ),
+    "smooth_to_2.5": (
+        lambda a, p, le: smooth_integral(_one, a, 2.5),
+        lambda a, p, le: np.maximum(2.5 - np.asarray(a), 0.0),
+    ),
+}
+
+
+class TestOneEstimator:
+    """singular_integral, smooth_integral and left_weighted_integral are
+    one Gauss-Jacobi estimator with different weights and limits."""
+
+    @pytest.mark.parametrize("form", sorted(CLOSED_FORMS))
+    @pytest.mark.parametrize("p, le", [(0.25, -0.5), (0.5, 0.0), (0.75, 1.5)])
+    def test_constant_integrand_closed_form_scalar_and_array(self, form, p, le):
+        call, ref = CLOSED_FORMS[form]
+        limits = np.array([0.0, 0.3, 0.4, 1.0, 2.5])
+        got = call(limits, p, le)
+        assert isinstance(got, np.ndarray) and got.shape == limits.shape
+        np.testing.assert_allclose(got, ref(limits, p, le), rtol=1e-13, atol=1e-15)
+        for x, want in zip(limits, ref(limits, p, le)):
+            one = call(float(x), p, le)
+            assert isinstance(one, float)
+            assert one == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("limit", [0.0, 0.5, np.array([0.0, 0.5])])
+    def test_bad_left_exponent_rejected_at_every_limit(self, limit):
+        # an empty interval does not skip the check
+        with pytest.raises(DomainError):
+            singular_integral(_one, limit, 0.5, left_exponent=-1.5)
+        with pytest.raises(DomainError):
+            left_weighted_integral(_one, limit, -1.5)
+
+
 class TestGradedMesh:
     def test_endpoints_and_monotone(self):
         m = graded_mesh(2.0, 9, p=0.5)
