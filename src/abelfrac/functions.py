@@ -58,20 +58,42 @@ def _eval_terms(terms, x):
     """Evaluate sum(c * x**e) for raw (coef, exp) pairs.
 
     Exponent 0 contributes the coefficient everywhere (0**0 == 1 here, the
-    usual power-series convention).  Works for scalars and arrays; raw
-    pairs may carry negative exponents (derivatives of fractional terms),
-    in which case x == 0 yields inf.
+    usual power-series convention).  Works for scalars and arrays: a scalar
+    gives a float, anything else an array of its shape, and no terms give
+    zeros.  The value is that of 0.0 + t_1 + t_2 + ... summed left to
+    right, though the sum starts from the first term.  Raw pairs may
+    carry negative exponents (derivatives of fractional terms), in which
+    case x == 0 yields inf.
+
+    Quadrature calls this once per estimate on a float64 node array, so
+    that case skips the conversions, and the error state is entered only
+    when some exponent is negative.
     """
-    scalar = np.isscalar(x)
-    xs = np.asarray(x, dtype=float)
-    out = np.zeros_like(xs)
-    with np.errstate(divide="ignore"):
-        for coef, exp in terms:
-            if exp == 0.0:
-                out += coef
-            else:
-                out += coef * np.power(xs, exp)
-    return float(out) if scalar else out
+    fast = type(x) is np.ndarray and x.dtype == np.float64 and x.ndim > 0
+    xs = x if fast else np.asarray(x, dtype=float)
+    if not terms:
+        out = np.zeros_like(xs)
+    elif any(exp < 0.0 for _, exp in terms):
+        with np.errstate(divide="ignore"):
+            out = _sum_terms(terms, xs)
+    else:
+        out = _sum_terms(terms, xs)
+    if fast:
+        return out
+    return float(out) if np.isscalar(x) else np.asarray(out)
+
+
+def _sum_terms(terms, xs):
+    (coef, exp), rest = terms[0], terms[1:]
+    # 0.0 + t_1 is t_1 but for its sign of zero: -0.0 becomes 0.0
+    if exp == 0.0:
+        out = np.full(xs.shape, 0.0 + coef)
+    else:
+        out = coef * np.power(xs, exp)
+        out += 0.0
+    for coef, exp in rest:
+        out += coef if exp == 0.0 else coef * np.power(xs, exp)
+    return out
 
 
 @dataclass(frozen=True, init=False)

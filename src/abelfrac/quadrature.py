@@ -15,7 +15,9 @@ to the rule degree.  ``singular_integral`` is its case a = 0,
 ``left_weighted_integral`` the case p = 1, and ``smooth_integral`` the
 Gauss-Legendre case p = 1, le = 0.  Node counts double from
 ``node_count`` until two successive estimates agree to tolerance, capped
-at MAX_NODES.
+at MAX_NODES.  A scalar call samples g at the nodes of its first two
+rules in one pass, since most points stop at the second estimate and the
+operators call it point by point.
 
 For tabulated data there is a product-integration path: f is taken
 piecewise linear on its own grid and the kernel moments of every cell are
@@ -118,6 +120,23 @@ def _jacobi_rule(n: int, alpha: float, beta: float):
     """n-point Gauss-Jacobi rule for the weight (1-x)**alpha (1+x)**beta
     on [-1, 1]: nodes ascending, both arrays read-only."""
     return _frozen(*_gauss_jacobi(n, float(alpha), float(beta)))
+
+
+@lru_cache(maxsize=256)
+def _paired_rule(n: int, alpha: float, beta: float):
+    """The first two rules of a doubling from n nodes, to be sampled in one
+    call: (t, w, w2) with t = 1 + xi of the n-node rule followed by that of
+    the min(2n, MAX_NODES)-node rule (read-only), and the two weight
+    arrays.  At n >= MAX_NODES there is no second rule: t holds the one
+    rule and w2 is None."""
+    xi, w = _jacobi_rule(n, alpha, beta)
+    if n >= MAX_NODES:
+        t, w2 = 1.0 + xi, None
+    else:
+        xi2, w2 = _jacobi_rule(min(2 * n, MAX_NODES), alpha, beta)
+        t = np.concatenate((1.0 + xi, 1.0 + xi2))
+    t.setflags(write=False)
+    return t, w, w2
 
 
 def _frozen(x: np.ndarray, w: np.ndarray):
@@ -260,7 +279,7 @@ def _sample(g: Callable, t: np.ndarray) -> np.ndarray:
         out = None
     if out is None or out.shape != t.shape:
         out = np.array([float(g(ti)) for ti in t.ravel()]).reshape(t.shape)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         bad = float(t[~np.isfinite(out)][0])
         raise EvaluationError(
             f"integrand returned a non-finite value at t = {bad!r}", bad
@@ -275,28 +294,33 @@ def _stalled(n: int, err: float, tol: float) -> ConvergenceError:
     )
 
 
-def _doubling(estimate: Callable[[int], float], cfg: QuadratureConfig) -> float:
-    """Run estimate(n) for n = node_count, 2*node_count, ... until two
-    successive values agree to tolerance.  At the MAX_NODES cap a mild
-    shortfall returns the last estimate; disagreement two orders beyond
-    tolerance raises ConvergenceError."""
-    n = cfg.node_count
-    prev = None
+def _doubling(
+    first: float,
+    second: float | None,
+    estimate: Callable[[int], float],
+    cfg: QuadratureConfig,
+) -> float:
+    """Double the rule from n = node_count until two successive estimates
+    agree to tolerance.  ``first`` and ``second`` are the estimates at n
+    and min(2n, MAX_NODES) (``second`` is None when n >= MAX_NODES, and
+    ``first`` is then the result); estimate(n) gives the later ones.  At
+    the MAX_NODES cap a mild shortfall returns the last estimate;
+    disagreement two orders beyond tolerance raises ConvergenceError."""
+    if second is None:
+        return first
+    prev, val = first, second
+    n = min(2 * cfg.node_count, MAX_NODES)
     while True:
-        val = estimate(n)
-        if prev is not None:
-            err = abs(val - prev)
-            tol = max(cfg.abs_tol, cfg.rel_tol * abs(val))
-            if err <= tol:
-                return val
-            if n >= MAX_NODES:
-                if err > 100.0 * tol:
-                    raise _stalled(n, err, tol)
-                return val
-        elif n >= MAX_NODES:
+        err = abs(val - prev)
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(val))
+        if err <= tol:
             return val
-        prev = val
+        if n >= MAX_NODES:
+            if err > 100.0 * tol:
+                raise _stalled(n, err, tol)
+            return val
         n = min(2 * n, MAX_NODES)
+        prev, val = val, estimate(n)
 
 
 def _doubling_grid(
@@ -338,6 +362,9 @@ def _doubling_grid(
 
 
 def _order_like(p) -> float:
+    # a float already in (0, 1) needs no Order built to say so
+    if type(p) is float and 0.0 < p < 1.0:
+        return p
     return float(as_order(p))
 
 
@@ -372,20 +399,26 @@ def _jacobi_integral(
     (a scalar, or one per point) replaces ``cfg.abs_tol``.
     """
     if isinstance(a, float) and isinstance(b, float):
-        # its own path: the operators call this point by point, and a
-        # one-point array call costs two to three times as much
+        # its own path: the operators call this point by point, where a
+        # one-point array call costs about five times as much, and the
+        # first two rules are sampled in one call of g
         if b <= a:
             return 0.0
         half = 0.5 * (b - a)
         scale = half ** (p + le)
         if abs_tol is not None:
             cfg = replace(cfg, abs_tol=float(abs_tol))
+        n = cfg.node_count
+        t, w, w2 = _paired_rule(n, p - 1.0, le)
+        y = _sample(g, a + half * t)
+        first = scale * float(np.dot(w, y[:n]))
+        second = None if w2 is None else scale * float(np.dot(w2, y[n:]))
 
         def estimate(n: int) -> float:
             xi, w = _jacobi_rule(n, p - 1.0, le)
             return scale * float(np.dot(w, _sample(g, a + half * (1.0 + xi))))
 
-        return _doubling(estimate, cfg)
+        return _doubling(first, second, estimate, cfg)
 
     a, b = np.broadcast_arrays(a, b)
     out = np.zeros(b.shape)
@@ -683,13 +716,14 @@ def tabulated_derivative_kernel(f: TabulatedFunction, x: float, p) -> float:
         # stay in [0, x_max]
         step = max(x, f.x_max - x)
     k = _node_index(f, x)
-    on_node = k is not None and _node_integrals(f, p) is not None
+    nodes = None if k is None else _node_integrals(f, p)
 
     def J(m: int) -> float:
-        """K[f] at x + m * step; on a uniform table's node, at the node m
-        places away, whose value is cached."""
-        a = float(xs[k + m]) if on_node else x + m * step
-        return singular_integral_tabulated(f, a, p)
+        """K[f] at x + m * step; on a uniform table's node, the cached
+        value at the node m places away."""
+        if nodes is not None:
+            return float(nodes[k + m])
+        return singular_integral_tabulated(f, x + m * step, p)
 
     if x - step >= 0.0 and x + step <= f.x_max:
         slope = (J(1) - J(-1)) / (2.0 * step)

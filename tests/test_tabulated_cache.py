@@ -88,6 +88,22 @@ class TestOnNodeValues:
         assert _rel(got, want) <= 1e-11
         assert _rel(caputo, want_caputo) <= 1e-11
 
+    @pytest.mark.parametrize("p", ORDERS)
+    def test_derivative_on_node_differences_the_node_integrals(self, p):
+        f = _uniform(seed=2)
+        K = [singular_integral_tabulated(f, float(x), p) for x in f.xs]
+        last = f.xs.size - 1
+        f0 = float(f.values[0])
+        for k in (1, 2, last // 2, last):
+            x = float(f.xs[k])
+            # the step is the width of the cell ending at x
+            h = x - float(f.xs[k - 1])
+            if k == last:
+                slope = (3.0 * K[k] - 4.0 * K[k - 1] + K[k - 2]) / (2.0 * h)
+            else:
+                slope = (K[k + 1] - K[k - 1]) / (2.0 * h)
+            assert tabulated_derivative_kernel(f, x, p) == slope - f0 * x ** (p - 1.0)
+
 
 class TestBypass:
     def test_off_node_points_leave_the_cache_alone(self):
