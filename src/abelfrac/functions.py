@@ -161,13 +161,13 @@ class PowerSum:
     def derivative_terms(self) -> tuple[tuple[float, float], ...]:
         """Raw (coef, exp) pairs of the derivative.
 
-        Constants vanish; fractional exponents below 1 produce negative
-        derivative exponents, so the result is *not* a PowerSum.  Evaluate
-        with :func:`derivative_values`.
+        Constants vanish, and so does a term whose coefficient c * e
+        underflows to 0 (it would give 0 * inf at 0 for e < 1); fractional
+        exponents below 1 produce negative derivative exponents, so the
+        result is *not* a PowerSum.  Evaluate with
+        :func:`derivative_values`.
         """
-        return tuple(
-            (c * e, e - 1.0) for c, e in self.terms if e != 0.0
-        )
+        return tuple((c * e, e - 1.0) for c, e in self.terms if c * e != 0.0)
 
     def derivative_values(self, x):
         return _eval_terms(self.derivative_terms(), x)

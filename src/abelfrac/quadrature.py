@@ -270,11 +270,13 @@ def _halley(n: int, a1: float, b1: float, right: np.ndarray, left: np.ndarray):
     return x, np.exp(log_w - log_w.max())
 
 
-def _sample(g: Callable, t: np.ndarray) -> np.ndarray:
+def _sample(g: Callable, t: np.ndarray, *cells) -> np.ndarray:
     """Evaluate g at the nodes, tolerating scalar-only callables, and
-    insist every sample is finite."""
+    insist every sample is finite.  ``cells``, when given, is the column of
+    interval indices of t's rows, passed on as g(t, cells); such an
+    integrand must take arrays."""
     try:
-        out = np.asarray(g(t), dtype=float)
+        out = np.asarray(g(t, *cells), dtype=float)
     except (TypeError, ValueError):
         out = None
     if out is None or out.shape != t.shape:
@@ -386,7 +388,8 @@ def _left_exponent(left_exponent) -> float:
 
 
 def _jacobi_integral(
-    g: Callable, a, b, p: float, le: float, cfg: QuadratureConfig, abs_tol=None
+    g: Callable, a, b, p: float, le: float, cfg: QuadratureConfig, abs_tol=None,
+    indexed: bool = False,
 ):
     """integral_a^b g(t) * (b - t)**(p - 1) * (t - a)**le dt by Gauss-Jacobi
     with doubling; empty or reversed intervals give 0.
@@ -396,7 +399,11 @@ def _jacobi_integral(
     ((b - a)/2)**(p + le).  Float limits give a float.  Array limits (1-d,
     or one of them a float) give an array from one matrix product per rule
     and row block, each point doubling to its own tolerance; ``abs_tol``
-    (a scalar, or one per point) replaces ``cfg.abs_tol``.
+    (a scalar, or one per point) replaces ``cfg.abs_tol``.  With
+    ``indexed`` the array path calls g(t, k): every row of t holds the nodes
+    of one interval, and k, a (rows, 1) column, holds the intervals'
+    positions in the broadcast limits, so per-interval data can be read
+    without searching for the interval of each node.
     """
     if isinstance(a, float) and isinstance(b, float):
         # its own path: the operators call this point by point, where a
@@ -436,7 +443,9 @@ def _jacobi_integral(
         rows = max(1, _BLOCK // n)
         for r in range(0, idx.size, rows):
             blk = idx[r : r + rows, None]
-            sums[r : r + rows] = _sample(g, lo[blk] + half[blk] * (1.0 + xi)) @ w
+            t = lo[blk] + half[blk] * (1.0 + xi)
+            y = _sample(g, t, pos[blk]) if indexed else _sample(g, t)
+            sums[r : r + rows] = y @ w
         return scale[idx] * sums
 
     out[pos] = _doubling_grid(estimate, tol[pos], cfg)
@@ -757,8 +766,9 @@ def _piecewise_kernel(pieces, x: float, p: float, cfg: QuadratureConfig) -> floa
     """Kernel integral of a function given as raw (coef, exp) term lists
     on consecutive spans (lo, hi, terms) covering [0, x].
 
-    The first span's terms may carry exponents in (-1, 0) (derivatives of
-    fractional powers); those are factored into the quadrature weight.
+    The first span's leading exponent is factored into the quadrature
+    weight when it is fractional, including exponents in (-1, 0)
+    (derivatives of fractional powers).
     """
     total = 0.0
     for lo, hi, terms in pieces:
@@ -771,9 +781,9 @@ def _piecewise_kernel(pieces, x: float, p: float, cfg: QuadratureConfig) -> floa
             total += singular_integral(
                 lambda u: _eval_terms(shifted, lo + u), x - lo, p, cfg, left_exponent=le
             )
-        elif le < 0.0:
-            # interior first span with a genuine singularity at t = 0:
-            # give each end its matching weighted rule
+        elif not le.is_integer():
+            # interior first span led by a fractional power of t: give
+            # each end its matching weighted rule
             mid = 0.5 * hi
             total += left_weighted_integral(
                 lambda t: _eval_terms(shifted, t) * (x - t) ** (p - 1.0),

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abel_solver import forward
-from .errors import DomainError, InfeasibleCurveError
+from .errors import DomainError, EvaluationError, InfeasibleCurveError
 from .functions import (
     FunctionSpec,
     PiecewisePowerSum,
@@ -39,6 +39,7 @@ from .functions import (
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
+    _jacobi_integral,
     left_weighted_integral,
     smooth_integral,
 )
@@ -193,9 +194,16 @@ def _feasibility_scan(spans, xs: np.ndarray) -> None:
     for lo, _hi, _terms in spans:
         if 0.0 < lo < xs[-1]:
             probes.append(np.array([lo]))
-    ts = np.unique(np.concatenate(probes))
-    with np.errstate(divide="ignore"):
+    # np.unique would do, but its first call imports numpy.ma
+    ts = np.sort(np.concatenate(probes))
+    ts = ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
+    # s' may be +inf at 0; a NaN (0 * inf there) is reported below
+    with np.errstate(divide="ignore", invalid="ignore"):
         slopes = _slope_samples(spans, ts)
+    nan = np.isnan(slopes)
+    if nan.any():
+        t = float(ts[nan][0])
+        raise EvaluationError(f"arc-length slope s' is NaN at t = {t!r}", t)
     bad = slopes < 1.0 - FEASIBILITY_SLACK
     if bad.any():
         i = int(np.argmax(bad))
@@ -365,8 +373,10 @@ def simulate_descent(
     is T = integral_0^L dsigma / sqrt(2g (a - x(sigma))), L = s(a): the
     equation of motion with its variables separated.  Substituting
     sigma = L - r**2 makes the integrand 2r / sqrt(a - x) smooth on every
-    cell, the release point included; all cells go through one array call
-    of smooth_integral, each doubling its rule until it meets rel_tol.
+    cell, the release point included; all cells go through one array
+    Gauss-Legendre call, each doubling its rule until it meets rel_tol, and
+    every row of nodes reads its own cell's cubic, so no node searches for
+    its cell.
     T is integrated in gravity-free units (speed sqrt(a - x)) and divided
     by sqrt(2g) once at the end, so rescaling g rescales T exactly.
     """
@@ -400,14 +410,15 @@ def simulate_descent(
     c2, c3 = _cubic_from_right(s_nodes, x_nodes, d)
     drop = a - x_nodes[1:]
     rho = L - s_nodes[1:]
-    neg_rho = -rho
 
-    def integrand(r):
-        k = np.minimum(np.searchsorted(neg_rho, -r * r), rho.size - 1)
+    def integrand(r, k):
+        # each row of r holds one cell's nodes; k is the column of cells
         u = r * r - rho[k]
         return 2.0 * r / np.sqrt(drop[k] + u * (d[k + 1] - u * (c2[k] + u * c3[k])))
 
-    tau = smooth_integral(integrand, np.sqrt(rho), np.sqrt(L - s_nodes[:-1]), cfg)
+    tau = _jacobi_integral(
+        integrand, np.sqrt(rho), np.sqrt(L - s_nodes[:-1]), 1.0, 0.0, cfg, indexed=True
+    )
     # cubic against linear arc at each cell's midpoint: h |d_k - d_k+1| / 8
     h = np.diff(s_nodes)
     max_residual = float(np.max(h * np.abs(np.diff(d))) / (8.0 * a))

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abelfrac import (
@@ -101,6 +101,8 @@ class TestEquivalence:
         x_max=st.floats(0.1, 2.0),
         points=st.integers(2, 2001),
     )
+    # s' once held the term 0.5 * 5e-324 = 0 times t**(-1/2): 0 * inf at 0
+    @example(psi=PowerSum(((5e-324, 0.0), (2.0, 0.5))), x_max=1.0, points=2)
     def test_series_map_matches_per_cell(self, cfg, psi, x_max, points):
         s = solve_series(AbelProblem(psi, 0.5)).s
         xs = np.linspace(0.0, x_max, points)

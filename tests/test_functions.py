@@ -94,6 +94,12 @@ class TestPowerSum:
         p = PowerSum.monomial(2.0, 0.5)
         assert p.derivative_terms() == ((1.0, -0.5),)
 
+    def test_derivative_terms_drop_underflowed_coefficients(self):
+        # 0.5 * 5e-324 rounds to 0: the term would give 0 * inf at x = 0
+        p = PowerSum([(5e-324, 0.5), (2.0, 1.0)])
+        assert p.derivative_terms() == ((2.0, 0.0),)
+        assert p.derivative_values(0.0) == 2.0
+
     def test_antiderivative_vanishes_at_zero(self):
         p = PowerSum([(2.0, 0.0), (1.0, 1.0)])
         ad = p.antiderivative()

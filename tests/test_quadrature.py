@@ -22,6 +22,7 @@ from abelfrac import (
 )
 from abelfrac.quadrature import (
     MAX_NODES,
+    _jacobi_integral,
     graded_mesh,
     left_weighted_integral,
     singular_integral_tabulated,
@@ -182,6 +183,24 @@ class TestOneEstimator:
         with pytest.raises(DomainError):
             left_weighted_integral(_one, limit, -1.5)
 
+    def test_indexed_integrand_reads_its_intervals(self):
+        # g(t, k) gets the column of interval positions of its rows; the
+        # empty interval (position 1) is never sampled
+        a = np.array([0.0, 1.0, 1.0, 2.0])
+        b = np.array([1.0, 1.0, 3.0, 2.5])
+        coef = np.array([2.0, np.nan, -1.0, 4.0])
+        seen = set()
+
+        def g(t, k):
+            assert k.shape == (t.shape[0], 1)
+            seen.update(k.ravel().tolist())
+            return coef[k] * t
+
+        got = _jacobi_integral(g, a, b, 1.0, 0.0, QuadratureConfig(node_count=4), indexed=True)
+        want = np.where(b > a, coef * 0.5 * (b * b - a * a), 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-14)
+        assert seen == {0, 2, 3}
+
 
 class TestGradedMesh:
     def test_endpoints_and_monotone(self):
@@ -296,6 +315,25 @@ class TestKernelIntegralDispatch:
 
     def test_zero_upper_limit(self):
         assert kernel_integral(PowerSum.constant(1.0), 0.0, 0.5) == 0.0
+
+    @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("x", [0.6, 0.9, 1.7])
+    def test_piecewise_fractional_first_span_beta_closed_form(self, p, x):
+        # psi = p1 on [0, b), p1 + c1 (a-b) + c2 (a-b)^2 beyond, with p1
+        # led by a^(1/2): t^e gives B(e+1, p) x^(e+p) and each jump term
+        # c_k (a-b)^k gives c_k B(k+1, p) (x-b)^(k+p)
+        b, (c1, c2) = 0.5, (0.9, 1.2)
+        p1 = ((1.3, 0.5), (0.7, 1.5))
+        after = p1 + ((c2 * b * b - c1 * b, 0.0), (c1 - 2.0 * c2 * b, 1.0), (c2, 2.0))
+        f = PiecewisePowerSum([b], [PowerSum(p1), PowerSum(after)])
+
+        def beta(u, v):
+            return math.gamma(u) * math.gamma(v) / math.gamma(u + v)
+
+        want = sum(c * beta(e + 1.0, p) * x ** (e + p) for c, e in p1) + sum(
+            c * beta(k + 1.0, p) * (x - b) ** (k + p) for k, c in ((1, c1), (2, c2))
+        )
+        assert kernel_integral(f, x, p) == pytest.approx(want, rel=1e-13)
 
     def test_fractional_power_sum_uses_weighted_left_end(self):
         # f = t^0.5: closed form beta(1.5, 0.5) x

@@ -16,14 +16,23 @@ import pytest
 
 import abelfrac
 from abelfrac import (
+    AbelProblem,
     DomainError,
+    EvaluationError,
     InfeasibleCurveError,
     PowerSum,
     descent_time_integral,
     reconstruct_curve,
     simulate_descent,
+    solve_series,
 )
-from abelfrac.tautochrone import CurveSamples, _cubic_from_right, _pchip_slopes, _s_at
+from abelfrac.tautochrone import (
+    CurveSamples,
+    _cubic_from_right,
+    _feasibility_scan,
+    _pchip_slopes,
+    _s_at,
+)
 
 # cycloid data: psi = 2 -> s = k sqrt(x) with k = 4/pi, rolling radius
 # r = k^2/8 = 2/pi^2, feasible out to x = 2r
@@ -80,6 +89,19 @@ class TestReconstruction:
         curve = reconstruct_curve(s_tab, 1.0, 201)
         ratios = curve.y[1:] / curve.xs[1:]
         assert np.max(np.abs(ratios - math.sqrt(3.0))) < 1e-6
+
+    def test_underflowed_slope_term_gives_finite_curve(self):
+        # psi's constant 5e-324 gives s a term whose derivative coefficient
+        # underflows to 0; it once made s'(0) = 0 * inf = NaN
+        s = solve_series(AbelProblem(PowerSum(((5e-324, 0.0), (2.0, 0.5))), 0.5)).s
+        curve = reconstruct_curve(s, 1.0, 2)
+        assert np.all(np.isfinite(curve.y))
+
+    def test_nan_slope_sample_raises(self):
+        spans = [(0.0, math.inf, ((0.0, -0.5), (2.0, 0.0)))]
+        with pytest.raises(EvaluationError) as err:
+            _feasibility_scan(spans, np.linspace(0.0, 1.0, 3))
+        assert err.value.t == 0.0
 
 
 class TestDescent:
@@ -192,7 +214,8 @@ class TestLazyImports:
 
     def test_every_cli_command_leaves_scipy_unloaded(self):
         # one process runs the commands in turn and reports the scipy
-        # modules loaded after each
+        # modules loaded after each, and whether numpy.ma is (np.unique
+        # imports it, about 18 ms of a CLI process)
         commands = [
             ["solve", "--func", "1.0 + a^0.5", "--grid", "1:11"],
             ["solve", "--func", "2.0 + 1*a^1", "--order", "0.25",
@@ -213,10 +236,10 @@ class TestLazyImports:
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        status = main(argv)\n"
             "    loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "    print(argv[0], status, loaded)\n"
+            "    print(argv[0], status, loaded, 'numpy.ma' in sys.modules)\n"
         )
         lines = self.run(code).strip().splitlines()
-        assert lines == [f"{argv[0]} 0 []" for argv in commands]
+        assert lines == [f"{argv[0]} 0 [] False" for argv in commands]
 
     def test_runs_with_scipy_unimportable(self):
         # sys.modules['scipy'] = None makes every scipy import raise
