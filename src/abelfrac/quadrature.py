@@ -274,13 +274,19 @@ def _sample(g: Callable, t: np.ndarray, *cells) -> np.ndarray:
     """Evaluate g at the nodes, tolerating scalar-only callables, and
     insist every sample is finite.  ``cells``, when given, is the column of
     interval indices of t's rows, passed on as g(t, cells); such an
-    integrand must take arrays."""
-    try:
+    integrand must take arrays, so its errors are not retried point by
+    point."""
+    if cells:
         out = np.asarray(g(t, *cells), dtype=float)
-    except (TypeError, ValueError):
-        out = None
-    if out is None or out.shape != t.shape:
-        out = np.array([float(g(ti)) for ti in t.ravel()]).reshape(t.shape)
+        if out.shape != t.shape:
+            raise ValueError(f"indexed integrand gave shape {out.shape}, not {t.shape}")
+    else:
+        try:
+            out = np.asarray(g(t), dtype=float)
+        except (TypeError, ValueError):
+            out = None
+        if out is None or out.shape != t.shape:
+            out = np.array([float(g(ti)) for ti in t.ravel()]).reshape(t.shape)
     if not np.isfinite(out).all():
         bad = float(t[~np.isfinite(out)][0])
         raise EvaluationError(
@@ -497,6 +503,14 @@ def smooth_integral(
     intervals give 0.
     """
     return _jacobi_integral(g, _limits(a), _limits(b), 1.0, 0.0, cfg)
+
+
+def _indexed_smooth_integral(g: Callable, a, b, cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """smooth_integral over 1-d arrays of limits for an integrand g(t, k)
+    that reads per-interval data: every row of t holds one interval's
+    nodes and k, a (rows, 1) column, holds those intervals' positions in
+    the broadcast limits."""
+    return _jacobi_integral(g, _limits(a), _limits(b), 1.0, 0.0, cfg, indexed=True)
 
 
 def left_weighted_integral(

@@ -39,7 +39,7 @@ from .functions import (
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
-    _jacobi_integral,
+    _indexed_smooth_integral,
     left_weighted_integral,
     smooth_integral,
 )
@@ -197,9 +197,17 @@ def _feasibility_scan(spans, xs: np.ndarray) -> None:
     # np.unique would do, but its first call imports numpy.ma
     ts = np.sort(np.concatenate(probes))
     ts = ts[np.concatenate(([True], ts[1:] != ts[:-1]))]
-    # s' may be +inf at 0; a NaN (0 * inf there) is reported below
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # s' may be +inf at 0, and inf - inf there when two unbounded terms
+    # differ in sign: the most negative power decides that limit.  A NaN
+    # anywhere else (terms overflowing in opposite signs) is reported.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         slopes = _slope_samples(spans, ts)
+    if ts[0] == 0.0 and np.isnan(slopes[0]):
+        terms = spans[0][2]
+        le = min(e for _, e in terms)
+        lead = sum(c for c, e in terms if e == le)
+        if le < 0.0 and lead != 0.0:
+            slopes[0] = math.copysign(math.inf, lead)
     nan = np.isnan(slopes)
     if nan.any():
         t = float(ts[nan][0])
@@ -416,9 +424,7 @@ def simulate_descent(
         u = r * r - rho[k]
         return 2.0 * r / np.sqrt(drop[k] + u * (d[k + 1] - u * (c2[k] + u * c3[k])))
 
-    tau = _jacobi_integral(
-        integrand, np.sqrt(rho), np.sqrt(L - s_nodes[:-1]), 1.0, 0.0, cfg, indexed=True
-    )
+    tau = _indexed_smooth_integral(integrand, np.sqrt(rho), np.sqrt(L - s_nodes[:-1]), cfg)
     # cubic against linear arc at each cell's midpoint: h |d_k - d_k+1| / 8
     h = np.diff(s_nodes)
     max_residual = float(np.max(h * np.abs(np.diff(d))) / (8.0 * a))

@@ -22,7 +22,7 @@ from abelfrac import (
 )
 from abelfrac.quadrature import (
     MAX_NODES,
-    _jacobi_integral,
+    _indexed_smooth_integral,
     graded_mesh,
     left_weighted_integral,
     singular_integral_tabulated,
@@ -196,10 +196,22 @@ class TestOneEstimator:
             seen.update(k.ravel().tolist())
             return coef[k] * t
 
-        got = _jacobi_integral(g, a, b, 1.0, 0.0, QuadratureConfig(node_count=4), indexed=True)
+        got = _indexed_smooth_integral(g, a, b, QuadratureConfig(node_count=4))
         want = np.where(b > a, coef * 0.5 * (b * b - a * a), 0.0)
         np.testing.assert_allclose(got, want, rtol=1e-14)
         assert seen == {0, 2, 3}
+
+    def test_indexed_integrand_errors_are_not_retried_point_by_point(self):
+        a, b = np.array([0.0, 1.0]), np.array([1.0, 2.0])
+        cfg = QuadratureConfig(node_count=4)
+
+        def broken(t, k):
+            raise ValueError("broadcast")
+
+        with pytest.raises(ValueError, match="broadcast"):
+            _indexed_smooth_integral(broken, a, b, cfg)
+        with pytest.raises(ValueError, match="shape"):
+            _indexed_smooth_integral(lambda t, k: k * 1.0, a, b, cfg)
 
 
 class TestGradedMesh:

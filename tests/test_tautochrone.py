@@ -90,18 +90,26 @@ class TestReconstruction:
         ratios = curve.y[1:] / curve.xs[1:]
         assert np.max(np.abs(ratios - math.sqrt(3.0))) < 1e-6
 
-    def test_underflowed_slope_term_gives_finite_curve(self):
-        # psi's constant 5e-324 gives s a term whose derivative coefficient
-        # underflows to 0; it once made s'(0) = 0 * inf = NaN
-        s = solve_series(AbelProblem(PowerSum(((5e-324, 0.0), (2.0, 0.5))), 0.5)).s
-        curve = reconstruct_curve(s, 1.0, 2)
+    def test_opposite_unbounded_slope_terms_give_finite_curve(self):
+        # psi = 2 - a^(1/4) gives s' = k1 x^(-1/2) - k2 x^(-1/4): inf - inf
+        # at 0, where the x^(-1/2) term decides that s' -> +inf
+        s = solve_series(AbelProblem(PowerSum(((2.0, 0.0), (-1.0, 0.25))), 0.5)).s
+        curve = reconstruct_curve(s, 1e-6, 101)
         assert np.all(np.isfinite(curve.y))
+        assert np.all(np.diff(curve.y) > 0.0)
+
+    def test_negative_unbounded_slope_is_infeasible_at_zero(self):
+        spans = [(0.0, math.inf, ((-1.0, -0.5), (2.0, -0.25)))]
+        with pytest.raises(InfeasibleCurveError) as err:
+            _feasibility_scan(spans, np.linspace(0.0, 1.0, 3))
+        assert err.value.x == 0.0
 
     def test_nan_slope_sample_raises(self):
-        spans = [(0.0, math.inf, ((0.0, -0.5), (2.0, 0.0)))]
+        # both terms overflow past t = 0, to inf - inf
+        spans = [(0.0, math.inf, ((1e308, -0.5), (-1e308, -0.25)))]
         with pytest.raises(EvaluationError) as err:
-            _feasibility_scan(spans, np.linspace(0.0, 1.0, 3))
-        assert err.value.t == 0.0
+            _feasibility_scan(spans, np.linspace(0.0, 1e-10, 3))
+        assert err.value.t == 1.25e-11
 
 
 class TestDescent:
