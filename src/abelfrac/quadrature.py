@@ -19,6 +19,16 @@ at MAX_NODES.  A scalar call samples g at the nodes of its first two
 rules in one pass, since most points stop at the second estimate and the
 operators call it point by point.
 
+A power sum on [0, x] is not sampled: the nodes are x * u_i with
+u = (1 + xi)/2, so the n-node estimate of sum(c t**d) is exactly
+(x/2)**(p + le) * sum(c x**d M_n(d)) with the cached rule moments
+M_n(d) = sum_i w_i u_i**d.  ``_power_sum_integral`` doubles these
+estimates as the sampled route does; it serves the span at 0 of
+``kernel_integral`` (so the quadrature backends of the operators and
+``forward``) and ``singular_integral`` of a PowerSum (so the grid
+solvers on power-sum psi).  Other callables, spans away from 0 and the
+mechanics layer are still sampled.
+
 For tabulated data there is a product-integration path: f is taken
 piecewise linear on its own grid and the kernel moments of every cell are
 integrated in closed form, which is exact for piecewise-linear f and
@@ -137,6 +147,15 @@ def _paired_rule(n: int, alpha: float, beta: float):
         t = np.concatenate((1.0 + xi, 1.0 + xi2))
     t.setflags(write=False)
     return t, w, w2
+
+
+@lru_cache(maxsize=1024)
+def _rule_moment(n: int, alpha: float, beta: float, e: float) -> float:
+    """sum_i w_i u_i**e over the n-node rule of (alpha, beta), its nodes
+    mapped to u = (1 + xi)/2 in (0, 1); for e >= 0 at most the total
+    weight."""
+    xi, w = _jacobi_rule(n, alpha, beta)
+    return float(np.dot(w, (0.5 * (1.0 + xi)) ** e))
 
 
 def _frozen(x: np.ndarray, w: np.ndarray):
@@ -458,6 +477,74 @@ def _jacobi_integral(
     return out
 
 
+def _power_sum_integral(terms, x, p: float, le: float, cfg: QuadratureConfig, abs_tol=None):
+    """integral_0^x sum(c * t**d) * t**le * (x - t)**(p - 1) dt for raw
+    (c, d) pairs with every d >= 0: _jacobi_integral's estimates on [0, x]
+    without sampling.
+
+    The nodes of [0, x] are x * u_i, u = (1 + xi)/2, so the n-node
+    estimate is exactly (x/2)**(p + le) * sum(c * x**d * M_n(d)) with the
+    cached rule moments M_n(d) = sum_i w_i u_i**d.  Same rules, doubling,
+    tolerances and cap; x is a float or a 1-d array (x >= 0).  Where some
+    |c| x**d or an estimate is not finite the nodes are sampled instead,
+    so an integrand that overflows at a node raises EvaluationError as
+    the sampled route does.
+    """
+    le = _left_exponent(le)
+    alpha = p - 1.0
+    exps = [d for _, d in terms]
+
+    def sampled():
+        return _jacobi_integral(
+            lambda t: _eval_terms(terms, t), 0.0, x, p, le, cfg, abs_tol
+        )
+
+    if isinstance(x, float):
+        if x <= 0.0:
+            return 0.0
+        try:
+            h = [c * x**d for c, d in terms]
+        except OverflowError:
+            return sampled()
+        if not math.isfinite(sum(map(abs, h))):
+            return sampled()
+        scale = (0.5 * x) ** (p + le)
+        if abs_tol is not None:
+            cfg = replace(cfg, abs_tol=float(abs_tol))
+
+        def estimate(n: int) -> float:
+            return scale * sum(
+                hk * _rule_moment(n, alpha, le, d) for hk, d in zip(h, exps)
+            )
+
+        n = cfg.node_count
+        first = estimate(n)
+        second = None if n >= MAX_NODES else estimate(min(2 * n, MAX_NODES))
+        if not (math.isfinite(first) and (second is None or math.isfinite(second))):
+            return sampled()
+        value = _doubling(first, second, estimate, cfg)
+        return value if math.isfinite(value) else sampled()
+
+    out = np.zeros(x.shape)
+    pos = np.flatnonzero(x > 0.0)
+    if pos.size == 0:
+        return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = np.array([c for c, _ in terms]) * x[pos, None] ** np.array(exps)
+    if not np.isfinite(np.abs(h).sum(axis=1)).all():
+        return sampled()
+    scale = (0.5 * x[pos]) ** (p + le)
+    tol = np.broadcast_to(cfg.abs_tol if abs_tol is None else abs_tol, x.shape)
+
+    def estimates(n: int, idx: np.ndarray) -> np.ndarray:
+        m = np.array([_rule_moment(n, alpha, le, d) for d in exps])
+        return scale[idx] * (h[idx] @ m)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[pos] = _doubling_grid(estimates, tol[pos], cfg)
+    return out if np.isfinite(out).all() else sampled()
+
+
 def singular_integral(
     g: Callable,
     x,
@@ -477,7 +564,8 @@ def singular_integral(
     x may also be a 1-d array of upper limits: the whole grid is then
     evaluated in one pass and an array returned, each value the one a
     scalar call gives.  ``abs_tol`` (a scalar, or one per point) replaces
-    ``cfg.abs_tol``.
+    ``cfg.abs_tol``.  A PowerSum g is not sampled: its estimates come
+    from the rule moments (:func:`_power_sum_integral`).
     """
     p = _order_like(p)
     le = _left_exponent(left_exponent)
@@ -485,6 +573,8 @@ def singular_integral(
     low = x if isinstance(x, float) else np.min(x, initial=0.0)
     if low < 0.0:
         raise DomainError(f"upper limit must be >= 0, got {float(low)!r}")
+    if isinstance(g, PowerSum):
+        return _power_sum_integral(g.terms, x, p, le, cfg, abs_tol)
     return _jacobi_integral(g, 0.0, x, p, le, cfg, abs_tol)
 
 
@@ -790,7 +880,10 @@ def _piecewise_kernel(pieces, x: float, p: float, cfg: QuadratureConfig) -> floa
             continue
         le = min(e for _, e in terms) if lo == 0.0 else 0.0
         shifted = tuple((c, e - le) for c, e in terms)
-        if hi >= x:
+        if hi >= x and lo == 0.0:
+            # the whole of [0, x] in one power sum: from the rule moments
+            total += _power_sum_integral(shifted, x, p, le, cfg)
+        elif hi >= x:
             # the span carrying the kernel singularity at t = x
             total += singular_integral(
                 lambda u: _eval_terms(shifted, lo + u), x - lo, p, cfg, left_exponent=le
@@ -819,8 +912,9 @@ def kernel_integral(
     supported representation of f (or a bare callable).
 
     Power sums factor their leading t**e behaviour into the Jacobi
-    weight, piecewise inputs are split at their breakpoints, and tabulated
-    data goes through product integration.
+    weight and take their estimates from rule moments, piecewise inputs
+    are split at their breakpoints, and tabulated data goes through
+    product integration.
     """
     p = _order_like(p)
     x = float(x)

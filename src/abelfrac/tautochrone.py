@@ -228,15 +228,24 @@ def _arc_slope(terms):
     return w
 
 
+def _lattice(terms, cap: int = 8) -> int | None:
+    """The smallest m <= cap (m >= 2) with every exponent a multiple of
+    1/m, or None."""
+    for m in range(2, cap + 1):
+        if all(abs(m * e - round(m * e)) <= 1e-12 for _, e in terms):
+            return m
+    return None
+
+
 def _horizontal_increments(spans, xs: np.ndarray) -> np.ndarray:
     """integral of sqrt(s'(t)^2 - 1) over every cell [xs[i], xs[i+1]].
 
     Cells are clipped to each span and each span's pieces go through one
     array call of smooth_integral, each cell doubling to its own
     tolerance.  When s' blows up at 0 the cell starting there is
-    integrated on its own: in u = sqrt(t) when every exponent of s' is a
-    multiple of 1/2, by a weighted end rule otherwise.  A cell's pieces
-    are summed in span order.
+    integrated on its own: in u = t**(1/m) when every exponent of s' is a
+    multiple of 1/m for some m <= 8 (the smallest such m), by a weighted
+    end rule otherwise.  A cell's pieces are summed in span order.
     """
     lo, hi = xs[:-1], xs[1:]
     dy = np.zeros(lo.size)
@@ -250,10 +259,12 @@ def _horizontal_increments(spans, xs: np.ndarray) -> np.ndarray:
         le = min((e for _, e in terms), default=0.0)
         if a[cells[0]] == 0.0 and le < 0.0:
             first, cells = cells[0], cells[1:]
-            if all(float(2.0 * e).is_integer() for _, e in terms):
-                # s' in powers of t**(1/2): w(u**2) 2u is smooth in u
+            m = _lattice(terms)
+            if m is not None:
+                # s' in powers of t**(1/m): w(u**m) m u**(m-1) is smooth in u
+                root = math.sqrt(b[first]) if m == 2 else b[first] ** (1.0 / m)
                 dy[first] += smooth_integral(
-                    lambda u: w(u * u) * 2.0 * u, 0.0, math.sqrt(b[first]), _CELL_CFG
+                    lambda u: w(u**m) * m * u ** (m - 1), 0.0, root, _CELL_CFG
                 )
             else:
                 # s' ~ t**le (unbounded): w inherits the power; hand it to

@@ -1,0 +1,299 @@
+"""Power-sum kernel integrals on [0, x] from cached rule moments.
+
+The n-node Gauss-Jacobi estimate of sum(c t**d) over [0, x] has its nodes
+at x * u_i, u = (1 + xi)/2, so it equals (x/2)**(p + le) *
+sum(c x**d M_n(d)) with M_n(d) = sum_i w_i u_i**d: no node is sampled.
+The sampled route (a callable integrand, which is evaluated at the nodes)
+is the reference: every estimate, every converged value and every
+exception of the moment route must match it.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from abelfrac import (
+    AbelProblem,
+    ConvergenceError,
+    DomainError,
+    EvaluationError,
+    Order,
+    PowerSum,
+    QuadratureConfig,
+    SolutionBackend,
+    caputo_derivative,
+    forward,
+    kernel_integral,
+    rl_integral,
+    solve_convolution,
+    solve_on_grid,
+    solve_series,
+    solve_theorem,
+)
+from abelfrac import quadrature
+from abelfrac.fracops import _caputo_kernel
+from abelfrac.functions import _eval_terms
+from abelfrac.quadrature import (
+    DEFAULT_CONFIG,
+    MAX_NODES,
+    _jacobi_rule,
+    _power_sum_integral,
+    _rule_moment,
+    singular_integral,
+)
+from abelfrac.special_functions import gamma, reflection_factor
+
+RULE_SIZES = (2, 3, 8, 64, 128, 1024, 4096)
+# a few weights, so the large rules are built once
+ORDERS = (0.03, 0.25, 0.5, 0.8, 0.97)
+LEFT = (-0.75, -0.25, 0.0, 0.5, 1.5)
+# leading exponents of the operator inputs; their derivatives' leading
+# powers stay clear of the t**-1 edge of the Jacobi weight
+BASES = st.one_of(st.just(0.0), st.floats(0.01, 2.0))
+
+
+def signed_terms(max_exp=7.0):
+    term = st.tuples(
+        st.floats(-3.0, 3.0).filter(lambda c: abs(c) > 1e-3),
+        st.floats(0.0, max_exp),
+    )
+    return st.lists(term, min_size=1, max_size=4).map(tuple)
+
+
+def sampled(terms, x, p, le, cfg=DEFAULT_CONFIG, abs_tol=None):
+    """The same integral through the sampling estimator: a callable."""
+    return singular_integral(
+        lambda t: _eval_terms(terms, t), x, p, cfg, left_exponent=le, abs_tol=abs_tol
+    )
+
+
+def moment_scale(terms, x, p, le, n):
+    """(x/2)**(p + le) * sum |c x**d M_n(d)|: the size of the rounding."""
+    return (0.5 * x) ** (p + le) * sum(
+        abs(c * x**d * _rule_moment(n, p - 1.0, le, d)) for c, d in terms
+    )
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except (ConvergenceError, DomainError, EvaluationError) as exc:
+        return type(exc)
+
+
+class TestEstimates:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        terms=signed_terms(),
+        x=st.floats(1e-3, 10.0),
+        p=st.sampled_from(ORDERS),
+        le=st.sampled_from(LEFT),
+        n=st.sampled_from(RULE_SIZES),
+    )
+    def test_moment_estimate_is_the_sampled_estimate(self, terms, x, p, le, n):
+        xi, w = _jacobi_rule(n, p - 1.0, le)
+        half = 0.5 * x
+        got = half ** (p + le) * sum(
+            c * x**d * _rule_moment(n, p - 1.0, le, d) for c, d in terms
+        )
+        ref = half ** (p + le) * float(np.dot(w, _eval_terms(terms, half * (1.0 + xi))))
+        assert abs(got - ref) <= 1e-13 * moment_scale(terms, x, p, le, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        terms=signed_terms(),
+        x=st.floats(1e-3, 10.0),
+        p=st.sampled_from(ORDERS),
+        le=st.sampled_from(LEFT),
+        n=st.sampled_from(RULE_SIZES),
+    )
+    def test_estimator_returns_the_same_rule_estimate(self, terms, x, p, le, n):
+        # an abs_tol no difference can exceed stops either route at its
+        # second rule (its only one at MAX_NODES), for a scalar and a grid
+        cfg = QuadratureConfig(node_count=n)
+        m = min(2 * n, MAX_NODES)
+        bound = 1e-13 * moment_scale(terms, x, p, le, m)
+        got = _power_sum_integral(terms, x, p, le, cfg, abs_tol=1e300)
+        assert abs(got - sampled(terms, x, p, le, cfg, 1e300)) <= bound
+        xs = np.array([0.0, x])
+        grid = _power_sum_integral(terms, xs, p, le, cfg, abs_tol=1e300)
+        assert grid[0] == 0.0
+        assert abs(grid[1] - got) <= bound
+
+
+def test_power_sums_are_not_sampled(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(quadrature, "_jacobi_integral", refuse)
+    f = PowerSum(((1.5, 0.0), (0.5, 2.0)))
+    xs = np.linspace(0.0, 2.0, 5)
+    ref = rl_integral(f, 0.3, 2.0, backend="exact") * gamma(0.3)
+    assert kernel_integral(f, 2.0, 0.3) == pytest.approx(ref, rel=1e-12)
+    assert singular_integral(f, 2.0, 0.3) == pytest.approx(ref, rel=1e-12)
+    assert singular_integral(f, xs, 0.3)[-1] == pytest.approx(ref, rel=1e-12)
+    for backend in (SolutionBackend.CONVOLUTION_1826, SolutionBackend.THEOREM_1823):
+        solve_on_grid(AbelProblem(f, Order(0.3)), xs, backend=backend)
+    caputo_derivative(f, 0.3, 2.0, backend="quadrature")
+    forward(f, 0.3, 2.0)
+    # a callable is sampled, whatever it computes
+    with pytest.raises(AssertionError, match="sampled"):
+        singular_integral(lambda t: f(t), 2.0, 0.3)
+
+
+class TestOperators:
+    """Power sums whose exponents above the leading one step by integers
+    converge at the first doubling on both routes; mixed lattices are
+    the stall cases below."""
+
+    @staticmethod
+    def lattice_sum(base, coefs):
+        return PowerSum((c, base + k) for k, c in enumerate(coefs))
+
+    @staticmethod
+    def assert_within_tol(got, ref, cfg=DEFAULT_CONFIG):
+        assert abs(got - ref) <= max(cfg.abs_tol, cfg.rel_tol * abs(ref))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base=BASES,
+        coefs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+        n=st.floats(0.02, 0.98),
+        x=st.floats(1e-3, 5.0),
+    )
+    def test_rl_integral_and_caputo_derivative(self, base, coefs, n, x):
+        f = self.lattice_sum(base, coefs)
+        if not f.terms:
+            return
+        le = f.min_exponent
+        shifted = tuple((c, e - le) for c, e in f.terms)
+        ref = sampled(shifted, x, n, le)
+        self.assert_within_tol(kernel_integral(f, x, n), ref)
+        got = rl_integral(f, n, x, backend="quadrature")
+        self.assert_within_tol(got * gamma(n), ref)
+        self.assert_within_tol(got, rl_integral(f, n, x, backend="exact"))
+
+        slope = f.derivative_terms()
+        if not slope:
+            return
+        le = min(e for _, e in slope)
+        ref = sampled(tuple((c, e - le) for c, e in slope), x, 1.0 - n, le)
+        self.assert_within_tol(_caputo_kernel(f, n, x, DEFAULT_CONFIG), ref)
+        got = caputo_derivative(f, n, x, backend="quadrature")
+        self.assert_within_tol(got * gamma(1.0 - n), ref)
+        self.assert_within_tol(got, caputo_derivative(f, n, x, backend="exact"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        base=BASES,
+        coefs=st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3),
+        n=st.floats(0.02, 0.98),
+        a=st.floats(1e-3, 5.0),
+    )
+    def test_forward_returns_psi(self, base, coefs, n, a):
+        psi = self.lattice_sum(base, coefs)
+        s = solve_series(AbelProblem(psi, Order(n))).s
+        slope = s.derivative_terms()
+        le = min(e for _, e in slope)
+        ref = sampled(tuple((c, e - le) for c, e in slope), a, 1.0 - n, le)
+        # forward is the kernel integral of s' itself
+        got = forward(s, n, a)
+        self.assert_within_tol(got, ref)
+        assert abs(got - psi(a)) <= 1e-8 * max(1.0, abs(psi(a)))
+
+    @pytest.mark.parametrize("backend", [SolutionBackend.CONVOLUTION_1826,
+                                         SolutionBackend.THEOREM_1823])
+    @settings(max_examples=30, deadline=None)
+    @given(
+        base=BASES,
+        coefs=st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3),
+        n=st.floats(0.02, 0.98),
+        x_max=st.floats(0.05, 5.0),
+    )
+    def test_solvers_scalar_and_grid(self, backend, base, coefs, n, x_max):
+        psi = self.lattice_sum(base, coefs)
+        prob = AbelProblem(psi, Order(n))
+        xs = np.linspace(0.0, x_max, 9)
+        le = psi.min_exponent
+        shifted = tuple((c, e - le) for c, e in psi.terms)
+        abs_tol = None
+        if backend is SolutionBackend.THEOREM_1823:
+            abs_tol = DEFAULT_CONFIG.abs_tol * xs ** (n + le)
+        ref = reflection_factor(n) * sampled(shifted, xs, n, le, abs_tol=abs_tol)
+        exact = solve_series(prob).s(xs)
+        grid = solve_on_grid(prob, xs, backend=backend).s.values
+        point = solve_convolution if backend is SolutionBackend.CONVOLUTION_1826 else solve_theorem
+        for k, x in enumerate(xs):
+            self.assert_within_tol(grid[k], ref[k])
+            self.assert_within_tol(point(prob, float(x)), ref[k])
+            assert abs(grid[k] - exact[k]) <= 1e-8 * max(1.0, abs(exact[k]))
+
+
+class TestOutcomes:
+    """Where the sampled route raises, so does the moment route.  The
+    overflow cases run with numpy's overflow warning off, as outside a
+    test run: the error they check is the EvaluationError that follows."""
+
+    HALF_LATTICE = PowerSum(((1.0, 0.0), (1.0, 0.5)))
+
+    @pytest.mark.parametrize("cap", [MAX_NODES, 128])
+    def test_half_lattice_forward_still_stalls(self, cap, monkeypatch):
+        # psi = 1 + a^(1/2) at n = 1/4: s' carries t**(1/2) beyond its
+        # leading power, so the rules converge only algebraically
+        monkeypatch.setattr(quadrature, "MAX_NODES", cap)
+        s = solve_series(AbelProblem(self.HALF_LATTICE, Order(0.25))).s
+        slope = s.derivative_terms()
+        le = min(e for _, e in slope)
+        shifted = tuple((c, e - le) for c, e in slope)
+        assert outcome(lambda: sampled(shifted, 0.7, 0.75, le)) is ConvergenceError
+        with pytest.raises(ConvergenceError, match=f"{cap} nodes"):
+            forward(s, 0.25, 0.7)
+
+    @pytest.mark.parametrize("x", [8.0, 20.0])
+    @np.errstate(over="ignore")
+    def test_overflowing_power_sum_raises_at_the_same_node(self, x):
+        # t**400 overflows beyond t = 5.9
+        f = PowerSum(((1.0, 0.0), (1.0, 400.0)))
+        with pytest.raises(EvaluationError) as ref:
+            sampled(f.terms, x, 0.5, 0.0)
+        with pytest.raises(EvaluationError) as got:
+            kernel_integral(f, x, 0.5)
+        assert got.value.t == ref.value.t
+        xs = np.linspace(0.0, x, 5)
+        with pytest.raises(EvaluationError) as ref:
+            sampled(f.terms, xs, 0.5, 0.0)
+        with pytest.raises(EvaluationError) as grid:
+            solve_on_grid(AbelProblem(f, Order(0.5)), xs)
+        assert grid.value.t == ref.value.t
+
+    @np.errstate(over="ignore")
+    def test_sum_of_terms_overflowing_raises(self):
+        # each |c| x**d is finite, their sum is not: the sampled sum
+        # overflows at every node above t = 0.92
+        terms = ((1e308, 1.0), (1e308, 2.0))
+        with pytest.raises(EvaluationError) as ref:
+            sampled(terms, 1.2, 0.5, 0.0)
+        with pytest.raises(EvaluationError) as got:
+            _power_sum_integral(terms, 1.2, 0.5, 0.0, DEFAULT_CONFIG)
+        assert got.value.t == ref.value.t
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_overflowing_estimate_takes_the_sampled_route(self, monkeypatch):
+        # the samples are finite but their weighted sum is not: both routes
+        # give the sampled route's value
+        monkeypatch.setattr(quadrature, "MAX_NODES", 128)
+        terms = ((1e308, 0.0),)
+        ref = sampled(terms, 2.0, 0.5, 0.0)
+        assert math.isinf(ref)
+        assert _power_sum_integral(terms, 2.0, 0.5, 0.0, DEFAULT_CONFIG) == ref
+        grid = _power_sum_integral(terms, np.array([0.0, 2.0]), 0.5, 0.0, DEFAULT_CONFIG)
+        assert grid[1] == ref
+
+    def test_left_exponent_of_minus_one_is_a_domain_error(self):
+        # x**1e-17 differentiates to t**-1 in floating point: no Jacobi weight
+        f = PowerSum(((1.0, 1e-17),))
+        assert outcome(lambda: sampled(((1e-17, 0.0),), 1.0, 0.5, -1.0)) is DomainError
+        assert outcome(lambda: caputo_derivative(f, 0.5, 1.0, backend="quadrature")) is DomainError

@@ -30,8 +30,11 @@ from abelfrac.tautochrone import (
     CurveSamples,
     _cubic_from_right,
     _feasibility_scan,
+    _horizontal_increments,
+    _lattice,
     _pchip_slopes,
     _s_at,
+    _segment_slope_terms,
 )
 
 # cycloid data: psi = 2 -> s = k sqrt(x) with k = 4/pi, rolling radius
@@ -110,6 +113,46 @@ class TestReconstruction:
         with pytest.raises(EvaluationError) as err:
             _feasibility_scan(spans, np.linspace(0.0, 1e-10, 3))
         assert err.value.t == 1.25e-11
+
+
+class TestFirstCellLattice:
+    """The cell at 0 of an s' unbounded there is integrated in u = t**(1/m),
+    m the smallest lattice 1/m (m <= 8) holding every exponent of s'."""
+
+    @pytest.mark.parametrize("terms, m", [
+        (((1.0, -0.5), (1.0, 0.5)), 2),
+        (((1.0, -2.0 / 3.0), (1.0, 1.0 / 3.0)), 3),
+        (((1.0, -0.5), (-1.0, -0.25)), 4),
+        (((1.0, -0.5), (1.0, -1.0 / 6.0)), 6),
+        (((1.0, -0.875), (1.0, 0.25)), 8),
+        (((1.0, -0.5), (1.0, 0.1)), None),
+        (((1.0, -0.3),), None),
+    ])
+    def test_lattice(self, terms, m):
+        assert _lattice(terms) == m
+
+    @pytest.mark.parametrize("x_max", [1e-4, 1e-2, 0.1])
+    @pytest.mark.parametrize("points", [2, 3, 11, 101])
+    def test_quarter_lattice_first_cell_matches_mpmath(self, x_max, points):
+        # psi = 2 - a^(1/4) at n = 1/2: s' = k1 x^(-1/2) - k2 x^(-1/4), whose
+        # first cell stalled at 4096 nodes under the weighted end rule
+        mpmath = pytest.importorskip("mpmath")
+        s = solve_series(AbelProblem(PowerSum(((2.0, 0.0), (-1.0, 0.25))), 0.5)).s
+        xs = np.linspace(0.0, x_max, points)
+        y = np.cumsum(_horizontal_increments(_segment_slope_terms(s), xs))
+        slope = s.derivative_terms()
+        with mpmath.workdps(30):
+            def w(t):
+                return mpmath.sqrt(
+                    sum(mpmath.mpf(c) * t ** mpmath.mpf(e) for c, e in slope) ** 2 - 1
+                )
+
+            cells = [mpmath.quad(w, [a, b]) for a, b in zip(xs[:-1], xs[1:])]
+            ref = np.array([float(v) for v in np.cumsum(cells)])
+        assert np.max(np.abs(y - ref) / ref) <= 1e-10
+        if points > 2 or x_max < 0.1:
+            # one cell of [0, 0.1] is too curved for CurveSamples' chord check
+            np.testing.assert_array_equal(reconstruct_curve(s, x_max, points).y[1:], y)
 
 
 class TestDescent:
