@@ -44,6 +44,7 @@ from .fracops import caputo_derivative, rl_power_sum
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
+    _order_like,
     graded_mesh,
     kernel_integral,
     singular_integral,
@@ -123,7 +124,7 @@ def forward(
 
     Equals Gamma(1-n) times the order-n derivative of s; a = 0 gives 0.
     """
-    nn = float(as_order(n))
+    nn = _order_like(n)
     a = float(a)
     if a < 0.0:
         raise DomainError(f"release height must be >= 0, got {a!r}")

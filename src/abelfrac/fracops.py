@@ -30,6 +30,7 @@ from .functions import (
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
+    _order_like,
     _piecewise_kernel,
     kernel_integral,
     singular_integral,
@@ -138,7 +139,7 @@ def rl_integral(
     backend: 'exact' (power sums only, closed form), 'quadrature', or
     'auto' (exact when available, else quadrature).
     """
-    nn = float(as_order(n))
+    nn = _order_like(n)
     x = float(x)
     if x < 0.0:
         raise DomainError(f"x must be >= 0, got {x!r}")
@@ -168,7 +169,7 @@ def caputo_derivative(
     (-1, 0), where the derivative diverges as x -> 0 but is finite for
     x > 0.
     """
-    nn = float(as_order(n))
+    nn = _order_like(n)
     x = float(x)
     if x <= 0.0:
         raise DomainError(f"x must be > 0, got {x!r}")

@@ -821,15 +821,22 @@ def tabulated_derivative_kernel(f: TabulatedFunction, x: float, p) -> float:
     if x <= 0.0:
         raise DomainError(f"upper limit must be > 0, got {x!r}")
     xs = f.xs
-    j = min(max(int(np.searchsorted(xs, min(x, f.x_max))), 1), xs.size - 1)
-    step = xs[j] - xs[j - 1]
-    if x - step < 0.0 and x + step > f.x_max:
+    x_max = f.x_max
+    k = _node_index(f, x)
+    nodes = None if k is None else _node_integrals(f, p)
+    if nodes is not None:
+        # x is within a few ulps of node k of a uniform table, so the
+        # first node >= x (what searchsorted gives) is k or k + 1
+        j = k if xs[k] >= min(x, x_max) else k + 1
+    else:
+        j = int(np.searchsorted(xs, min(x, x_max)))
+    j = min(max(j, 1), xs.size - 1)
+    step = float(xs[j]) - float(xs[j - 1])
+    if x - step < 0.0 and x + step > x_max:
         # the cell holding x is wider than the room on either side of x:
         # step over the longer side so the one-sided differences below
         # stay in [0, x_max]
-        step = max(x, f.x_max - x)
-    k = _node_index(f, x)
-    nodes = None if k is None else _node_integrals(f, p)
+        step = max(x, x_max - x)
 
     def J(m: int) -> float:
         """K[f] at x + m * step; on a uniform table's node, the cached
@@ -838,15 +845,15 @@ def tabulated_derivative_kernel(f: TabulatedFunction, x: float, p) -> float:
             return float(nodes[k + m])
         return singular_integral_tabulated(f, x + m * step, p)
 
-    if x - step >= 0.0 and x + step <= f.x_max:
+    if x - step >= 0.0 and x + step <= x_max:
         slope = (J(1) - J(-1)) / (2.0 * step)
-    elif x + step > f.x_max:
+    elif x + step > x_max:
         if x - 2.0 * step >= 0.0:
             slope = (3.0 * J(0) - 4.0 * J(-1) + J(-2)) / (2.0 * step)
         else:
             slope = (J(0) - J(-1)) / step
     else:
-        if x + 2.0 * step <= f.x_max:
+        if x + 2.0 * step <= x_max:
             slope = (-3.0 * J(0) + 4.0 * J(1) - J(2)) / (2.0 * step)
         else:
             slope = (J(1) - J(0)) / step

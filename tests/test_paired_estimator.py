@@ -125,6 +125,11 @@ class TestPairedStart:
         assert later and later == [8 * 2**k for k in range(len(later))]
 
     def test_paired_rule_is_read_only_concatenation(self):
+        # other tests draw enough distinct rules to evict this one from
+        # _jacobi_rule's LRU while _paired_rule still holds its arrays;
+        # start both empty so the identity below is about this call alone
+        _jacobi_rule.cache_clear()
+        _paired_rule.cache_clear()
         t, w, w2 = _paired_rule(8, -0.5, 0.0)
         xi, w_ = _jacobi_rule(8, -0.5, 0.0)
         xi2, w2_ = _jacobi_rule(16, -0.5, 0.0)

@@ -104,6 +104,29 @@ class TestOnNodeValues:
                 slope = (K[k + 1] - K[k - 1]) / (2.0 * h)
             assert tabulated_derivative_kernel(f, x, p) == slope - f0 * x ** (p - 1.0)
 
+    def test_derivative_near_node_steps_over_the_searched_cell(self):
+        # a point a few ulps off node k reads node k's neighbours, with the
+        # step of the cell np.searchsorted puts it in: k's own, or k + 1's
+        # (np.linspace cells differ in their last bits at about half the
+        # nodes of this table, so the two steps are not the same number)
+        f = _uniform(size=1001, x_max=1.7, seed=4)
+        K = [singular_integral_tabulated(f, float(x), 0.5) for x in f.xs]
+        f0 = float(f.values[0])
+        widths = np.diff(f.xs)
+        assert np.any(widths[2:-1] != widths[1:-2])
+        # nodes 1 and 999 are left out: there x -+ h can leave [0, 1.7],
+        # and a one-sided difference is taken
+        for k in range(2, f.xs.size - 2):
+            node = float(f.xs[k])
+            up = np.nextafter(node, 2.0)
+            down = np.nextafter(node, 0.0)
+            for x in (node, up, np.nextafter(up, 2.0), down, np.nextafter(down, 0.0)):
+                x = float(x)
+                j = int(np.searchsorted(f.xs, x))
+                h = float(f.xs[j]) - float(f.xs[j - 1])
+                slope = (K[k + 1] - K[k - 1]) / (2.0 * h)
+                assert tabulated_derivative_kernel(f, x, 0.5) == slope - f0 * x ** (0.5 - 1.0)
+
 
 class TestBypass:
     def test_off_node_points_leave_the_cache_alone(self):
