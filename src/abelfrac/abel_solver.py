@@ -5,22 +5,20 @@ the curve producing it:
 
     psi(a) = integral_0^a s'(z) * (a - z)**(-n) dz,        0 < n < 1.
 
-``forward`` evaluates that integral for known s.  Three independent
+``forward`` evaluates that integral for known s.  Two independent
 routes recover s from psi:
 
 * ``solve_series``     -- exact coefficient map on power sums,
-* ``solve_theorem``    -- the unit-interval closed form
-                          s = (sin n pi / pi) x^n integral_0^1 psi(x t) (1-t)**(n-1) dt,
-* ``solve_convolution``-- the convolution closed form
-                          s = (sin n pi / pi) integral_0^x psi(a) (x-a)**(n-1) da,
+* ``solve_convolution``-- Gauss-Jacobi quadrature of the closed form
+                          s = (sin n pi / pi) integral_0^x psi(a) (x-a)**(n-1) da.
 
-plus ``solve_piecewise``, the classical n = 1/2 treatment of segment-wise
-psi (the convolution route at order 1/2), and ``solve_on_grid``, which
-runs a backend over a whole grid in one vectorised pass (the pointwise
-numeric routes are its one-point case).
-The numeric routes never inspect psi's algebraic structure beyond its
-leading power at 0 (a quadrature hint); cross-checking them against the
-exact series map is the point of having three.
+``solve_theorem`` (Abel's 1823 scaling form) is the convolution route by
+another name, ``solve_piecewise`` is that route for segment-wise psi at
+n = 1/2, and ``solve_on_grid`` runs a backend over a whole grid in one
+vectorised pass (the pointwise numeric routes are its one-point case).
+The quadrature sees psi's algebraic structure only through its leading
+power at 0, which goes into the Jacobi weight; checking it against the
+exact series map is the point of having two routes.
 """
 
 from __future__ import annotations
@@ -147,14 +145,6 @@ def solve_series(problem: AbelProblem) -> ArcLengthSolution:
     return ArcLengthSolution(PowerSum(terms), SolutionBackend.SERIES_1823)
 
 
-def _psi_left_exponent(psi) -> float:
-    """Leading power of psi at 0, used as a quadrature hint (0 when the
-    structure is unknown)."""
-    if isinstance(psi, PowerSum):
-        return psi.min_exponent if psi.terms else 0.0
-    return 0.0
-
-
 def solve_convolution(
     problem: AbelProblem,
     x: float,
@@ -179,12 +169,10 @@ def solve_theorem(
     """s(x) by the scaling closed form
     (sin n pi / pi) * x**n * integral_0^1 psi(x t) (1-t)**(n-1) dt.
 
-    Same analytic content as the convolution form, with convergence judged
-    on the unit-interval integral.  Piecewise psi (whose breakpoints do not
-    scale) goes through its breakpoint-respecting path instead, and
-    tabulated psi through product integration on its own grid, so both
-    give the convolution route's values.  This is the one-point case of
-    :func:`solve_on_grid`.
+    That is the convolution form after a = x t, and the Gauss-Jacobi rule
+    of [0, 1] scaled to [0, x] is the rule of [0, x], so this returns
+    :func:`solve_convolution`'s value, bit for bit, for every psi.  This
+    is the one-point case of :func:`solve_on_grid`.
     """
     return _solve_at(problem, x, cfg, SolutionBackend.THEOREM_1823)
 
@@ -220,18 +208,7 @@ def _solve_points(
         else:
             integral = np.array([kernel_integral(psi, a, problem.n, cfg) for a in x])
     else:
-        # psi's leading power at 0 goes into the Jacobi weight
-        le = _psi_left_exponent(psi)
-        if le > 0.0:
-            psi = PowerSum((c, e - le) for c, e in psi.terms)
-        abs_tol = None
-        if backend is SolutionBackend.THEOREM_1823:
-            # the scaling form tests the unit-interval integral, which is
-            # this one divided by x**(n + le)
-            abs_tol = cfg.abs_tol * np.asarray(x) ** (n + le)
-        integral = singular_integral(
-            psi, x, n, cfg, left_exponent=le, abs_tol=abs_tol
-        )
+        integral = singular_integral(psi, x, n, cfg)
     return reflection_factor(n) * integral
 
 

@@ -327,8 +327,5 @@ class TabulatedFunction:
         )
         return d
 
-    def derivative(self) -> "TabulatedFunction":
-        return TabulatedFunction(self.xs, self.derivative_values())
-
 
 FunctionSpec = Union[PowerSum, PiecewisePowerSum, TabulatedFunction]

@@ -58,7 +58,7 @@ Comput. 35, 2013, survey both routes).  Legendre is a = b = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -171,8 +171,10 @@ def _gauss_jacobi(n: int, alpha: float, beta: float):
     m = int(np.count_nonzero(right <= 0.5 * math.pi))
     rule = _halley(n, a1, b1, right[:m], _start_angles(n - m, rho, beta, alpha))
     if rule is None:
-        # Golub & Welsch: the nodes are the eigenvalues of the Jacobi matrix
-        x0 = np.linalg.eigvalsh(_jacobi_matrix(n, alpha, beta))
+        # Golub & Welsch: the nodes are the eigenvalues of the Jacobi matrix,
+        # kept off +-1 (angle 0 or nan), where alpha or beta near -1 puts one
+        edge = np.nextafter(1.0, 0.0)
+        x0 = np.clip(np.linalg.eigvalsh(_jacobi_matrix(n, alpha, beta)), -edge, edge)
         rule = _halley(
             n, a1, b1, np.arccos(x0[x0 >= 0.0][::-1]), np.arccos(-x0[x0 < 0.0])
         )
@@ -352,27 +354,27 @@ def _doubling(
 
 def _doubling_grid(
     estimate: Callable[[int, np.ndarray], np.ndarray],
-    abs_tol: np.ndarray,
+    size: int,
     cfg: QuadratureConfig,
 ) -> np.ndarray:
-    """:func:`_doubling` applied to every point of a grid at once.
+    """:func:`_doubling` applied to every one of ``size`` points at once.
 
     estimate(n, idx) returns the n-node estimates at the points idx.  A
     point leaves the pass at the first doubling that meets its own
-    tolerance max(abs_tol[i], rel_tol * |value|), so each value is the one
+    tolerance max(abs_tol, rel_tol * |value|), so each value is the one
     the scalar rule returns for that point alone; only unconverged points
     are estimated again.  The cap rule is the scalar one, and a stall is
     reported for the first stalled point in grid order.
     """
     n = cfg.node_count
-    idx = np.arange(abs_tol.size)
-    out = np.empty(abs_tol.size)
+    idx = np.arange(size)
+    out = np.empty(size)
     val = estimate(n, idx)
     while n < MAX_NODES:
         n = min(2 * n, MAX_NODES)
         prev, val = val, estimate(n, idx)
         err = np.abs(val - prev)
-        tol = np.maximum(abs_tol[idx], cfg.rel_tol * np.abs(val))
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(val))
         if n >= MAX_NODES:
             stalled = np.flatnonzero(err > 100.0 * tol)
             if stalled.size:
@@ -413,8 +415,7 @@ def _left_exponent(left_exponent) -> float:
 
 
 def _jacobi_integral(
-    g: Callable, a, b, p: float, le: float, cfg: QuadratureConfig, abs_tol=None,
-    indexed: bool = False,
+    g: Callable, a, b, p: float, le: float, cfg: QuadratureConfig, indexed: bool = False
 ):
     """integral_a^b g(t) * (b - t)**(p - 1) * (t - a)**le dt by Gauss-Jacobi
     with doubling; empty or reversed intervals give 0.
@@ -423,8 +424,7 @@ def _jacobi_integral(
     powers: the nodes of [a, b] are a + (b - a)(1 + xi)/2 and the scale is
     ((b - a)/2)**(p + le).  Float limits give a float.  Array limits (1-d,
     or one of them a float) give an array from one matrix product per rule
-    and row block, each point doubling to its own tolerance; ``abs_tol``
-    (a scalar, or one per point) replaces ``cfg.abs_tol``.  With
+    and row block, each point doubling to its own tolerance.  With
     ``indexed`` the array path calls g(t, k): every row of t holds the nodes
     of one interval, and k, a (rows, 1) column, holds the intervals'
     positions in the broadcast limits, so per-interval data can be read
@@ -438,8 +438,6 @@ def _jacobi_integral(
             return 0.0
         half = 0.5 * (b - a)
         scale = half ** (p + le)
-        if abs_tol is not None:
-            cfg = replace(cfg, abs_tol=float(abs_tol))
         n = cfg.node_count
         t, w, w2 = _paired_rule(n, p - 1.0, le)
         y = _sample(g, a + half * t)
@@ -460,7 +458,6 @@ def _jacobi_integral(
     lo = a[pos]
     half = 0.5 * (b[pos] - lo)
     scale = half ** (p + le)
-    tol = np.broadcast_to(cfg.abs_tol if abs_tol is None else abs_tol, b.shape)
 
     def estimate(n: int, idx: np.ndarray) -> np.ndarray:
         xi, w = _jacobi_rule(n, p - 1.0, le)
@@ -473,11 +470,11 @@ def _jacobi_integral(
             sums[r : r + rows] = y @ w
         return scale[idx] * sums
 
-    out[pos] = _doubling_grid(estimate, tol[pos], cfg)
+    out[pos] = _doubling_grid(estimate, pos.size, cfg)
     return out
 
 
-def _power_sum_integral(terms, x, p: float, le: float, cfg: QuadratureConfig, abs_tol=None):
+def _power_sum_integral(terms, x, p: float, le: float, cfg: QuadratureConfig):
     """integral_0^x sum(c * t**d) * t**le * (x - t)**(p - 1) dt for raw
     (c, d) pairs with every d >= 0: _jacobi_integral's estimates on [0, x]
     without sampling.
@@ -490,14 +487,11 @@ def _power_sum_integral(terms, x, p: float, le: float, cfg: QuadratureConfig, ab
     so an integrand that overflows at a node raises EvaluationError as
     the sampled route does.
     """
-    le = _left_exponent(le)
     alpha = p - 1.0
     exps = [d for _, d in terms]
 
     def sampled():
-        return _jacobi_integral(
-            lambda t: _eval_terms(terms, t), 0.0, x, p, le, cfg, abs_tol
-        )
+        return _jacobi_integral(lambda t: _eval_terms(terms, t), 0.0, x, p, le, cfg)
 
     if isinstance(x, float):
         if x <= 0.0:
@@ -509,8 +503,6 @@ def _power_sum_integral(terms, x, p: float, le: float, cfg: QuadratureConfig, ab
         if not math.isfinite(sum(map(abs, h))):
             return sampled()
         scale = (0.5 * x) ** (p + le)
-        if abs_tol is not None:
-            cfg = replace(cfg, abs_tol=float(abs_tol))
 
         def estimate(n: int) -> float:
             return scale * sum(
@@ -534,14 +526,13 @@ def _power_sum_integral(terms, x, p: float, le: float, cfg: QuadratureConfig, ab
     if not np.isfinite(np.abs(h).sum(axis=1)).all():
         return sampled()
     scale = (0.5 * x[pos]) ** (p + le)
-    tol = np.broadcast_to(cfg.abs_tol if abs_tol is None else abs_tol, x.shape)
 
     def estimates(n: int, idx: np.ndarray) -> np.ndarray:
         m = np.array([_rule_moment(n, alpha, le, d) for d in exps])
         return scale[idx] * (h[idx] @ m)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        out[pos] = _doubling_grid(estimates, tol[pos], cfg)
+        out[pos] = _doubling_grid(estimates, pos.size, cfg)
     return out if np.isfinite(out).all() else sampled()
 
 
@@ -552,20 +543,19 @@ def singular_integral(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     *,
     left_exponent: float = 0.0,
-    abs_tol=None,
 ):
     """integral_0^x g(t) * t**left_exponent * (x - t)**(p - 1) dt.
 
     ``left_exponent`` (> -1) lets callers factor a known algebraic
     behaviour of the integrand at t = 0 into the weight; the remaining g
     should then be smooth for spectral convergence.  With the default 0
-    this is the plain kernel integral of g.
+    this is the plain kernel integral of g.  A PowerSum g factors its own
+    leading power into the weight too, and is not sampled: its estimates
+    come from the rule moments (:func:`_power_sum_integral`).
 
     x may also be a 1-d array of upper limits: the whole grid is then
     evaluated in one pass and an array returned, each value the one a
-    scalar call gives.  ``abs_tol`` (a scalar, or one per point) replaces
-    ``cfg.abs_tol``.  A PowerSum g is not sampled: its estimates come
-    from the rule moments (:func:`_power_sum_integral`).
+    scalar call gives.
     """
     p = _order_like(p)
     le = _left_exponent(left_exponent)
@@ -574,8 +564,10 @@ def singular_integral(
     if low < 0.0:
         raise DomainError(f"upper limit must be >= 0, got {float(low)!r}")
     if isinstance(g, PowerSum):
-        return _power_sum_integral(g.terms, x, p, le, cfg, abs_tol)
-    return _jacobi_integral(g, 0.0, x, p, le, cfg, abs_tol)
+        d = g.min_exponent if g.terms else 0.0
+        terms = tuple((c, e - d) for c, e in g.terms)
+        return _power_sum_integral(terms, x, p, le + d, cfg)
+    return _jacobi_integral(g, 0.0, x, p, le, cfg)
 
 
 def smooth_integral(
@@ -879,13 +871,20 @@ def _piecewise_kernel(pieces, x: float, p: float, cfg: QuadratureConfig) -> floa
 
     The first span's leading exponent is factored into the quadrature
     weight when it is fractional, including exponents in (-1, 0)
-    (derivatives of fractional powers).
+    (derivatives of fractional powers).  A negative one within
+    2**-53 / rel_tol of -1 is a DomainError: a derivative's e - 1 keeps
+    too few digits of 1 + le.
     """
     total = 0.0
     for lo, hi, terms in pieces:
         if not terms:
             continue
         le = min(e for _, e in terms) if lo == 0.0 else 0.0
+        if le < 0.0 and 1.0 + le < 2.0**-53 / cfg.rel_tol:
+            raise DomainError(
+                f"leading exponent {le!r} is too close to -1 for rel_tol "
+                f"{cfg.rel_tol!r}; use caputo_derivative's exact backend"
+            )
         shifted = tuple((c, e - le) for c, e in terms)
         if hi >= x and lo == 0.0:
             # the whole of [0, x] in one power sum: from the rule moments
@@ -893,7 +892,7 @@ def _piecewise_kernel(pieces, x: float, p: float, cfg: QuadratureConfig) -> floa
         elif hi >= x:
             # the span carrying the kernel singularity at t = x
             total += singular_integral(
-                lambda u: _eval_terms(shifted, lo + u), x - lo, p, cfg, left_exponent=le
+                lambda u: _eval_terms(terms, lo + u), x - lo, p, cfg
             )
         elif not le.is_integer():
             # interior first span led by a fractional power of t: give

@@ -46,19 +46,13 @@ EXPONENT_SETS = [
 ]
 
 
-def scalar_route(prob: AbelProblem, x: float, backend, cfg=DEFAULT_CONFIG) -> float:
+def scalar_route(prob: AbelProblem, x: float, cfg=DEFAULT_CONFIG) -> float:
     """s(x) through the per-point rule: the leading power of psi factored
-    into the Jacobi weight, on [0, x] (convolution) or on the unit
-    interval in the scaled variable (theorem)."""
+    into the Jacobi weight on [0, x].  Both quadrature backends take it."""
     n = float(prob.n)
     le = prob.psi.min_exponent
     g = PowerSum((c, e - le) for c, e in prob.psi.terms)
-    if backend is CONV:
-        integral = singular_integral(g, x, n, cfg, left_exponent=le)
-    else:
-        unit = singular_integral(lambda t: g(x * t), 1.0, n, cfg, left_exponent=le)
-        integral = x**n * x**le * unit
-    return reflection_factor(n) * integral
+    return reflection_factor(n) * singular_integral(g, x, n, cfg, left_exponent=le)
 
 
 def assert_close(got, ref):
@@ -78,24 +72,42 @@ def power_sums(draw):
     return PowerSum(zip(coefs, exps))
 
 
+# node_count=2 makes the points of one grid converge at different
+# doublings, and abs_tol=1e-4 decides where many of them stop
+CONFIGS = [DEFAULT_CONFIG, QuadratureConfig(node_count=2, abs_tol=1e-4)]
+
+
 class TestClosedFormGrid:
-    # node_count=2 makes the points of one grid converge at different
-    # doublings, and abs_tol=1e-4 lets the theorem's unit-interval scale
-    # decide where they stop
     @pytest.mark.parametrize("backend", [CONV, THEOREM])
-    @pytest.mark.parametrize(
-        "cfg", [DEFAULT_CONFIG, QuadratureConfig(node_count=2, abs_tol=1e-4)]
-    )
+    @pytest.mark.parametrize("cfg", CONFIGS)
     @settings(max_examples=40, deadline=None)
     @given(psi=power_sums(), n=st.floats(0.05, 0.95), x_max=st.floats(0.2, 3.0))
     def test_grid_equals_scalar_route(self, backend, cfg, psi, n, x_max):
         prob = AbelProblem(psi, Order(n))
         xs = np.linspace(0.0, x_max, 33)
         got = solve_on_grid(prob, xs, cfg, backend).s.values
-        ref = [0.0] + [scalar_route(prob, x, backend, cfg) for x in xs[1:]]
+        ref = [0.0] + [scalar_route(prob, x, cfg) for x in xs[1:]]
         assert_close(got, ref)
         point = solve_convolution if backend is CONV else solve_theorem
         assert_close(got, [point(prob, x, cfg) for x in xs])
+
+
+class TestTheoremIsConvolution:
+    """Abel's scaling form is the convolution form after a = x t, and the
+    Gauss-Jacobi rule of [0, 1] scaled to [0, x] is the rule of [0, x]:
+    the two backends give the same bits, also where a loose abs_tol lets
+    points stop early."""
+
+    @pytest.mark.parametrize("cfg", CONFIGS)
+    @settings(max_examples=40, deadline=None)
+    @given(psi=power_sums(), n=st.floats(0.05, 0.95), x_max=st.floats(0.2, 3.0))
+    def test_same_values_on_grids_and_points(self, cfg, psi, n, x_max):
+        prob = AbelProblem(psi, Order(n))
+        xs = np.linspace(0.0, x_max, 33)
+        theorem = solve_on_grid(prob, xs, cfg, THEOREM).s.values
+        assert np.array_equal(theorem, solve_on_grid(prob, xs, cfg, CONV).s.values)
+        points = [solve_theorem(prob, x, cfg) for x in xs]
+        assert np.array_equal(points, [solve_convolution(prob, x, cfg) for x in xs])
 
 
 class TestNodeCapParity:
@@ -107,7 +119,7 @@ class TestNodeCapParity:
         ref = [0.0]
         for x in xs[1:]:
             try:
-                ref.append(scalar_route(prob, x, backend))
+                ref.append(scalar_route(prob, x))
             except ConvergenceError:
                 break
         # both outcomes occur on this grid: mild shortfalls return, then
@@ -120,7 +132,7 @@ class TestNodeCapParity:
             solve_on_grid(prob, xs[: first_raise + 1], backend=backend)
         for x in xs[first_raise:]:
             with pytest.raises(ConvergenceError):
-                scalar_route(prob, x, backend)
+                scalar_route(prob, x)
 
 
 def _table(t, values_seed):

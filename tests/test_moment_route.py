@@ -63,11 +63,9 @@ def signed_terms(max_exp=7.0):
     return st.lists(term, min_size=1, max_size=4).map(tuple)
 
 
-def sampled(terms, x, p, le, cfg=DEFAULT_CONFIG, abs_tol=None):
+def sampled(terms, x, p, le, cfg=DEFAULT_CONFIG):
     """The same integral through the sampling estimator: a callable."""
-    return singular_integral(
-        lambda t: _eval_terms(terms, t), x, p, cfg, left_exponent=le, abs_tol=abs_tol
-    )
+    return singular_integral(lambda t: _eval_terms(terms, t), x, p, cfg, left_exponent=le)
 
 
 def moment_scale(terms, x, p, le, n):
@@ -113,13 +111,13 @@ class TestEstimates:
     def test_estimator_returns_the_same_rule_estimate(self, terms, x, p, le, n):
         # an abs_tol no difference can exceed stops either route at its
         # second rule (its only one at MAX_NODES), for a scalar and a grid
-        cfg = QuadratureConfig(node_count=n)
+        cfg = QuadratureConfig(node_count=n, abs_tol=1e300)
         m = min(2 * n, MAX_NODES)
         bound = 1e-13 * moment_scale(terms, x, p, le, m)
-        got = _power_sum_integral(terms, x, p, le, cfg, abs_tol=1e300)
-        assert abs(got - sampled(terms, x, p, le, cfg, 1e300)) <= bound
+        got = _power_sum_integral(terms, x, p, le, cfg)
+        assert abs(got - sampled(terms, x, p, le, cfg)) <= bound
         xs = np.array([0.0, x])
-        grid = _power_sum_integral(terms, xs, p, le, cfg, abs_tol=1e300)
+        grid = _power_sum_integral(terms, xs, p, le, cfg)
         assert grid[0] == 0.0
         assert abs(grid[1] - got) <= bound
 
@@ -219,10 +217,7 @@ class TestOperators:
         xs = np.linspace(0.0, x_max, 9)
         le = psi.min_exponent
         shifted = tuple((c, e - le) for c, e in psi.terms)
-        abs_tol = None
-        if backend is SolutionBackend.THEOREM_1823:
-            abs_tol = DEFAULT_CONFIG.abs_tol * xs ** (n + le)
-        ref = reflection_factor(n) * sampled(shifted, xs, n, le, abs_tol=abs_tol)
+        ref = reflection_factor(n) * sampled(shifted, xs, n, le)
         exact = solve_series(prob).s(xs)
         grid = solve_on_grid(prob, xs, backend=backend).s.values
         point = solve_convolution if backend is SolutionBackend.CONVOLUTION_1826 else solve_theorem
@@ -291,6 +286,20 @@ class TestOutcomes:
         assert _power_sum_integral(terms, 2.0, 0.5, 0.0, DEFAULT_CONFIG) == ref
         grid = _power_sum_integral(terms, np.array([0.0, 2.0]), 0.5, 0.0, DEFAULT_CONFIG)
         assert grid[1] == ref
+
+    @pytest.mark.parametrize("e", [2.220446049250313e-16, 1e-12, 1e-9])
+    def test_derivative_exponent_near_minus_one_is_a_domain_error(self, e):
+        # t**(e - 1) holds 1 + le = e to about 2**-53 / e relative: fewer
+        # digits than rel_tol asks for, so the quadrature refuses it
+        f = PowerSum(((1.0, e),))
+        with pytest.raises(DomainError, match="exact backend"):
+            caputo_derivative(f, 0.5, 1.0, backend="quadrature")
+
+    @pytest.mark.parametrize("e", [1e-6, 1e-5])
+    def test_derivative_exponent_clear_of_minus_one_meets_the_exact_backend(self, e):
+        f = PowerSum(((1.0, e),))
+        got = caputo_derivative(f, 0.5, 1.0, backend="quadrature")
+        assert abs(got - caputo_derivative(f, 0.5, 1.0, backend="exact")) <= 1e-9
 
     def test_left_exponent_of_minus_one_is_a_domain_error(self):
         # x**1e-17 differentiates to t**-1 in floating point: no Jacobi weight

@@ -130,6 +130,16 @@ def test_large_exponents_past_the_asymptotic_start(n, beta):
             assert math.fsum(w * (1.0 + x) ** m) == pytest.approx(exact, rel=1e-12)
 
 
+@pytest.mark.parametrize("beta", [-1.0 + 2.0**-52, -1.0 + 1e-12])
+def test_exponent_at_the_minus_one_edge_builds_without_warnings(beta):
+    # the eigenvalue start puts the node next to -1 on or past -1 itself;
+    # it is kept inside, so no angle is nan or 0 (and no RuntimeWarning,
+    # an error here, is raised on the way)
+    x, w = _jacobi_rule(128, -0.5, beta)
+    assert np.all(np.diff(x) > 0.0) and x[0] >= -1.0 and x[-1] < 1.0
+    assert np.all(np.isfinite(w))
+
+
 @pytest.mark.parametrize("n", [2, 3, 8, 64, 1024])
 def test_legendre_nodes_match_numpy_and_weights_integrate_exactly(n):
     # numpy's leggauss weights drift (1e-9 at 1024 nodes), so the weights
