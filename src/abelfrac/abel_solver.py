@@ -43,8 +43,8 @@ from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     _order_like,
+    _piecewise_kernel,
     graded_mesh,
-    kernel_integral,
     singular_integral,
     singular_integral_tabulated,
 )
@@ -202,11 +202,8 @@ def _solve_points(
     if isinstance(psi, TabulatedFunction):
         integral = singular_integral_tabulated(psi, x, n)
     elif isinstance(psi, PiecewisePowerSum):
-        # each x splits its integral at the breakpoints below it
-        if isinstance(x, float):
-            integral = kernel_integral(psi, x, problem.n, cfg)
-        else:
-            integral = np.array([kernel_integral(psi, a, problem.n, cfg) for a in x])
+        # the first segment on [0, x] plus the jump at each breakpoint
+        integral = _piecewise_kernel(psi, x, n, cfg)
     else:
         integral = singular_integral(psi, x, n, cfg)
     return reflection_factor(n) * integral
@@ -226,9 +223,11 @@ def solve_piecewise(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> float:
     """s(x) for segment-wise psi at n = 1/2 by the convolution route,
-    whose kernel integral splits at the breakpoints below x:
+    whose kernel integral is the first segment's on [0, x] plus, at each
+    breakpoint b_i below x, that of the jump psi_i - psi_(i-1) on [b_i, x]:
 
-    pi * s(x) = sum_i integral over segment i of psi_i(a) / sqrt(x - a) da.
+    pi * s(x) = integral_0^x psi_0(a) / sqrt(x - a) da
+                + sum_i integral_(b_i)^x (psi_i - psi_(i-1))(a) / sqrt(x - a) da.
     """
     n = float(problem.n)
     if abs(n - 0.5) > 1e-12:

@@ -114,10 +114,7 @@ def _caputo_kernel(f, n: float, x: float, cfg: QuadratureConfig) -> float:
     derivative-kernel integral before the 1/Gamma(1-n) normalisation."""
     p = 1.0 - n
     if isinstance(f, (PowerSum, PiecewisePowerSum)):
-        return _piecewise_kernel(
-            ((lo, hi, seg.derivative_terms()) for lo, hi, seg in f.pieces(x)),
-            x, p, cfg,
-        )
+        return _piecewise_kernel(f, x, p, cfg, derivative=True)
     if isinstance(f, TabulatedFunction):
         return tabulated_derivative_kernel(f, x, p)
     raise DomainError(

@@ -23,11 +23,16 @@ A power sum on [0, x] is not sampled: the nodes are x * u_i with
 u = (1 + xi)/2, so the n-node estimate of sum(c t**d) is exactly
 (x/2)**(p + le) * sum(c x**d M_n(d)) with the cached rule moments
 M_n(d) = sum_i w_i u_i**d.  ``_power_sum_integral`` doubles these
-estimates as the sampled route does; it serves the span at 0 of
-``kernel_integral`` (so the quadrature backends of the operators and
-``forward``) and ``singular_integral`` of a PowerSum (so the grid
-solvers on power-sum psi).  Other callables, spans away from 0 and the
-mechanics layer are still sampled.
+estimates as the sampled route does; it serves ``kernel_integral`` (so
+the quadrature backends of the operators and ``forward``) and
+``singular_integral`` of a PowerSum (so the grid solvers on power-sum
+psi).  A piecewise power sum is its first segment on all of [0, x] plus,
+at each breakpoint lo below x, the jump to the next segment on [lo, x];
+a polynomial jump, Taylor-shifted to t - lo, is a power sum on
+[0, x - lo] and comes from the moments too.  There only a jump with a
+fractional power is sampled (on [lo, x], where it is smooth), and a
+point whose parts cancel is summed span by span instead.  Other
+callables and the mechanics layer are still sampled.
 
 For tabulated data there is a product-integration path: f is taken
 piecewise linear on its own grid and the kernel moments of every cell are
@@ -92,6 +97,14 @@ MAX_NODES = 4096
 #: elements per row block of the grid routines (128 KiB of float64), which
 #: keeps their live temporaries near 1 MiB whatever the grid size
 _BLOCK = 1 << 14
+
+#: highest degree of a polynomial jump that is Taylor-shifted to its
+#: breakpoint; a jump of higher degree is sampled
+_SHIFT_DEGREE = 32
+
+#: ln(1e150), the largest log of x**e at which piecewise input is summed
+#: as first segment plus jumps (see _overflows)
+_LOG_PART_MAX = 345.0
 
 #: relative distance (4 ulps) within which a point counts as node k * h of
 #: a uniform table; np.linspace grids meet it at every node
@@ -852,6 +865,149 @@ def tabulated_derivative_kernel(f: TabulatedFunction, x: float, p) -> float:
     return float(slope) - float(f.values[0]) * x ** (p - 1.0)
 
 
+def _leading_exponent(terms, cfg: QuadratureConfig) -> float:
+    """The smallest exponent of terms, to be factored into the weight; a
+    negative one within 2**-53 / rel_tol of -1 is a DomainError: a
+    derivative's e - 1 keeps too few digits of 1 + le."""
+    le = min(e for _, e in terms)
+    if le < 0.0 and 1.0 + le < 2.0**-53 / cfg.rel_tol:
+        raise DomainError(
+            f"leading exponent {le!r} is too close to -1 for rel_tol "
+            f"{cfg.rel_tol!r}; use caputo_derivative's exact backend"
+        )
+    return le
+
+
+@lru_cache(maxsize=256)
+def _jump(prev, terms, lo: float):
+    """The jump terms - prev at breakpoint lo (raw (coef, exp) pairs merged
+    by exponent, zeros dropped) as (polynomial, jump).
+
+    When every exponent is an integer in [0, _SHIFT_DEGREE] the jump is
+    returned Taylor-shifted to s = t - lo,
+    q_j = sum_k c_k C(k, j) lo**(k - j), with polynomial True; otherwise
+    (or if a q_j overflows) the merged terms in t, with polynomial False.
+    """
+    merged: dict[float, float] = {}
+    for c, e in terms:
+        merged[e] = merged.get(e, 0.0) + c
+    for c, e in prev:
+        merged[e] = merged.get(e, 0.0) - c
+    jump = tuple((c, e) for e, c in sorted(merged.items()) if c != 0.0)
+    if not all(0.0 <= e <= _SHIFT_DEGREE and e.is_integer() for _, e in jump):
+        return False, jump
+    q = [0.0] * (int(jump[-1][1]) + 1 if jump else 0)
+    try:
+        for c, e in jump:
+            k = int(e)
+            for j in range(k + 1):
+                q[j] += c * math.comb(k, j) * lo ** (k - j)
+    except OverflowError:
+        return False, jump
+    if not all(map(math.isfinite, q)):
+        return False, jump
+    return True, tuple((qj, float(j)) for j, qj in enumerate(q) if qj != 0.0)
+
+
+def _first_part(terms, x, p: float, cfg: QuadratureConfig):
+    """K of terms over all of [0, x], their leading power in the weight,
+    from rule moments: the route of a PowerSum."""
+    if not terms:
+        return 0.0 if isinstance(x, float) else np.zeros(x.shape)
+    le = _leading_exponent(terms, cfg)
+    return _power_sum_integral(tuple((c, e - le) for c, e in terms), x, p, le, cfg)
+
+
+def _kernel_parts(pieces, x, p: float, cfg: QuadratureConfig) -> list:
+    """The parts of K over spans (lo, hi, terms) whose sum is K(x): the
+    first span's terms over all of [0, x], then the jump at each later lo
+    over [lo, x].  x is a float, or a 1-d array (where x <= lo a jump's
+    part is 0)."""
+    (_, _, first), later = pieces[0], pieces[1:]
+    parts = [_first_part(first, x, p, cfg)]
+    prev = first
+    for lo, _, terms in later:
+        polynomial, jump = _jump(prev, terms, lo)
+        prev = terms
+        if not jump:
+            continue
+        if polynomial:
+            # from the rule moments of [0, x - lo]: nothing is sampled
+            parts.append(_power_sum_integral(jump, x - lo, p, 0.0, cfg))
+        else:
+            parts.append(_jacobi_integral(
+                lambda u: _eval_terms(jump, lo + u), 0.0, x - lo, p, 0.0, cfg
+            ))
+    return parts
+
+
+def _cancels(parts, total, cfg: QuadratureConfig):
+    """Where the parts cancel too far for their own tolerances to meet
+    that of their sum: sum |parts| > 2 max(abs_tol / rel_tol, |sum|)."""
+    mag = sum(map(abs, parts))
+    return (mag > 2.0 * cfg.abs_tol / cfg.rel_tol) & (mag > 2.0 * abs(total))
+
+
+def _overflows(pieces, x: float) -> bool:
+    """Whether x**e passes exp(_LOG_PART_MAX) = 1e150 for an exponent e
+    of the spans: a part on [0, x] or [lo, x] could then overflow before
+    the jumps cancel it (a high power on a short first segment)."""
+    if x <= 1.0:
+        return False
+    top = max((e for _, _, terms in pieces for _, e in terms), default=0.0)
+    return math.log(x) * top > _LOG_PART_MAX
+
+
+def _piecewise_kernel(f, x, p: float, cfg: QuadratureConfig, derivative: bool = False):
+    """K[f](x), or K[f'](x) with ``derivative``, for a PowerSum or
+    PiecewisePowerSum f; x is a float > 0 or a 1-d array of limits >= 0.
+
+    f is its first segment on all of [0, x] plus, at each breakpoint lo
+    below x, the jump to the next segment on [lo, x], so every part ends
+    at x.  The first part factors its leading power into the weight and
+    takes its estimates from rule moments (the route of a PowerSum; a
+    negative leading exponent too close to -1 is a DomainError).  A
+    polynomial jump is Taylor-shifted to t - lo and also comes from rule
+    moments; a jump with a fractional (or negative) power is sampled on
+    [lo, x], where it is smooth.  A point whose parts cancel
+    (:func:`_cancels`) or could overflow (:func:`_overflows`) is summed
+    span by span instead (:func:`_span_kernel`).  An array x takes every
+    part over the whole grid in one call; its values are those of scalar
+    calls up to rounding.
+    """
+    if isinstance(f, PowerSum):
+        return _first_part(f.derivative_terms() if derivative else f.terms, x, p, cfg)
+
+    def spans(upper: float):
+        return tuple(
+            (lo, hi, seg.derivative_terms() if derivative else seg.terms)
+            for lo, hi, seg in f.pieces(upper)
+        )
+
+    top = x if isinstance(x, float) else float(np.max(x, initial=0.0))
+    if top <= 0.0:
+        return np.zeros(x.shape)
+    pieces = spans(top)
+    if len(pieces) > 1 and _overflows(pieces, top):
+        if isinstance(x, float):
+            return _span_kernel(pieces, x, p, cfg)
+        return np.array([
+            _piecewise_kernel(f, float(a), p, cfg, derivative) if a > 0.0 else 0.0
+            for a in x
+        ])
+    parts = _kernel_parts(pieces, x, p, cfg)
+    total = sum(parts[1:], parts[0])
+    if len(parts) == 1:
+        return total
+    guarded = _cancels(parts, total, cfg)
+    if isinstance(x, float):
+        return _span_kernel(pieces, x, p, cfg) if guarded else total
+    for k in np.flatnonzero(guarded):
+        xk = float(x[k])
+        total[k] = _span_kernel(spans(xk), xk, p, cfg)
+    return total
+
+
 def _interior_span(
     terms, lo: float, hi: float, x: float, p: float, cfg: QuadratureConfig
 ) -> float:
@@ -865,31 +1021,24 @@ def _interior_span(
     )
 
 
-def _piecewise_kernel(pieces, x: float, p: float, cfg: QuadratureConfig) -> float:
-    """Kernel integral of a function given as raw (coef, exp) term lists
-    on consecutive spans (lo, hi, terms) covering [0, x].
+def _span_kernel(pieces, x: float, p: float, cfg: QuadratureConfig) -> float:
+    """K(x) over two or more spans (lo, hi, terms) covering [0, x], each
+    span integrated on its own: the route of points whose jump parts
+    cancel.
 
-    The first span's leading exponent is factored into the quadrature
-    weight when it is fractional, including exponents in (-1, 0)
-    (derivatives of fractional powers).  A negative one within
-    2**-53 / rel_tol of -1 is a DomainError: a derivative's e - 1 keeps
-    too few digits of 1 + le.
+    The first span ends below x.  Led by a fractional power t**le it
+    takes the weight t**le on its half at 0 and the substitution
+    A = (x - t)**p on the other half; otherwise the substitution covers
+    it, as it does every interior span.  The last span carries the kernel
+    singularity at t = x and is sampled on [lo, x].
     """
     total = 0.0
     for lo, hi, terms in pieces:
         if not terms:
             continue
-        le = min(e for _, e in terms) if lo == 0.0 else 0.0
-        if le < 0.0 and 1.0 + le < 2.0**-53 / cfg.rel_tol:
-            raise DomainError(
-                f"leading exponent {le!r} is too close to -1 for rel_tol "
-                f"{cfg.rel_tol!r}; use caputo_derivative's exact backend"
-            )
+        le = _leading_exponent(terms, cfg) if lo == 0.0 else 0.0
         shifted = tuple((c, e - le) for c, e in terms)
-        if hi >= x and lo == 0.0:
-            # the whole of [0, x] in one power sum: from the rule moments
-            total += _power_sum_integral(shifted, x, p, le, cfg)
-        elif hi >= x:
+        if hi >= x:
             # the span carrying the kernel singularity at t = x
             total += singular_integral(
                 lambda u: _eval_terms(terms, lo + u), x - lo, p, cfg
@@ -919,8 +1068,9 @@ def kernel_integral(
 
     Power sums factor their leading t**e behaviour into the Jacobi
     weight and take their estimates from rule moments, piecewise inputs
-    are split at their breakpoints, and tabulated data goes through
-    product integration.
+    are their first segment plus a jump at each breakpoint
+    (:func:`_piecewise_kernel`), and tabulated data goes through product
+    integration.
     """
     p = _order_like(p)
     x = float(x)
@@ -930,9 +1080,7 @@ def kernel_integral(
         return 0.0
 
     if isinstance(f, (PowerSum, PiecewisePowerSum)):
-        return _piecewise_kernel(
-            ((lo, hi, seg.terms) for lo, hi, seg in f.pieces(x)), x, p, cfg
-        )
+        return _piecewise_kernel(f, x, p, cfg)
 
     if isinstance(f, TabulatedFunction):
         return singular_integral_tabulated(f, x, p)
