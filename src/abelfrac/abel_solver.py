@@ -15,8 +15,9 @@ routes recover s from psi:
 ``solve_theorem`` (Abel's 1823 scaling form) is the convolution route by
 another name, ``solve_piecewise`` is that route for segment-wise psi at
 n = 1/2, and ``solve_on_grid`` runs a backend over a whole grid in one
-vectorised pass (the pointwise numeric routes are its one-point case).
-The quadrature sees psi's algebraic structure only through its leading
+vectorised pass (``solve_convolution`` and ``solve_theorem`` are its
+one-point case).  ``forward`` takes a float or a whole 1-d grid.  The
+quadrature sees psi's algebraic structure only through its leading
 power at 0, which goes into the Jacobi weight; checking it against the
 exact series map is the point of having two routes.
 """
@@ -43,10 +44,8 @@ from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     _order_like,
-    _piecewise_kernel,
     graded_mesh,
     singular_integral,
-    singular_integral_tabulated,
 )
 from .special_functions import gamma, reflection_factor
 
@@ -115,20 +114,30 @@ class ArcLengthSolution:
 def forward(
     s,
     n,
-    a: float,
+    a,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
+):
     """psi(a) = integral_0^a s'(z) (a-z)**(-n) dz for known arc length s.
 
     Equals Gamma(1-n) times the order-n derivative of s; a = 0 gives 0.
+    a is a float (giving a float) or a 1-d array of release heights
+    (giving an array of its shape, in one call of the derivative).
     """
     nn = _order_like(n)
-    a = float(a)
-    if a < 0.0:
-        raise DomainError(f"release height must be >= 0, got {a!r}")
-    if a == 0.0:
-        return 0.0
-    return gamma(1.0 - nn) * caputo_derivative(s, nn, a, cfg, backend="quadrature")
+    if isinstance(a, float) or not np.ndim(a):
+        a = float(a)
+        if a < 0.0:
+            raise DomainError(f"release height must be >= 0, got {a!r}")
+        if a == 0.0:
+            return 0.0
+        return gamma(1.0 - nn) * caputo_derivative(s, nn, a, cfg, backend="quadrature")
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 1 or np.any(a < 0.0):
+        raise DomainError("release heights must be a 1-d array of values >= 0")
+    out = np.zeros(a.shape)
+    pos = a > 0.0
+    out[pos] = gamma(1.0 - nn) * caputo_derivative(s, nn, a[pos], cfg, backend="quadrature")
+    return out
 
 
 def solve_series(problem: AbelProblem) -> ArcLengthSolution:
@@ -158,7 +167,7 @@ def solve_convolution(
     at 0 is used as a weight hint.  This is the one-point case of
     :func:`solve_on_grid`.
     """
-    return _solve_at(problem, x, cfg, SolutionBackend.CONVOLUTION_1826)
+    return float(_solve_points(problem.psi, problem.n, float(x), cfg))
 
 
 def solve_theorem(
@@ -174,39 +183,14 @@ def solve_theorem(
     :func:`solve_convolution`'s value, bit for bit, for every psi.  This
     is the one-point case of :func:`solve_on_grid`.
     """
-    return _solve_at(problem, x, cfg, SolutionBackend.THEOREM_1823)
+    return float(_solve_points(problem.psi, problem.n, float(x), cfg))
 
 
-def _solve_at(
-    problem: AbelProblem, x, cfg: QuadratureConfig, backend: SolutionBackend
-) -> float:
-    x = float(x)
-    if x < 0.0:
-        raise DomainError(f"x must be >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    return float(_solve_points(problem, x, cfg, backend))
-
-
-def _solve_points(
-    problem: AbelProblem, x, cfg: QuadratureConfig, backend: SolutionBackend
-):
+def _solve_points(psi, n, x, cfg: QuadratureConfig):
     """s at x >= 0 (a point, or every point of a 1-d grid in one pass) by
-    a quadrature backend."""
-    n = float(problem.n)
-    psi = problem.psi
-    if backend is SolutionBackend.NUMERIC_PRODUCT and not isinstance(
-        psi, TabulatedFunction
-    ):
-        psi = _sampled(psi, float(np.max(x)), np.size(x))
-    if isinstance(psi, TabulatedFunction):
-        integral = singular_integral_tabulated(psi, x, n)
-    elif isinstance(psi, PiecewisePowerSum):
-        # the first segment on [0, x] plus the jump at each breakpoint
-        integral = _piecewise_kernel(psi, x, n, cfg)
-    else:
-        integral = singular_integral(psi, x, n, cfg)
-    return reflection_factor(n) * integral
+    the convolution form, K[psi] taken by the route of psi's type."""
+    n = float(n)
+    return reflection_factor(n) * singular_integral(psi, x, n, cfg)
 
 
 def _sampled(psi, x_max: float, points: int) -> TabulatedFunction:
@@ -256,8 +240,11 @@ def solve_on_grid(
         raise DomainError("grid must be 1-d, start at 0, strictly increasing")
     if not isinstance(backend, SolutionBackend):
         raise DomainError(f"unknown backend {backend!r}")
+    psi = problem.psi
+    if backend is SolutionBackend.NUMERIC_PRODUCT and not isinstance(psi, TabulatedFunction):
+        psi = _sampled(psi, float(xs[-1]), xs.size)
     if backend is SolutionBackend.SERIES_1823:
         values = solve_series(problem).s(xs)
     else:
-        values = _solve_points(problem, xs, cfg, backend)
+        values = _solve_points(psi, problem.n, xs, cfg)
     return ArcLengthSolution(TabulatedFunction(xs, values), backend)

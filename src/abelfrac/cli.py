@@ -337,26 +337,25 @@ def _cmd_solve(args) -> tuple[list[str], list[tuple]]:
     return ["x", "s"], [(float(x), float(v)) for x, v in zip(xs, values)]
 
 
-def _pointwise(args, header: list[str], point) -> tuple[list[str], list[tuple]]:
-    """Rows (x, point(f, n, x, cfg)) at every point of the --grid."""
+def _on_grid(args, header: list[str], operator) -> tuple[list[str], list[tuple]]:
+    """Rows (x, value) from one call operator(f, n, xs, cfg) on the --grid."""
     f = _resolve_function(args)
     n = Order(args.order)
     grid = _parse_grid(args.grid)
     cfg = _quad_config(args)
     xs = np.linspace(0.0, grid.x_max, grid.points)
-    return header, [(float(x), point(f, n, float(x), cfg)) for x in xs]
+    values = operator(f, n, xs, cfg)
+    return header, [(float(x), float(v)) for x, v in zip(xs, values)]
 
 
-def _frac_der_point(f, n, x: float, cfg) -> float:
-    # the derivative is undefined at x = 0; report its limit there
-    if x > 0.0:
-        return caputo_derivative(f, n, x, cfg)
+def _frac_der(f, n, xs, cfg):
+    # the derivative is undefined at x = 0, where the grid starts; report its limit
     limit = caputo_limit_at_zero(f, n)
     if limit is None:
         raise ConvergenceError(
             "fractional derivative diverges at x = 0 for this input"
         )
-    return limit
+    return np.concatenate(([limit], caputo_derivative(f, n, xs[1:], cfg)))
 
 
 def _cmd_curve(args) -> tuple[list[str], list[tuple]]:
@@ -450,9 +449,9 @@ _COMMANDS = {
     "solve": _cmd_solve,
     # the operators are looked up when a command runs, so wrapping them
     # (to profile, say) covers the CLI too
-    "forward": lambda args: _pointwise(args, ["a", "psi"], forward),
-    "frac-int": lambda args: _pointwise(args, ["x", "value"], rl_integral),
-    "frac-der": lambda args: _pointwise(args, ["x", "value"], _frac_der_point),
+    "forward": lambda args: _on_grid(args, ["a", "psi"], forward),
+    "frac-int": lambda args: _on_grid(args, ["x", "value"], rl_integral),
+    "frac-der": lambda args: _on_grid(args, ["x", "value"], _frac_der),
     "curve": _cmd_curve,
     "simulate": _cmd_simulate,
 }
@@ -479,3 +478,7 @@ def main(argv=None) -> int:
 
     _emit(args, header, rows)
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,14 +10,17 @@ Conventions (lower limit 0 throughout):
 On power sums both operators act exactly, one monomial at a time:
 x**m maps to Gamma(m+1)/Gamma(m+n+1) x**(m+n) under I^n and, for m > 0,
 to Gamma(m+1)/Gamma(m-n+1) x**(m-n) under D^n (constants differentiate to
-zero).  Everything else is quadrature.  D^n I^n f = f for continuous f
-with f(0) = 0; ``composition_check`` probes that identity numerically
-with both operators evaluated by quadrature, no symbolic shortcuts.
+zero).  Everything else is quadrature, at a float x or a 1-d array of
+points in one call.  D^n I^n f = f for continuous f with f(0) = 0;
+``composition_check`` probes that identity numerically with both
+operators evaluated by quadrature, no symbolic shortcuts.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .errors import DomainError
 from .functions import (
@@ -109,44 +112,64 @@ def _caputo_image_terms(f: PowerSum, n: float):
     return tuple(out)
 
 
-def _caputo_kernel(f, n: float, x: float, cfg: QuadratureConfig) -> float:
+def _caputo_kernel(f, n: float, x, cfg: QuadratureConfig):
     """integral_0^x f'(t) (x-t)**(-n) dt by quadrature, i.e. the
-    derivative-kernel integral before the 1/Gamma(1-n) normalisation."""
+    derivative-kernel integral before the 1/Gamma(1-n) normalisation, at
+    a float x > 0 or a 1-d array of them."""
     p = 1.0 - n
     if isinstance(f, (PowerSum, PiecewisePowerSum)):
         return _piecewise_kernel(f, x, p, cfg, derivative=True)
     if isinstance(f, TabulatedFunction):
-        return tabulated_derivative_kernel(f, x, p)
+        if isinstance(x, float):
+            return tabulated_derivative_kernel(f, x, p)
+        return np.array([tabulated_derivative_kernel(f, float(a), p) for a in x])
     raise DomainError(
         "derivative requires a power-sum, piecewise, or tabulated input "
         f"(got {type(f).__name__}); bare callables carry no derivative"
     )
 
 
+def _operator_args(f, x, backend: str, at_zero: bool):
+    """(x, exact): x as a float or a 1-d float array of points >= 0 (> 0
+    unless ``at_zero``), and whether the exact backend (power sums) runs.
+    Loops over points call the operators one float at a time, so a float
+    takes the shortest path (and the flag is positional: cheaper)."""
+    if type(x) is float:
+        low = x
+    elif not np.ndim(x):
+        x = low = float(x)
+    else:
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1:
+            raise DomainError("x must be a scalar or a 1-d array")
+        low = float(np.min(x, initial=math.inf))
+    if low < 0.0 or (low == 0.0 and not at_zero):
+        raise DomainError(f"x must be {'>=' if at_zero else '>'} 0, got {low!r}")
+    if backend not in ("auto", "exact", "quadrature"):
+        raise DomainError(f"unknown backend {backend!r}")
+    exact = backend == "exact" or (backend == "auto" and isinstance(f, PowerSum))
+    if exact and not isinstance(f, PowerSum):
+        raise DomainError("exact backend requires a PowerSum input")
+    return x, exact
+
+
 def rl_integral(
     f,
     n,
-    x: float,
+    x,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     *,
     backend: str = "auto",
-) -> float:
-    """Fractional integral I^n f at a single point x >= 0.
+):
+    """Fractional integral I^n f at x >= 0: a float (giving a float) or a
+    1-d array of points (giving an array of its shape in one call).
 
     backend: 'exact' (power sums only, closed form), 'quadrature', or
     'auto' (exact when available, else quadrature).
     """
     nn = _order_like(n)
-    x = float(x)
-    if x < 0.0:
-        raise DomainError(f"x must be >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if backend not in ("auto", "exact", "quadrature"):
-        raise DomainError(f"unknown backend {backend!r}")
-    if backend == "exact" or (backend == "auto" and isinstance(f, PowerSum)):
-        if not isinstance(f, PowerSum):
-            raise DomainError("exact backend requires a PowerSum input")
+    x, exact = _operator_args(f, x, backend, True)  # x = 0 allowed
+    if exact:
         return rl_power_sum(f, nn)(x)
     return kernel_integral(f, x, nn, cfg) / gamma(nn)
 
@@ -154,12 +177,13 @@ def rl_integral(
 def caputo_derivative(
     f,
     n,
-    x: float,
+    x,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     *,
     backend: str = "auto",
-) -> float:
-    """Fractional derivative D^n f at a single point x > 0.
+):
+    """Fractional derivative D^n f at x > 0: a float (giving a float) or a
+    1-d array of points (giving an array of its shape in one call).
 
     Same backend choices as :func:`rl_integral`; the exact path evaluates
     the monomial rule term by term and tolerates image exponents in
@@ -167,14 +191,8 @@ def caputo_derivative(
     x > 0.
     """
     nn = _order_like(n)
-    x = float(x)
-    if x <= 0.0:
-        raise DomainError(f"x must be > 0, got {x!r}")
-    if backend not in ("auto", "exact", "quadrature"):
-        raise DomainError(f"unknown backend {backend!r}")
-    if backend == "exact" or (backend == "auto" and isinstance(f, PowerSum)):
-        if not isinstance(f, PowerSum):
-            raise DomainError("exact backend requires a PowerSum input")
+    x, exact = _operator_args(f, x, backend, False)  # x > 0
+    if exact:
         return _eval_terms(_caputo_image_terms(f, nn), x)
     return _caputo_kernel(f, nn, x, cfg) / gamma(1.0 - nn)
 
@@ -235,10 +253,8 @@ def composition_check(
 
     lhs = float(f(x))
 
-    def inner(a: float) -> float:
-        if a == 0.0:
-            return 0.0
-        return _caputo_kernel(f, nn, float(a), cfg)
+    def inner(a):  # a fresh quadrature at every outer node, all in one call
+        return _caputo_kernel(f, nn, a, cfg)
 
     if isinstance(f, PowerSum) and f.terms:
         # inner(a) behaves like a**(min_exp - n) near 0; hand that factor

@@ -16,28 +16,24 @@ to the rule degree.  ``singular_integral`` is its case a = 0,
 Gauss-Legendre case p = 1, le = 0.  Node counts double from
 ``node_count`` until two successive estimates agree to tolerance, capped
 at MAX_NODES.  A scalar call samples g at the nodes of its first two
-rules in one pass, since most points stop at the second estimate and the
-operators call it point by point.
+rules in one pass, since most points stop at the second estimate.
 
-A power sum on [0, x] is not sampled: the nodes are x * u_i with
+``singular_integral`` picks the route of each representation of f, for
+``kernel_integral``, the grid solvers and the operators alike.  A power
+sum on [0, x] is not sampled: the nodes are x * u_i with
 u = (1 + xi)/2, so the n-node estimate of sum(c t**d) is exactly
 (x/2)**(p + le) * sum(c x**d M_n(d)) with the cached rule moments
-M_n(d) = sum_i w_i u_i**d.  ``_power_sum_integral`` doubles these
-estimates as the sampled route does; it serves ``kernel_integral`` (so
-the quadrature backends of the operators and ``forward``) and
-``singular_integral`` of a PowerSum (so the grid solvers on power-sum
-psi).  A piecewise power sum is its first segment on all of [0, x] plus,
-at each breakpoint lo below x, the jump to the next segment on [lo, x];
-a polynomial jump, Taylor-shifted to t - lo, is a power sum on
-[0, x - lo] and comes from the moments too.  There only a jump with a
-fractional power is sampled (on [lo, x], where it is smooth), and a
-point whose parts cancel is summed span by span instead.  Other
-callables and the mechanics layer are still sampled.
-
-For tabulated data there is a product-integration path: f is taken
-piecewise linear on its own grid and the kernel moments of every cell are
-integrated in closed form, which is exact for piecewise-linear f and
-avoids sampling f anywhere but its own nodes.
+M_n(d) = sum_i w_i u_i**d, doubled as the sampled route doubles
+(``_power_sum_integral``).  A piecewise power sum is its first segment
+on all of [0, x] plus, at each breakpoint lo below x, the jump to the
+next segment on [lo, x]; a polynomial jump, Taylor-shifted to t - lo, is
+a power sum on [0, x - lo] and comes from the moments too.  There only a
+jump with a fractional power is sampled (on [lo, x], where it is
+smooth), and a point whose parts cancel is summed span by span instead.
+Tabulated f is taken piecewise linear on its own grid and the kernel
+moments of every cell are integrated in closed form (product
+integration), which is exact for the interpolant.  Other callables and
+the mechanics layer are sampled.
 
 Both paths also take 1-d arrays of limits and evaluate the whole grid in
 one vectorised pass.  Gauss-Jacobi is affine-invariant, so the nodes of
@@ -444,9 +440,8 @@ def _jacobi_integral(
     without searching for the interval of each node.
     """
     if isinstance(a, float) and isinstance(b, float):
-        # its own path: the operators call this point by point, where a
-        # one-point array call costs about five times as much, and the
-        # first two rules are sampled in one call of g
+        # its own path: a one-point array call costs about five times as
+        # much, and the first two rules are sampled in one call of g
         if b <= a:
             return 0.0
         half = 0.5 * (b - a)
@@ -557,18 +552,20 @@ def singular_integral(
     *,
     left_exponent: float = 0.0,
 ):
-    """integral_0^x g(t) * t**left_exponent * (x - t)**(p - 1) dt.
+    """integral_0^x g(t) * t**left_exponent * (x - t)**(p - 1) dt, by the
+    route of g's representation; the one place that picks it.
 
-    ``left_exponent`` (> -1) lets callers factor a known algebraic
-    behaviour of the integrand at t = 0 into the weight; the remaining g
-    should then be smooth for spectral convergence.  With the default 0
-    this is the plain kernel integral of g.  A PowerSum g factors its own
-    leading power into the weight too, and is not sampled: its estimates
-    come from the rule moments (:func:`_power_sum_integral`).
+    ``left_exponent`` (> -1) factors a known algebraic behaviour of the
+    integrand at t = 0 into the weight, so the remaining g should be
+    smooth.  A PowerSum factors its own leading power in too and takes
+    rule moments (:func:`_power_sum_integral`).  With the default 0, a
+    PiecewisePowerSum is first segment plus jumps
+    (:func:`_piecewise_kernel`) and a TabulatedFunction goes through
+    product integration (:func:`singular_integral_tabulated`).  Anything
+    else is sampled at the nodes.
 
-    x may also be a 1-d array of upper limits: the whole grid is then
-    evaluated in one pass and an array returned, each value the one a
-    scalar call gives.
+    x is a float, or a 1-d array of upper limits evaluated in one pass
+    with each value the one a scalar call gives, up to rounding.
     """
     p = _order_like(p)
     le = _left_exponent(left_exponent)
@@ -580,6 +577,10 @@ def singular_integral(
         d = g.min_exponent if g.terms else 0.0
         terms = tuple((c, e - d) for c, e in g.terms)
         return _power_sum_integral(terms, x, p, le + d, cfg)
+    if le == 0.0 and isinstance(g, PiecewisePowerSum):
+        return _piecewise_kernel(g, x, p, cfg)
+    if le == 0.0 and isinstance(g, TabulatedFunction):
+        return singular_integral_tabulated(g, x, p)
     return _jacobi_integral(g, 0.0, x, p, le, cfg)
 
 
@@ -682,9 +683,9 @@ def singular_integral_tabulated(f: TabulatedFunction, x, p):
     scalar calls at a node read it too.
     """
     p = _order_like(p)
-    if not isinstance(x, float) and np.ndim(x):
+    x = _limits(x, "upper limits must be a scalar or a 1-d array")
+    if not isinstance(x, float):
         return _tabulated_grid(f, x, p)
-    x = float(x)
     if x < 0.0 or x > f.x_max * (1.0 + 1e-12):
         raise DomainError(f"x = {x!r} outside tabulated range [0, {f.x_max!r}]")
     if x == 0.0:
@@ -712,10 +713,7 @@ def _tabulated_point(f: TabulatedFunction, x: float, p: float) -> float:
     return float(np.dot(fa, m0) + np.dot(slope, m1))
 
 
-def _tabulated_grid(f: TabulatedFunction, xs, p: float) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1:
-        raise DomainError("upper limits must be a scalar or a 1-d array")
+def _tabulated_grid(f: TabulatedFunction, xs: np.ndarray, p: float) -> np.ndarray:
     bad = (xs < 0.0) | (xs > f.x_max * (1.0 + 1e-12))
     if bad.any():
         raise DomainError(
@@ -960,7 +958,7 @@ def _overflows(pieces, x: float) -> bool:
 
 def _piecewise_kernel(f, x, p: float, cfg: QuadratureConfig, derivative: bool = False):
     """K[f](x), or K[f'](x) with ``derivative``, for a PowerSum or
-    PiecewisePowerSum f; x is a float > 0 or a 1-d array of limits >= 0.
+    PiecewisePowerSum f; x is a float or a 1-d array of limits >= 0.
 
     f is its first segment on all of [0, x] plus, at each breakpoint lo
     below x, the jump to the next segment on [lo, x], so every part ends
@@ -986,15 +984,12 @@ def _piecewise_kernel(f, x, p: float, cfg: QuadratureConfig, derivative: bool = 
 
     top = x if isinstance(x, float) else float(np.max(x, initial=0.0))
     if top <= 0.0:
-        return np.zeros(x.shape)
+        return 0.0 if isinstance(x, float) else np.zeros(x.shape)
     pieces = spans(top)
     if len(pieces) > 1 and _overflows(pieces, top):
         if isinstance(x, float):
             return _span_kernel(pieces, x, p, cfg)
-        return np.array([
-            _piecewise_kernel(f, float(a), p, cfg, derivative) if a > 0.0 else 0.0
-            for a in x
-        ])
+        return np.array([_piecewise_kernel(f, float(a), p, cfg, derivative) for a in x])
     parts = _kernel_parts(pieces, x, p, cfg)
     total = sum(parts[1:], parts[0])
     if len(parts) == 1:
@@ -1057,35 +1052,12 @@ def _span_kernel(pieces, x: float, p: float, cfg: QuadratureConfig) -> float:
     return total
 
 
-def kernel_integral(
-    f,
-    x: float,
-    p,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
+def kernel_integral(f, x, p, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Numerical K[f](x) = integral_0^x f(t) (x-t)**(p-1) dt for any
-    supported representation of f (or a bare callable).
-
-    Power sums factor their leading t**e behaviour into the Jacobi
-    weight and take their estimates from rule moments, piecewise inputs
-    are their first segment plus a jump at each breakpoint
-    (:func:`_piecewise_kernel`), and tabulated data goes through product
-    integration.
+    supported representation of f (or a bare callable) at a float x or
+    a 1-d array of them: :func:`singular_integral` with no left weight,
+    which picks the route of f's representation.
     """
-    p = _order_like(p)
-    x = float(x)
-    if x < 0.0:
-        raise DomainError(f"upper limit must be >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
-
-    if isinstance(f, (PowerSum, PiecewisePowerSum)):
-        return _piecewise_kernel(f, x, p, cfg)
-
-    if isinstance(f, TabulatedFunction):
-        return singular_integral_tabulated(f, x, p)
-
-    if callable(f):
-        return singular_integral(f, x, p, cfg)
-
-    raise DomainError(f"unsupported integrand type {type(f).__name__}")
+    if not callable(f):
+        raise DomainError(f"unsupported integrand type {type(f).__name__}")
+    return singular_integral(f, x, p, cfg)

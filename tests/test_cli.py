@@ -3,11 +3,24 @@ codes."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from abelfrac import DomainError, FunctionParseError, PiecewisePowerSum, PowerSum
+import abelfrac
+from abelfrac import (
+    DomainError,
+    FunctionParseError,
+    PiecewisePowerSum,
+    PowerSum,
+    caputo_derivative,
+    forward,
+    rl_integral,
+)
 from abelfrac.cli import main, parse_function_spec, read_tabulated_csv
 
 
@@ -140,6 +153,26 @@ class TestOperatorCommands:
         _, rows = csv_rows(out)
         # I^{1/2} x = x^{1.5}/gamma(2.5); mpmath 1/gamma(2.5)
         assert rows[2][1] == pytest.approx(0.7522527780636751, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "command, func, point",
+        [
+            ("forward", "2*a^1 + 1.5*a^2", forward),
+            ("frac-int", "piecewise: [0,0.5] 1 + a^1 ; [0.5,2] 0.75 + 1.5*a^1", rl_integral),
+            ("frac-der", "piecewise: [0,1] 1 + a^1 ; [1,2] 2*a^1",
+             lambda f, n, x: caputo_derivative(f, n, x) if x > 0.0 else 0.0),
+        ],
+    )
+    def test_grid_call_matches_points(self, command, func, point, capsys):
+        # one operator call per grid; its values are the per-point ones up
+        # to rounding
+        code, out, _ = run_cli(
+            [command, "--func", func, "--order", "0.3", "--grid", "2:41"], capsys
+        )
+        assert code == 0
+        f = parse_function_spec(func)
+        for x, v in csv_rows(out)[1]:
+            assert v == pytest.approx(point(f, 0.3, x), rel=1e-13, abs=1e-300)
 
     def test_frac_der_divergent_at_zero_exits_3(self, capsys):
         code, _, err = run_cli(
@@ -306,3 +339,17 @@ class TestVerifyCommand:
         assert code == 0
         assert "12/12 checks passed" in out
         assert "FAIL" not in out
+
+
+class TestEntryPoints:
+    @pytest.mark.parametrize("module", ["abelfrac", "abelfrac.cli"])
+    def test_python_dash_m_runs_verify(self, module):
+        src = str(Path(abelfrac.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "verify"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.rstrip().endswith("12/12 checks passed")

@@ -4,7 +4,8 @@ solve_on_grid evaluates a whole grid in one vectorised pass; every value
 must equal what the scalar route returns for that point alone, including
 where the node cap makes it return or raise.  The references are built from
 the scalar public routines (singular_integral, singular_integral_tabulated),
-which keep their own per-point implementations.
+which keep their own per-point implementations.  The kernel integrals, the
+operators and forward take a 1-d x too, and are held to the same rule.
 """
 
 import itertools
@@ -18,12 +19,18 @@ from abelfrac import (
     DEFAULT_CONFIG,
     AbelProblem,
     ConvergenceError,
+    DomainError,
     Order,
+    PiecewisePowerSum,
     PowerSum,
     QuadratureConfig,
     SolutionBackend,
     TabulatedFunction,
+    caputo_derivative,
+    forward,
+    kernel_integral,
     reflection_factor,
+    rl_integral,
     singular_integral,
     solve_convolution,
     solve_on_grid,
@@ -195,3 +202,140 @@ class TestTabulatedGrid:
         for backend in (CONV, SolutionBackend.NUMERIC_PRODUCT):
             got = solve_on_grid(prob, f.xs, backend=backend).s.values
             assert_close(got, [rf * v for v in _per_point(f, f.xs, 0.3)])
+
+
+# ---------------------------------------------------------------------------
+# kernel integrals, operators and forward on 1-d x
+
+N = 0.3
+
+INPUTS = {
+    "power_sum": PowerSum([(1.3, 0.0), (0.7, 1.0), (0.4, 2.5)]),
+    "fractional": PowerSum([(2.0, 0.5), (1.5, 1.5)]),
+    # continuous at the breakpoint; the second jump has a fractional power,
+    # which is sampled on [0.5, x]
+    "piecewise": PiecewisePowerSum(
+        (0.4,), (PowerSum([(1.0, 0.0), (1.0, 1.0)]), PowerSum([(0.6, 0.0), (2.0, 1.0)]))
+    ),
+    "piecewise_fractional": PiecewisePowerSum(
+        (0.5,),
+        (PowerSum([(1.0, 0.0), (1.0, 1.0)]), PowerSum([(1.5 - 0.5**1.5, 0.0), (1.0, 1.5)])),
+    ),
+    "tabulated": _table(np.linspace(0.0, 1.0, 201), 3),
+    "callable": np.exp,
+}
+POWER_SUMS = ("power_sum", "fractional")
+DIFFERENTIABLE = tuple(k for k in INPUTS if k != "callable")
+
+# name -> (call(f, x), the inputs it takes, whether x = 0 is allowed)
+OPERATORS = {
+    "kernel_integral": (lambda f, x: kernel_integral(f, x, N), tuple(INPUTS), True),
+    "singular_integral": (lambda f, x: singular_integral(f, x, N), tuple(INPUTS), True),
+    "rl_exact": (lambda f, x: rl_integral(f, N, x, backend="exact"), POWER_SUMS, True),
+    "rl_quadrature": (
+        lambda f, x: rl_integral(f, N, x, backend="quadrature"), tuple(INPUTS), True
+    ),
+    "caputo_exact": (
+        lambda f, x: caputo_derivative(f, N, x, backend="exact"), POWER_SUMS, False
+    ),
+    "caputo_quadrature": (
+        lambda f, x: caputo_derivative(f, N, x, backend="quadrature"), DIFFERENTIABLE, False
+    ),
+    "forward": (lambda f, x: forward(f, N, x), DIFFERENTIABLE, True),
+}
+CASES = [
+    pytest.param(op, name, id=f"{op}-{name}")
+    for op, (_, names, _) in OPERATORS.items()
+    for name in names
+]
+
+
+def _exact(op: str, name: str) -> bool:
+    """Array calls that must give the scalar calls' bits: the closed
+    forms, and tabulated derivatives (one scalar call per point)."""
+    return op.endswith("_exact") or (
+        name == "tabulated" and op in ("caputo_quadrature", "forward")
+    )
+
+
+def _points(zero: bool) -> np.ndarray:
+    # table nodes (the 201-node table's node integrals) and points between
+    # them, across the breakpoints; the 1-d x starts at 0 where allowed
+    rng = np.random.default_rng(7)
+    xs = np.concatenate((np.linspace(0.0, 1.0, 21), rng.uniform(0.0, 1.0, 20)))
+    return xs if zero else xs[1:]
+
+
+class TestOperatorsOnArrays:
+    @pytest.mark.parametrize("op, name", CASES)
+    def test_array_equals_scalar_calls(self, op, name):
+        call, _, zero = OPERATORS[op]
+        f = INPUTS[name]
+        xs = _points(zero)
+        got = call(f, xs)
+        ref = [call(f, float(x)) for x in xs]
+        assert isinstance(got, np.ndarray) and got.shape == xs.shape
+        assert all(type(v) is float for v in ref)
+        if _exact(op, name):
+            assert np.array_equal(got, ref)
+        else:
+            assert_close(got, ref)
+
+    @pytest.mark.parametrize("op, name", CASES)
+    def test_empty_array_gives_empty_array(self, op, name):
+        got = OPERATORS[op][0](INPUTS[name], np.array([]))
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+    @pytest.mark.parametrize("op, name", CASES)
+    def test_2d_or_negative_x_is_domain_error(self, op, name):
+        call = OPERATORS[op][0]
+        f = INPUTS[name]
+        with pytest.raises(DomainError):
+            call(f, np.full((2, 3), 0.5))
+        with pytest.raises(DomainError):
+            call(f, np.array([0.5, -0.25]))
+        with pytest.raises(DomainError):
+            call(f, -0.25)
+
+    @pytest.mark.parametrize("op", ["caputo_exact", "caputo_quadrature"])
+    def test_derivative_at_zero_is_domain_error(self, op):
+        with pytest.raises(DomainError):
+            OPERATORS[op][0](INPUTS["power_sum"], np.array([0.5, 0.0]))
+
+    @pytest.mark.parametrize("name", DIFFERENTIABLE)
+    def test_forward_is_zero_at_zero(self, name):
+        got = forward(INPUTS[name], N, np.array([0.0, 0.5, 0.0]))
+        assert got[0] == 0.0 and got[2] == 0.0 and got[1] != 0.0
+        assert forward(INPUTS[name], N, 0.0) == 0.0
+
+
+class TestOneDispatch:
+    """singular_integral picks the route of each representation, so it
+    equals kernel_integral on every input; with a left weight, piecewise
+    and tabulated input are sampled like any callable."""
+
+    @pytest.mark.parametrize("name", list(INPUTS))
+    def test_singular_integral_is_kernel_integral(self, name):
+        f = INPUTS[name]
+        xs = _points(True)
+        assert np.array_equal(singular_integral(f, xs, N), kernel_integral(f, xs, N))
+        for x in xs:
+            assert singular_integral(f, float(x), N) == kernel_integral(f, float(x), N)
+
+    @pytest.mark.parametrize(
+        "f",
+        # a one-cell table: the kinks of a longer one stall the sampled rule
+        [INPUTS["piecewise"], TabulatedFunction([0.0, 1.0], [1.0, 3.0])],
+        ids=["piecewise", "tabulated"],
+    )
+    def test_left_weight_samples_the_input(self, f):
+        got = singular_integral(f, 0.8, N, left_exponent=0.25)
+        sampled = singular_integral(lambda t: f(t), 0.8, N, left_exponent=0.25)
+        assert got == sampled
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    @pytest.mark.parametrize("name", ["power_sum", "piecewise", "piecewise_fractional"])
+    def test_piecewise_kernel_at_zero(self, name, derivative):
+        got = quadrature._piecewise_kernel(INPUTS[name], 0.0, N, DEFAULT_CONFIG, derivative)
+        assert type(got) is float and got == 0.0
+        assert singular_integral(INPUTS[name], 0.0, N) == 0.0
