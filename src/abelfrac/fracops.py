@@ -88,18 +88,13 @@ def caputo_power_sum(f: PowerSum, n) -> PowerSum:
     (evaluate pointwise via :func:`caputo_derivative` instead).
     """
     n = float(as_order(n))
-    out = []
-    for c, e in f.terms:
-        if e == 0.0:
-            continue
-        if e < n:
+    for _, e in f.terms:
+        if e != 0.0 and e < n:
             raise DomainError(
                 f"derivative of x**{e} has negative exponent {e - n}; "
                 "not representable as a power sum"
             )
-        coef, exp = monomial_frac_derivative(e, n)
-        out.append((c * coef, exp))
-    return PowerSum(tuple(out))
+    return PowerSum(_caputo_image_terms(f, n))
 
 
 def _caputo_image_terms(f: PowerSum, n: float):

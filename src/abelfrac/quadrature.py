@@ -15,8 +15,7 @@ to the rule degree.  ``singular_integral`` is its case a = 0,
 ``left_weighted_integral`` the case p = 1, and ``smooth_integral`` the
 Gauss-Legendre case p = 1, le = 0.  Node counts double from
 ``node_count`` until two successive estimates agree to tolerance, capped
-at MAX_NODES.  A scalar call samples g at the nodes of its first two
-rules in one pass, since most points stop at the second estimate.
+at MAX_NODES.
 
 ``singular_integral`` picks the route of each representation of f, for
 ``kernel_integral``, the grid solvers and the operators alike.  A power
@@ -35,8 +34,9 @@ moments of every cell are integrated in closed form (product
 integration), which is exact for the interpolant.  Other callables and
 the mechanics layer are sampled.
 
-Both paths also take 1-d arrays of limits and evaluate the whole grid in
-one vectorised pass.  Gauss-Jacobi is affine-invariant, so the nodes of
+Both routes also take 1-d arrays of limits and evaluate the whole grid in
+one vectorised pass; the sampled route takes a float as a one-point
+grid.  Gauss-Jacobi is affine-invariant, so the nodes of
 every interval are a + (b - a)(1 + xi)/2 and one matrix product gives the
 integral over all of them; each point still stops doubling at its own
 tolerance.
@@ -112,7 +112,7 @@ class QuadratureConfig:
     """Tuning knobs for the adaptive singular quadrature.
 
     node_count
-        starting rule size; doubled until convergence.
+        starting rule size, at most MAX_NODES; doubled until convergence.
     abs_tol, rel_tol
         doubling stops when successive estimates differ by at most
         ``max(abs_tol, rel_tol * |I|)``.
@@ -123,12 +123,13 @@ class QuadratureConfig:
     rel_tol: float = 1e-9
 
     def __post_init__(self):
-        if not (isinstance(self.node_count, int) and self.node_count >= 2):
+        n = self.node_count
+        if not (isinstance(n, int) and 2 <= n <= MAX_NODES):
             raise DomainError(
-                f"node_count must be an int >= 2, got {self.node_count!r}"
+                f"node_count must be an int in [2, {MAX_NODES}], got {n!r}"
             )
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise DomainError("tolerances must be positive")
+        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+            raise DomainError("tolerances must be positive and finite")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -139,23 +140,6 @@ def _jacobi_rule(n: int, alpha: float, beta: float):
     """n-point Gauss-Jacobi rule for the weight (1-x)**alpha (1+x)**beta
     on [-1, 1]: nodes ascending, both arrays read-only."""
     return _frozen(*_gauss_jacobi(n, float(alpha), float(beta)))
-
-
-@lru_cache(maxsize=256)
-def _paired_rule(n: int, alpha: float, beta: float):
-    """The first two rules of a doubling from n nodes, to be sampled in one
-    call: (t, w, w2) with t = 1 + xi of the n-node rule followed by that of
-    the min(2n, MAX_NODES)-node rule (read-only), and the two weight
-    arrays.  At n >= MAX_NODES there is no second rule: t holds the one
-    rule and w2 is None."""
-    xi, w = _jacobi_rule(n, alpha, beta)
-    if n >= MAX_NODES:
-        t, w2 = 1.0 + xi, None
-    else:
-        xi2, w2 = _jacobi_rule(min(2 * n, MAX_NODES), alpha, beta)
-        t = np.concatenate((1.0 + xi, 1.0 + xi2))
-    t.setflags(write=False)
-    return t, w, w2
 
 
 @lru_cache(maxsize=1024)
@@ -302,21 +286,24 @@ def _halley(n: int, a1: float, b1: float, right: np.ndarray, left: np.ndarray):
 
 def _sample(g: Callable, t: np.ndarray, *cells) -> np.ndarray:
     """Evaluate g at the nodes, tolerating scalar-only callables, and
-    insist every sample is finite.  ``cells``, when given, is the column of
-    interval indices of t's rows, passed on as g(t, cells); such an
-    integrand must take arrays, so its errors are not retried point by
-    point."""
+    insist every sample is finite.  Without ``cells`` g gets the nodes as
+    one flat 1-d array, as an integrand that is itself a kernel integral
+    over 1-d limits needs.  ``cells``, when given, is the column of interval
+    indices of t's rows, passed on as g(t, cells); such an integrand must
+    take arrays, so its errors are not retried point by point."""
     if cells:
         out = np.asarray(g(t, *cells), dtype=float)
         if out.shape != t.shape:
             raise ValueError(f"indexed integrand gave shape {out.shape}, not {t.shape}")
     else:
+        flat = t.ravel()
         try:
-            out = np.asarray(g(t), dtype=float)
+            out = np.asarray(g(flat), dtype=float)
         except (TypeError, ValueError):
             out = None
-        if out is None or out.shape != t.shape:
-            out = np.array([float(g(ti)) for ti in t.ravel()]).reshape(t.shape)
+        if out is None or out.shape != flat.shape:
+            out = np.array([float(g(ti)) for ti in flat])
+        out = out.reshape(t.shape)
     if not np.isfinite(out).all():
         bad = float(t[~np.isfinite(out)][0])
         raise EvaluationError(
@@ -332,33 +319,23 @@ def _stalled(n: int, err: float, tol: float) -> ConvergenceError:
     )
 
 
-def _doubling(
-    first: float,
-    second: float | None,
-    estimate: Callable[[int], float],
-    cfg: QuadratureConfig,
-) -> float:
+def _doubling(estimate: Callable[[int], float], cfg: QuadratureConfig) -> float:
     """Double the rule from n = node_count until two successive estimates
-    agree to tolerance.  ``first`` and ``second`` are the estimates at n
-    and min(2n, MAX_NODES) (``second`` is None when n >= MAX_NODES, and
-    ``first`` is then the result); estimate(n) gives the later ones.  At
-    the MAX_NODES cap a mild shortfall returns the last estimate;
-    disagreement two orders beyond tolerance raises ConvergenceError."""
-    if second is None:
-        return first
-    prev, val = first, second
-    n = min(2 * cfg.node_count, MAX_NODES)
-    while True:
+    estimate(n) agree to tolerance.  At the MAX_NODES cap a mild shortfall
+    returns the last estimate; disagreement two orders beyond tolerance
+    raises ConvergenceError.  A non-finite estimate is returned as it is."""
+    n = cfg.node_count
+    val = estimate(n)
+    while n < MAX_NODES and math.isfinite(val):
+        n = min(2 * n, MAX_NODES)
+        prev, val = val, estimate(n)
         err = abs(val - prev)
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(val))
         if err <= tol:
-            return val
-        if n >= MAX_NODES:
-            if err > 100.0 * tol:
-                raise _stalled(n, err, tol)
-            return val
-        n = min(2 * n, MAX_NODES)
-        prev, val = val, estimate(n)
+            break
+        if n >= MAX_NODES and err > 100.0 * tol:
+            raise _stalled(n, err, tol)
+    return val
 
 
 def _doubling_grid(
@@ -431,33 +408,16 @@ def _jacobi_integral(
 
     The weight (1 - xi)**(p - 1) (1 + xi)**le on [-1, 1] absorbs both end
     powers: the nodes of [a, b] are a + (b - a)(1 + xi)/2 and the scale is
-    ((b - a)/2)**(p + le).  Float limits give a float.  Array limits (1-d,
-    or one of them a float) give an array from one matrix product per rule
-    and row block, each point doubling to its own tolerance.  With
-    ``indexed`` the array path calls g(t, k): every row of t holds the nodes
-    of one interval, and k, a (rows, 1) column, holds the intervals'
-    positions in the broadcast limits, so per-interval data can be read
-    without searching for the interval of each node.
+    ((b - a)/2)**(p + le).  Array limits (1-d, or one of them a float) give
+    an array from one matrix product per rule and row block, each point
+    doubling to its own tolerance; float limits are the one-point case and
+    give a float.  With ``indexed`` g is called as g(t, k): every row of t
+    holds the nodes of one interval, and k, a (rows, 1) column, holds the
+    intervals' positions in the broadcast limits, so per-interval data can
+    be read without searching for the interval of each node.
     """
     if isinstance(a, float) and isinstance(b, float):
-        # its own path: a one-point array call costs about five times as
-        # much, and the first two rules are sampled in one call of g
-        if b <= a:
-            return 0.0
-        half = 0.5 * (b - a)
-        scale = half ** (p + le)
-        n = cfg.node_count
-        t, w, w2 = _paired_rule(n, p - 1.0, le)
-        y = _sample(g, a + half * t)
-        first = scale * float(np.dot(w, y[:n]))
-        second = None if w2 is None else scale * float(np.dot(w2, y[n:]))
-
-        def estimate(n: int) -> float:
-            xi, w = _jacobi_rule(n, p - 1.0, le)
-            return scale * float(np.dot(w, _sample(g, a + half * (1.0 + xi))))
-
-        return _doubling(first, second, estimate, cfg)
-
+        return float(_jacobi_integral(g, np.array([a]), b, p, le, cfg, indexed)[0])
     a, b = np.broadcast_arrays(a, b)
     out = np.zeros(b.shape)
     pos = np.flatnonzero(b > a)
@@ -517,12 +477,7 @@ def _power_sum_integral(terms, x, p: float, le: float, cfg: QuadratureConfig):
                 hk * _rule_moment(n, alpha, le, d) for hk, d in zip(h, exps)
             )
 
-        n = cfg.node_count
-        first = estimate(n)
-        second = None if n >= MAX_NODES else estimate(min(2 * n, MAX_NODES))
-        if not (math.isfinite(first) and (second is None or math.isfinite(second))):
-            return sampled()
-        value = _doubling(first, second, estimate, cfg)
+        value = _doubling(estimate, cfg)
         return value if math.isfinite(value) else sampled()
 
     out = np.zeros(x.shape)

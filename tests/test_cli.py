@@ -313,6 +313,11 @@ class TestUsageErrors:
             ["solve", "--func", "2*a^-1", "--grid", "1:5"],
             ["solve", "--grid", "1:5"],
             ["nonsense"],
+            # a first rule past MAX_NODES, and tolerances that are not finite
+            ["forward", "--func", "2*a^0.5", "--nodes", "4097"],
+            ["forward", "--func", "2*a^0.5", "--tol", "inf"],
+            ["solve", "--func", "piecewise: [0,1] 1.0 + a^0.5 ; [1,3] 0.5 + 1.5*a^0.5",
+             "--backend", "convolution", "--nodes", "2", "--tol", "inf"],
         ],
     )
     def test_exit_2(self, args, capsys):

@@ -1,9 +1,9 @@
-"""The scalar Gauss-Jacobi estimator samples its first two rules in one call.
+"""The Gauss-Jacobi estimator at float limits is its one-point grid.
 
-Each value must equal, bit for bit, the sequential doubling it replaces:
-rules of n0, 2 n0, 4 n0, ... nodes (capped at MAX_NODES), each sampled on
-its own, stopping at the first pair of estimates that agree to tolerance.
-The reference below is that loop, written out here.
+Each value must match the sequential doubling written out below, to a
+few ulps and with the same outcome: rules of n0, 2 n0, 4 n0, ... nodes
+(capped at MAX_NODES), each sampled in its own call, stopping at the
+first pair of estimates that agree to tolerance.
 """
 
 import math
@@ -26,7 +26,9 @@ from abelfrac.quadrature import (
     _jacobi_integral,
     _jacobi_rule,
     _order_like,
-    _paired_rule,
+    left_weighted_integral,
+    singular_integral,
+    smooth_integral,
 )
 
 
@@ -73,6 +75,10 @@ def sequential(g, a, b, p, le, cfg):
     return val
 
 
+def within_ulps(got, want, ulps=4):
+    return abs(got - want) <= ulps * np.spacing(abs(want))
+
+
 def outcome(fn):
     try:
         return fn()
@@ -89,7 +95,7 @@ def power_sums(draw):
     return PowerSum(zip((s * c for s, c in zip(signs, coefs)), exps))
 
 
-class TestPairedStart:
+class TestFloatLimits:
     @settings(max_examples=60, deadline=None)
     @given(
         f=power_sums(),
@@ -109,48 +115,48 @@ class TestPairedStart:
         want = outcome(lambda: sequential(ref, a, b, p, le, cfg))
         if isinstance(want, float):
             assert isinstance(got, float)
-            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert within_ulps(got, want)
         else:
             assert got is want
-        # the same nodes, with one call fewer
-        assert len(g.calls) == len(ref.calls) - 1
+        # the same nodes, in as many calls
+        assert len(g.calls) == len(ref.calls)
         assert np.array_equal(g.nodes(), ref.nodes())
 
-    def test_first_call_holds_both_rules(self):
+    def test_each_rule_sampled_in_its_own_call(self):
         g = Recorder(np.cos)
         cfg = QuadratureConfig(node_count=2)
         _jacobi_integral(g, 0.0, 1.0, 0.5, 0.0, cfg)
-        assert g.calls[0].size == 2 + 4
-        later = [c.size for c in g.calls[1:]]
-        assert later and later == [8 * 2**k for k in range(len(later))]
+        sizes = [c.size for c in g.calls]
+        assert len(sizes) >= 2
+        assert sizes == [2 * 2**k for k in range(len(sizes))]
+        assert all(c.ndim == 1 for c in g.calls)
 
-    def test_paired_rule_is_read_only_concatenation(self):
-        # other tests draw enough distinct rules to evict this one from
-        # _jacobi_rule's LRU while _paired_rule still holds its arrays;
-        # start both empty so the identity below is about this call alone
-        _jacobi_rule.cache_clear()
-        _paired_rule.cache_clear()
-        t, w, w2 = _paired_rule(8, -0.5, 0.0)
-        xi, w_ = _jacobi_rule(8, -0.5, 0.0)
-        xi2, w2_ = _jacobi_rule(16, -0.5, 0.0)
-        assert np.array_equal(t, np.concatenate((1.0 + xi, 1.0 + xi2)))
-        assert w is w_ and w2 is w2_
-        assert not t.flags.writeable
+    @pytest.mark.parametrize("kind", ["smooth", "left_weighted", "singular"])
+    def test_float_limit_is_the_one_point_grid(self, kind):
+        call = {
+            "smooth": lambda b: smooth_integral(np.exp, 0.25, b),
+            "left_weighted": lambda b: left_weighted_integral(np.cos, b, 0.3),
+            "singular": lambda b: singular_integral(np.cos, b, 0.4),
+        }[kind]
+        got = call(1.7)
+        grid = call(np.array([1.7]))
+        assert isinstance(got, float)
+        assert grid.shape == (1,)
+        assert np.float64(got).tobytes() == grid[0].tobytes()
 
     def test_node_count_at_cap_takes_one_estimate(self):
         g = Recorder(np.cos)
         cfg = QuadratureConfig(node_count=MAX_NODES)
         got = _jacobi_integral(g, 0.0, 1.0, 0.5, 0.0, cfg)
         assert [c.size for c in g.calls] == [MAX_NODES]
-        assert got == sequential(np.cos, 0.0, 1.0, 0.5, 0.0, cfg)
-        assert _paired_rule(MAX_NODES, -0.5, 0.0)[2] is None
+        assert within_ulps(got, sequential(np.cos, 0.0, 1.0, 0.5, 0.0, cfg))
 
-    def test_node_count_3000_pairs_with_the_cap(self):
+    def test_node_count_3000_doubles_to_the_cap(self):
         g = Recorder(np.cos)
         cfg = QuadratureConfig(node_count=3000)
         got = _jacobi_integral(g, 0.0, 1.0, 0.5, 0.0, cfg)
-        assert [c.size for c in g.calls] == [3000 + MAX_NODES]
-        assert got == sequential(np.cos, 0.0, 1.0, 0.5, 0.0, cfg)
+        assert [c.size for c in g.calls] == [3000, MAX_NODES]
+        assert within_ulps(got, sequential(np.cos, 0.0, 1.0, 0.5, 0.0, cfg))
         assert got == pytest.approx(
             # integral_0^1 cos(t) (1 - t)^(-1/2) dt, by its series
             sum((-1) ** k * math.gamma(2 * k + 1) * math.gamma(0.5)
@@ -176,8 +182,9 @@ class TestPairedStart:
             return math.cos(float(t))
 
         cfg = QuadratureConfig(node_count=8)
-        assert _jacobi_integral(g, 0.0, 1.0, 0.5, 0.0, cfg) == sequential(
-            np.cos, 0.0, 1.0, 0.5, 0.0, cfg
+        assert within_ulps(
+            _jacobi_integral(g, 0.0, 1.0, 0.5, 0.0, cfg),
+            sequential(np.cos, 0.0, 1.0, 0.5, 0.0, cfg),
         )
 
 

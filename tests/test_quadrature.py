@@ -42,12 +42,22 @@ class TestConfig:
             QuadratureConfig(node_count=1)
         with pytest.raises(DomainError):
             QuadratureConfig(node_count=64.0)  # must be an int
+        with pytest.raises(DomainError):
+            QuadratureConfig(node_count=MAX_NODES + 1)
+        with pytest.raises(DomainError):
+            QuadratureConfig(node_count=5000)
+        assert QuadratureConfig(node_count=MAX_NODES).node_count == MAX_NODES
 
     def test_rejects_bad_tolerances(self):
         with pytest.raises(DomainError):
             QuadratureConfig(abs_tol=0.0)
         with pytest.raises(DomainError):
             QuadratureConfig(rel_tol=-1e-9)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                QuadratureConfig(abs_tol=bad)
+            with pytest.raises(DomainError):
+                QuadratureConfig(rel_tol=bad)
 
 
 class TestSingularIntegral:
