@@ -249,29 +249,30 @@ def _parse_grid(text: str) -> _Grid:
     return _Grid(x_max, points)
 
 
-def _add_common(sub: argparse.ArgumentParser, *, gravity: bool = False,
-                backend: bool = False) -> None:
-    sub.add_argument("--func", help="function spec (power-sum grammar)")
-    sub.add_argument("--func-file", help="two-column CSV of samples")
-    sub.add_argument("--order", type=float, default=0.5,
-                     help="fractional order n in (0,1), default 0.5")
-    sub.add_argument("--grid", default="1:101",
+# the options beyond --func, --func-file, --grid, --output and --format,
+# each added only to the commands that use it
+_OPTIONS = {
+    "order": dict(type=float, default=0.5,
+                  help="fractional order n in (0,1), default 0.5"),
+    "nodes": dict(type=int, help="starting quadrature node count"),
+    "tol": dict(type=float, help="relative tolerance (quadrature / time stepping)"),
+    "gravity": dict(type=float, default=0.5,
+                    help="gravity parameter g, default 0.5"),
+    "backend": dict(choices=("series", "convolution", "theorem", "numeric"),
+                    help="solution route (default: picked from the input type)"),
+}
+
+
+def _add_command(sub, name: str, summary: str, *options: str) -> None:
+    cmd = sub.add_parser(name, help=summary)
+    cmd.add_argument("--func", help="function spec (power-sum grammar)")
+    cmd.add_argument("--func-file", help="two-column CSV of samples")
+    cmd.add_argument("--grid", default="1:101",
                      help="output grid as x_max:points, default 1:101")
-    sub.add_argument("--output", help="write to this path instead of stdout")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--nodes", type=int,
-                     help="starting quadrature node count")
-    sub.add_argument("--tol", type=float,
-                     help="relative tolerance (quadrature / time stepping)")
-    if gravity:
-        sub.add_argument("--gravity", type=float, default=0.5,
-                         help="gravity parameter g, default 0.5")
-    if backend:
-        sub.add_argument(
-            "--backend",
-            choices=("series", "convolution", "theorem", "numeric"),
-            help="solution route (default: picked from the input type)",
-        )
+    cmd.add_argument("--output", help="write to this path instead of stdout")
+    cmd.add_argument("--format", choices=("csv", "json"), default="csv")
+    for option in options:
+        cmd.add_argument(f"--{option}", **_OPTIONS[option])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -281,15 +282,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "and tautochrone simulation.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    _add_common(sub.add_parser("solve", help="recover arc length s from psi"),
-                backend=True)
-    _add_common(sub.add_parser("forward", help="descent-time function of a curve"))
-    _add_common(sub.add_parser("frac-int", help="fractional integral on a grid"))
-    _add_common(sub.add_parser("frac-der", help="fractional derivative on a grid"))
-    _add_common(sub.add_parser("curve", help="reconstruct the plane curve"),
-                gravity=True)
-    _add_common(sub.add_parser("simulate", help="descent times along the sampled curve"),
-                gravity=True)
+    _add_command(sub, "solve", "recover arc length s from psi",
+                 "order", "nodes", "tol", "backend")
+    _add_command(sub, "forward", "descent-time function of a curve", "order", "nodes", "tol")
+    _add_command(sub, "frac-int", "fractional integral on a grid", "order", "nodes", "tol")
+    _add_command(sub, "frac-der", "fractional derivative on a grid", "order", "nodes", "tol")
+    _add_command(sub, "curve", "reconstruct the plane curve")
+    _add_command(sub, "simulate", "descent times along the sampled curve",
+                 "gravity", "tol")
     sub.add_parser("verify", help="run the built-in verification suite")
     return p
 
@@ -361,7 +361,7 @@ def _frac_der(f, n, xs, cfg):
 def _cmd_curve(args) -> tuple[list[str], list[tuple]]:
     f = _resolve_function(args)
     grid = _parse_grid(args.grid)
-    curve = reconstruct_curve(f, grid.x_max, grid.points, args.gravity)
+    curve = reconstruct_curve(f, grid.x_max, grid.points)
     return ["x", "s", "y"], [
         (float(x), float(s), float(y))
         for x, s, y in zip(curve.xs, curve.s, curve.y)
@@ -427,16 +427,9 @@ def _to_csv(header: list[str], rows: list[tuple]) -> str:
 
 
 def _to_json(args, header: list[str], rows: list[tuple]) -> str:
-    params = {
-        "func": args.func,
-        "func_file": args.func_file,
-        "order": args.order,
-        "grid": args.grid,
-        "format": args.format,
-    }
-    for name in ("gravity", "backend", "nodes", "tol"):
-        if hasattr(args, name):
-            params[name] = getattr(args, name)
+    names = ("func", "func_file", "order", "grid", "format", "gravity", "backend",
+             "nodes", "tol")
+    params = {name: getattr(args, name) for name in names if hasattr(args, name)}
     doc = {
         "command": args.command,
         "params": params,

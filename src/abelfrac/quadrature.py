@@ -34,9 +34,9 @@ moments of every cell are integrated in closed form (product
 integration), which is exact for the interpolant.  Other callables and
 the mechanics layer are sampled.
 
-Both routes also take 1-d arrays of limits and evaluate the whole grid in
-one vectorised pass; the sampled route takes a float as a one-point
-grid.  Gauss-Jacobi is affine-invariant, so the nodes of
+Every route also takes 1-d arrays of limits and evaluates the whole grid
+in one vectorised pass; the sampled and tabulated routes take a float as
+a one-point grid.  Gauss-Jacobi is affine-invariant, so the nodes of
 every interval are a + (b - a)(1 + xi)/2 and one matrix product gives the
 integral over all of them; each point still stops doubling at its own
 tolerance.
@@ -515,9 +515,9 @@ def singular_integral(
     smooth.  A PowerSum factors its own leading power in too and takes
     rule moments (:func:`_power_sum_integral`).  With the default 0, a
     PiecewisePowerSum is first segment plus jumps
-    (:func:`_piecewise_kernel`) and a TabulatedFunction goes through
-    product integration (:func:`singular_integral_tabulated`).  Anything
-    else is sampled at the nodes.
+    (:func:`_piecewise_kernel`).  A TabulatedFunction goes through product
+    integration (:func:`singular_integral_tabulated`) and takes no left
+    weight (DomainError).  Anything else is sampled at the nodes.
 
     x is a float, or a 1-d array of upper limits evaluated in one pass
     with each value the one a scalar call gives, up to rounding.
@@ -534,7 +534,9 @@ def singular_integral(
         return _power_sum_integral(terms, x, p, le + d, cfg)
     if le == 0.0 and isinstance(g, PiecewisePowerSum):
         return _piecewise_kernel(g, x, p, cfg)
-    if le == 0.0 and isinstance(g, TabulatedFunction):
+    if isinstance(g, TabulatedFunction):
+        if le != 0.0:
+            raise DomainError("a left weight is not supported for tabulated input")
         return singular_integral_tabulated(g, x, p)
     return _jacobi_integral(g, 0.0, x, p, le, cfg)
 
@@ -628,57 +630,32 @@ def singular_integral_tabulated(f: TabulatedFunction, x, p):
     kernel moments are integrated in closed form, so the only error is the
     linear interpolation of f itself.
 
-    x may also be a 1-d array of upper limits; the cell weights are then
-    built once for the grid.  When x is the table's own uniform grid they
-    depend only on the lag between output point and cell, so the
-    lower-triangular Toeplitz product is one convolution per moment.  Any
-    other grid gets the same weights in dense row blocks that span only
-    the cells below each row's x.  That convolution gives the integral at
-    every node of a uniform table; it is cached per (table, order), and
-    scalar calls at a node read it too.
+    x is a float or a 1-d array of upper limits in [0, x_max]; a float is
+    the one-point grid.  When every point of the grid is a node of a
+    uniform table (within _NODE_RTOL, as :func:`_node_index` has it) the
+    values are read from the table's node integrals, one Toeplitz
+    convolution cached per (table, order) (:func:`_node_integrals`).  Any
+    other grid gets the cell weights in dense row blocks that span only
+    the cells below each row's x (:func:`_tabulated_dense`).
     """
     p = _order_like(p)
     x = _limits(x, "upper limits must be a scalar or a 1-d array")
-    if not isinstance(x, float):
-        return _tabulated_grid(f, x, p)
-    if x < 0.0 or x > f.x_max * (1.0 + 1e-12):
-        raise DomainError(f"x = {x!r} outside tabulated range [0, {f.x_max!r}]")
-    if x == 0.0:
-        return 0.0
-    x = min(x, f.x_max)
-    k = _node_index(f, x)
-    nodes = None if k is None else _node_integrals(f, p)
-    if nodes is not None:
-        return float(nodes[k])
-    return _tabulated_point(f, x, p)
-
-
-def _tabulated_point(f: TabulatedFunction, x: float, p: float) -> float:
-    """K[f](x) for one 0 < x <= x_max, summed cell by cell."""
-    inside = f.xs < x
-    nodes = np.append(f.xs[inside], x)
-    vals = np.append(f.values[inside], f(x))
-    if nodes.size < 2:
-        return 0.0
-    a = nodes[:-1]
-    b = nodes[1:]
-    fa = vals[:-1]
-    slope = (vals[1:] - fa) / (b - a)
-    m0, m1 = _cell_moments(x - a, np.maximum(x - b, 0.0), p)
-    return float(np.dot(fa, m0) + np.dot(slope, m1))
-
-
-def _tabulated_grid(f: TabulatedFunction, xs: np.ndarray, p: float) -> np.ndarray:
-    bad = (xs < 0.0) | (xs > f.x_max * (1.0 + 1e-12))
+    if isinstance(x, float):
+        return float(singular_integral_tabulated(f, np.array([x]), p)[0])
+    bad = (x < 0.0) | (x > f.x_max * (1.0 + 1e-12))
     if bad.any():
         raise DomainError(
-            f"x = {float(xs[bad][0])!r} outside tabulated range [0, {f.x_max!r}]"
+            f"x = {float(x[bad][0])!r} outside tabulated range [0, {f.x_max!r}]"
         )
-    if np.array_equal(xs, f.xs):
+    x = np.minimum(x, f.x_max)
+    h = f.x_max / (f.xs.size - 1)
+    # x <= x_max, so every k is at most the last node's index
+    k = np.rint(x / h)
+    if x.size and np.all(np.abs(x - k * h) <= _NODE_RTOL * x):
         nodes = _node_integrals(f, p)
         if nodes is not None:
-            return nodes.copy()
-    return _tabulated_dense(f, np.minimum(xs, f.x_max), p)
+            return nodes[k.astype(np.intp)]
+    return _tabulated_dense(f, x, p)
 
 
 def _is_uniform(t: np.ndarray) -> bool:

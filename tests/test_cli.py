@@ -287,6 +287,23 @@ class TestOutputContracts:
         assert doc["command"] == "solve"
         assert [[r["x"], r["s"]] for r in doc["rows"]] == rows
 
+    @pytest.mark.parametrize(
+        "command, keys",
+        [
+            (["solve", "--func", "1.0"],
+             ["func", "func_file", "order", "grid", "format", "backend", "nodes", "tol"]),
+            (["forward", "--func", "2*a^1"],
+             ["func", "func_file", "order", "grid", "format", "nodes", "tol"]),
+            (["curve", "--func", "2*a^1"], ["func", "func_file", "grid", "format"]),
+            (["simulate", "--func", "2*a^1"],
+             ["func", "func_file", "grid", "format", "gravity", "tol"]),
+        ],
+    )
+    def test_json_params_are_the_options_the_command_takes(self, command, keys, capsys):
+        code, out, _ = run_cli(command + ["--grid", "1:3", "--format", "json"], capsys)
+        assert code == 0
+        assert list(json.loads(out)["params"]) == keys
+
     def test_csv_values_round_trip_exactly(self, capsys):
         # shortest-repr floats: parsing the text reproduces the doubles
         _, out, _ = run_cli(
@@ -318,6 +335,13 @@ class TestUsageErrors:
             ["forward", "--func", "2*a^0.5", "--tol", "inf"],
             ["solve", "--func", "piecewise: [0,1] 1.0 + a^0.5 ; [1,3] 0.5 + 1.5*a^0.5",
              "--backend", "convolution", "--nodes", "2", "--tol", "inf"],
+            # options a command does not use are not accepted
+            ["curve", "--func", "2*a^1", "--order", "0.3"],
+            ["curve", "--func", "2*a^1", "--nodes", "2"],
+            ["curve", "--func", "2*a^1", "--tol", "1e-3"],
+            ["curve", "--func", "2*a^1", "--gravity", "9"],
+            ["simulate", "--func", "2*a^1", "--order", "0.3"],
+            ["simulate", "--func", "2*a^1", "--nodes", "2"],
         ],
     )
     def test_exit_2(self, args, capsys):

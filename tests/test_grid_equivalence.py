@@ -2,10 +2,10 @@
 
 solve_on_grid evaluates a whole grid in one vectorised pass; every value
 must equal what the scalar route returns for that point alone, including
-where the node cap makes it return or raise.  The references are built from
-the scalar public routines (singular_integral, singular_integral_tabulated),
-which keep their own per-point implementations.  The kernel integrals, the
-operators and forward take a 1-d x too, and are held to the same rule.
+where the node cap makes it return or raise.  The references are the float
+calls of the public routines (singular_integral, singular_integral_tabulated),
+each point on its own.  The kernel integrals, the operators and forward take
+a 1-d x too, and are held to the same rule.
 """
 
 import itertools
@@ -312,7 +312,7 @@ class TestOperatorsOnArrays:
 class TestOneDispatch:
     """singular_integral picks the route of each representation, so it
     equals kernel_integral on every input; with a left weight, piecewise
-    and tabulated input are sampled like any callable."""
+    input is sampled like any callable and tabulated input is refused."""
 
     @pytest.mark.parametrize("name", list(INPUTS))
     def test_singular_integral_is_kernel_integral(self, name):
@@ -322,16 +322,19 @@ class TestOneDispatch:
         for x in xs:
             assert singular_integral(f, float(x), N) == kernel_integral(f, float(x), N)
 
-    @pytest.mark.parametrize(
-        "f",
-        # a one-cell table: the kinks of a longer one stall the sampled rule
-        [INPUTS["piecewise"], TabulatedFunction([0.0, 1.0], [1.0, 3.0])],
-        ids=["piecewise", "tabulated"],
-    )
+    @pytest.mark.parametrize("f", [INPUTS["piecewise"]], ids=["piecewise"])
     def test_left_weight_samples_the_input(self, f):
         got = singular_integral(f, 0.8, N, left_exponent=0.25)
         sampled = singular_integral(lambda t: f(t), 0.8, N, left_exponent=0.25)
         assert got == sampled
+
+    @pytest.mark.parametrize("x", [0.8, np.array([0.2, 0.8])], ids=["float", "grid"])
+    def test_left_weight_on_tabulated_input_is_a_domain_error(self, x):
+        # product integration takes no left weight, and sampling the
+        # interpolant under one stalls at its kinks
+        f = TabulatedFunction([0.0, 1.0], [1.0, 3.0])
+        with pytest.raises(DomainError, match="left weight"):
+            singular_integral(f, x, N, left_exponent=0.25)
 
     @pytest.mark.parametrize("derivative", [False, True])
     @pytest.mark.parametrize("name", ["power_sum", "piecewise", "piecewise_fractional"])

@@ -2,9 +2,10 @@
 
 On a uniform table the product-integration integral J = K[f] at every
 node comes from one lag-only (Toeplitz) convolution, kept per (table,
-order) by ``quadrature._node_integrals``.  On-node scalar calls and the
-derivative kernel's differences read it; everything else takes the
-cell-by-cell route ``quadrature._tabulated_point``, which is the reference
+order) by ``quadrature._node_integrals``.  A grid (a float is the
+one-point grid) whose points are all nodes of a uniform table, and the
+derivative kernel's differences at a node, read it; everything else takes
+the dense cell sum ``quadrature._tabulated_dense``, which is the reference
 here.
 """
 
@@ -13,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from abelfrac import TabulatedFunction, caputo_derivative
+from abelfrac import DomainError, TabulatedFunction, caputo_derivative
 from abelfrac import quadrature
 from abelfrac.quadrature import singular_integral_tabulated, tabulated_derivative_kernel
 
@@ -41,11 +42,21 @@ def empty_cache():
     quadrature._node_integrals.cache_clear()
 
 
-def _forbid_toeplitz(monkeypatch):
-    def fail(*args):
-        raise AssertionError("the node integrals must not be built here")
+def _cell_sum(f, x, p):
+    """K[f](x) for one float x from the dense cell sum."""
+    return float(quadrature._tabulated_dense(f, np.array([x]), p)[0])
 
-    monkeypatch.setattr(quadrature, "_tabulated_toeplitz", fail)
+
+def _forbid(monkeypatch, name):
+    def fail(*args):
+        raise AssertionError(f"{name} must not run here")
+
+    monkeypatch.setattr(quadrature, name, fail)
+
+
+def _forbid_toeplitz(monkeypatch):
+    # the node integrals are not built
+    _forbid(monkeypatch, "_tabulated_toeplitz")
 
 
 class TestOnNodeValues:
@@ -55,7 +66,7 @@ class TestOnNodeValues:
         grid = singular_integral_tabulated(f, f.xs, p)
         scalar = [singular_integral_tabulated(f, float(x), p) for x in f.xs]
         assert np.array_equal(scalar, grid)
-        cells = [quadrature._tabulated_point(f, float(x), p) for x in f.xs[1:]]
+        cells = quadrature._tabulated_dense(f, f.xs[1:], p)
         assert _rel(scalar[1:], cells) <= 1e-13
         assert scalar[0] == 0.0
 
@@ -141,9 +152,7 @@ class TestBypass:
     def test_off_node_value_is_the_cell_sum(self):
         f = _uniform()
         x = 0.5 * float(f.xs[10] + f.xs[11])
-        assert singular_integral_tabulated(f, x, 0.5) == quadrature._tabulated_point(
-            f, x, 0.5
-        )
+        assert singular_integral_tabulated(f, x, 0.5) == _cell_sum(f, x, 0.5)
 
     def test_perturbed_table_takes_the_cell_route(self, monkeypatch):
         t = np.linspace(0.0, 1.0, 201)
@@ -153,9 +162,46 @@ class TestBypass:
         for x in t[1::20]:
             x = float(x)
             got = singular_integral_tabulated(f, x, 0.5)
-            assert got == quadrature._tabulated_point(f, x, 0.5)
+            assert got == _cell_sum(f, x, 0.5)
             tabulated_derivative_kernel(f, x, 0.5)
         assert quadrature._node_integrals(f, 0.5) is None
+
+
+class TestGridRouting:
+    @pytest.mark.parametrize("p", ORDERS)
+    def test_every_50th_node_reads_the_own_grid_values(self, p, monkeypatch):
+        f = _uniform(size=1001, x_max=1.0, seed=6)
+        own = singular_integral_tabulated(f, f.xs, p)
+        _forbid(monkeypatch, "_tabulated_dense")
+        assert np.array_equal(singular_integral_tabulated(f, f.xs[::50], p), own[::50])
+        # np.linspace's 21 points are within a few ulps of those nodes
+        x21 = np.linspace(0.0, 1.0, 21)
+        assert np.array_equal(singular_integral_tabulated(f, x21, p), own[::50])
+
+    def test_one_point_off_the_nodes_takes_the_dense_sum(self, monkeypatch):
+        f = _uniform(size=1001, x_max=1.0, seed=7)
+        xs = f.xs[::50].copy()
+        xs[7] = 0.5 * float(f.xs[350] + f.xs[351])
+        _forbid_toeplitz(monkeypatch)
+        got = singular_integral_tabulated(f, xs, 0.5)
+        assert np.array_equal(got, quadrature._tabulated_dense(f, xs, 0.5))
+        info = quadrature._node_integrals.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+    def test_empty_grid_builds_nothing(self, monkeypatch):
+        _forbid_toeplitz(monkeypatch)
+        got = singular_integral_tabulated(_uniform(), np.array([]), 0.5)
+        assert got.shape == (0,)
+
+    def test_points_past_x_max_by_rounding_read_the_last_node(self):
+        f = _uniform(size=101, x_max=1.7)
+        own = singular_integral_tabulated(f, f.xs, 0.5)
+        past = 1.7 * (1.0 + 1e-13)
+        assert singular_integral_tabulated(f, past, 0.5) == own[-1]
+        with pytest.raises(DomainError):
+            singular_integral_tabulated(f, np.array([0.5, 1.7 * (1.0 + 1e-11)]), 0.5)
+        with pytest.raises(DomainError):
+            singular_integral_tabulated(f, -1e-300, 0.5)
 
 
 class TestCacheKey:
@@ -176,14 +222,12 @@ class TestCacheKey:
         a = singular_integral_tabulated(f, x, 0.25)
         b = singular_integral_tabulated(f, x, 0.75)
         assert quadrature._node_integrals.cache_info().misses == 2
-        assert a == pytest.approx(quadrature._tabulated_point(f, x, 0.25), rel=1e-13)
-        assert b == pytest.approx(quadrature._tabulated_point(f, x, 0.75), rel=1e-13)
+        assert a == pytest.approx(_cell_sum(f, x, 0.25), rel=1e-13)
+        assert b == pytest.approx(_cell_sum(f, x, 0.75), rel=1e-13)
 
     def test_on_node_differences_are_lookups(self, monkeypatch):
-        def fail(*args):
-            raise AssertionError("an on-node difference summed the cells")
-
-        monkeypatch.setattr(quadrature, "_tabulated_point", fail)
+        # an on-node difference does not sum the cells
+        _forbid(monkeypatch, "_tabulated_dense")
         # uniform to 3 ulps but not np.linspace's rounding: the float points
         # x +- step then drift off the nodes, the node indices do not
         t = np.linspace(0.0, 1.7, 1001)
