@@ -372,9 +372,10 @@ def _cmd_simulate(args) -> tuple[list[str], list[tuple]]:
     f = _resolve_function(args)
     grid = _parse_grid(args.grid)
     rel_tol = args.tol if args.tol is not None else 1e-9
-    # the curve itself is sampled finer than the requested output grid so
-    # interpolation error does not dominate the simulated times
-    fine = max(1001, 2 * (grid.points - 1) + 1)
+    # sample the curve finer than the output grid, and a table at no fewer
+    # points than its rows, so interpolation error does not dominate T
+    fine = max(1001, 2 * (grid.points - 1) + 1,
+               f.xs.size if isinstance(f, TabulatedFunction) else 0)
     curve = reconstruct_curve(f, grid.x_max, fine, args.gravity)
     rows = []
     for a in np.linspace(0.0, grid.x_max, grid.points):

@@ -275,7 +275,7 @@ class TabulatedFunction:
         if xs.size < 2:
             raise DomainError("need at least two samples")
         if xs[0] != 0.0:
-            raise DomainError(f"grid must start at 0, got xs[0] = {xs[0]!r}")
+            raise DomainError(f"grid must start at 0, got xs[0] = {float(xs[0])!r}")
         if not np.all(np.diff(xs) > 0.0):
             raise DomainError("grid must be strictly increasing")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(values))):
@@ -301,31 +301,9 @@ class TabulatedFunction:
 
     def derivative_values(self) -> np.ndarray:
         """Second-order finite-difference slopes on the (nonuniform) grid."""
-        x, f = self.xs, self.values
-        if x.size < 3:
+        if self.xs.size < 3:
             raise DomainError("need at least three samples to differentiate")
-        d = np.empty_like(f)
-        h0 = x[1:-1] - x[:-2]
-        h1 = x[2:] - x[1:-1]
-        d[1:-1] = (
-            -h1 / (h0 * (h0 + h1)) * f[:-2]
-            + (h1 - h0) / (h0 * h1) * f[1:-1]
-            + h0 / (h1 * (h0 + h1)) * f[2:]
-        )
-        # 3-point one-sided ends
-        ha, hb = x[1] - x[0], x[2] - x[1]
-        d[0] = (
-            -(2 * ha + hb) / (ha * (ha + hb)) * f[0]
-            + (ha + hb) / (ha * hb) * f[1]
-            - ha / (hb * (ha + hb)) * f[2]
-        )
-        hc, hd = x[-2] - x[-3], x[-1] - x[-2]
-        d[-1] = (
-            hd / (hc * (hc + hd)) * f[-3]
-            - (hc + hd) / (hc * hd) * f[-2]
-            + (hc + 2 * hd) / (hd * (hc + hd)) * f[-1]
-        )
-        return d
+        return np.gradient(self.values, self.xs, edge_order=2)
 
 
 FunctionSpec = Union[PowerSum, PiecewisePowerSum, TabulatedFunction]

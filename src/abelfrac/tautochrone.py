@@ -129,8 +129,8 @@ class CurveSamples:
         if off.any():
             i = int(np.argmax(off))
             raise DomainError(
-                f"cell [{xs[i]!r}, {xs[i+1]!r}] violates ds^2 = dx^2 + dy^2 "
-                f"(residual {residual[i]:.3e} vs ds^2 {ds[i]**2:.3e})"
+                f"cell [{float(xs[i])!r}, {float(xs[i+1])!r}] violates "
+                f"ds^2 = dx^2 + dy^2 (residual {residual[i]:.3e} vs ds^2 {ds[i]**2:.3e})"
             )
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "s", s)
@@ -287,8 +287,10 @@ def reconstruct_curve(
     y is the running sum of the cell integrals of sqrt(s'**2 - 1), all
     cells of a span evaluated in one vectorised pass; the start
     singularity of s' (e.g. the x**(-1/2) of s = k sqrt(x)) is
-    integrable and handled on the first cell alone.  Raises
-    InfeasibleCurveError where s' < 1 - 1e-9.
+    integrable and handled on the first cell alone.  A tabulated s is
+    its linear interpolant, so its curve is the polygon through the
+    samples, with no finite differences.  Raises InfeasibleCurveError
+    where s' (a tabulated s: a secant) < 1 - 1e-9.
     """
     x_max = float(x_max)
     if not (math.isfinite(x_max) and x_max > 0.0):
@@ -311,24 +313,22 @@ def reconstruct_curve(
 
 
 def _reconstruct_tabulated(s: TabulatedFunction, xs: np.ndarray, g: float) -> CurveSamples:
-    # data-limited path: slopes from finite differences at the data
-    # nodes, y by trapezoid on the data grid, then both resampled
+    """The polygon through the samples, read at xs: each data cell up to
+    xs[-1] is a straight segment running dy = sqrt(ds^2 - dx^2)."""
     if xs[-1] > s.x_max * (1.0 + 1e-12):
         raise DomainError(
-            f"x_max {xs[-1]!r} exceeds tabulated range {s.x_max!r}"
+            f"x_max {float(xs[-1])!r} exceeds tabulated range {s.x_max!r}"
         )
-    slopes = s.derivative_values()
-    bad = slopes < 1.0 - FEASIBILITY_SLACK
+    n = int(np.searchsorted(s.xs, xs[-1])) + 1  # through the first node >= xs[-1]
+    x_data = s.xs[:n]
+    dx, ds = np.diff(x_data), np.diff(s.values[:n])
+    secant = ds / dx
+    bad = secant < 1.0 - FEASIBILITY_SLACK
     if bad.any():
         i = int(np.argmax(bad))
-        raise InfeasibleCurveError(float(s.xs[i]), float(slopes[i]))
-    w = np.sqrt(np.maximum(slopes**2 - 1.0, 0.0))
-    y_data = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * np.diff(s.xs)))
-    )
-    return CurveSamples(
-        xs, s(xs), np.interp(xs, s.xs, y_data), g
-    )
+        raise InfeasibleCurveError(float(0.5 * (x_data[i] + x_data[i + 1])), float(secant[i]))
+    y_data = np.concatenate(([0.0], np.cumsum(np.sqrt(np.maximum(ds**2 - dx**2, 0.0)))))
+    return CurveSamples(xs, s(xs), np.interp(xs, x_data, y_data), g)
 
 
 def descent_time_integral(

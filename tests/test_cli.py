@@ -227,6 +227,44 @@ class TestCurveAndSimulate:
         assert rows_2[2][1] == pytest.approx(rows_half[2][1] / 2.0, rel=1e-10)
 
 
+class TestSolveOutputPipesIn:
+    """solve writes s as an 'x,s' table, and curve and simulate read it
+    back as the polygon through its rows."""
+
+    @staticmethod
+    def _solve(psi, rows, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        code, _, _ = run_cli(
+            ["solve", "--func", psi, "--grid", f"1:{rows}", "--output", str(path)], capsys
+        )
+        assert code == 0
+        return str(path)
+
+    @pytest.mark.parametrize("rows", [101, 1001])
+    @pytest.mark.parametrize(
+        "psi, code", [("4 + 1*a^1", 0), ("4 + 0.5*a^2", 0), ("2", 3), ("2*a^1 + 1*a^2", 3)]
+    )
+    def test_exit_codes(self, psi, code, rows, tmp_path, capsys):
+        path = self._solve(psi, rows, tmp_path, capsys)
+        for command in ("curve", "simulate"):
+            got, _, err = run_cli(
+                [command, "--func-file", path, "--grid", f"1:{rows}"], capsys
+            )
+            assert got == code, err
+
+    @pytest.mark.parametrize("rows, tol", [(1001, 1e-5), (10001, 2e-7)])
+    def test_simulated_times_read_psi(self, rows, tol, tmp_path, capsys):
+        # the curve keeps every row of the table (steps counts its cells);
+        # resampled to 1001 points, a 10001-row table reads T only to 2.7e-6
+        path = self._solve("4 + 1*a^1", rows, tmp_path, capsys)
+        code, out, _ = run_cli(["simulate", "--func-file", path, "--grid", "1:5"], capsys)
+        assert code == 0
+        _, table = csv_rows(out)
+        for a, T, steps, _res in table[1:]:
+            assert abs(T - (4.0 + a)) <= tol * (4.0 + a)
+            assert steps == round(a * (rows - 1))
+
+
 class TestInputFiles:
     @pytest.mark.parametrize("header", ["x,value", "x,s", "a,psi"])
     def test_accepted_headers(self, header, tmp_path, capsys):
