@@ -126,13 +126,13 @@ def forward(
     nn = _order_like(n)
     if isinstance(a, float) or not np.ndim(a):
         a = float(a)
-        if a < 0.0:
+        if not a >= 0.0:
             raise DomainError(f"release height must be >= 0, got {a!r}")
         if a == 0.0:
             return 0.0
         return gamma(1.0 - nn) * caputo_derivative(s, nn, a, cfg, backend="quadrature")
     a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or np.any(a < 0.0):
+    if a.ndim != 1 or not np.all(a >= 0.0):
         raise DomainError("release heights must be a 1-d array of values >= 0")
     out = np.zeros(a.shape)
     pos = a > 0.0

@@ -138,7 +138,8 @@ def _operator_args(f, x, backend: str, at_zero: bool):
         if x.ndim != 1:
             raise DomainError("x must be a scalar or a 1-d array")
         low = float(np.min(x, initial=math.inf))
-    if low < 0.0 or (low == 0.0 and not at_zero):
+    # written so that a nan low fails it
+    if not (low > 0.0 or (at_zero and low == 0.0)):
         raise DomainError(f"x must be {'>=' if at_zero else '>'} 0, got {low!r}")
     if backend not in ("auto", "exact", "quadrature"):
         raise DomainError(f"unknown backend {backend!r}")
@@ -240,7 +241,7 @@ def composition_check(
     """
     nn = float(as_order(n))
     x = float(x)
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError(f"x must be > 0, got {x!r}")
     f0 = float(f(0.0))
     if abs(f0) > 1e-12 * max(1.0, abs(float(f(x)))):

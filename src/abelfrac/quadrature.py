@@ -384,12 +384,18 @@ def _order_like(p) -> float:
 
 
 def _limits(x, error: str = "limits must be scalars or 1-d arrays"):
-    """x as a float, or as a 1-d float array."""
+    """x as a float, or as a 1-d float array; nan, which passes every
+    range check, is a DomainError."""
     if isinstance(x, float) or not np.ndim(x):
-        return float(x)
+        x = float(x)
+        if x != x:
+            raise DomainError(f"limit must be a number, got {x!r}")
+        return x
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DomainError(error)
+    if np.isnan(x).any():
+        raise DomainError("limits must be numbers, got nan")
     return x
 
 
@@ -632,11 +638,11 @@ def singular_integral_tabulated(f: TabulatedFunction, x, p):
 
     x is a float or a 1-d array of upper limits in [0, x_max]; a float is
     the one-point grid.  When every point of the grid is a node of a
-    uniform table (within _NODE_RTOL, as :func:`_node_index` has it) the
-    values are read from the table's node integrals, one Toeplitz
-    convolution cached per (table, order) (:func:`_node_integrals`).  Any
-    other grid gets the cell weights in dense row blocks that span only
-    the cells below each row's x (:func:`_tabulated_dense`).
+    uniform table (:func:`_node_indices`) the values are read from the
+    table's node integrals, one Toeplitz convolution cached per (table,
+    order) (:func:`_node_integrals`).  Any other grid gets the cell weights
+    in dense row blocks that span only the cells below each row's x
+    (:func:`_tabulated_dense`).
     """
     p = _order_like(p)
     x = _limits(x, "upper limits must be a scalar or a 1-d array")
@@ -648,28 +654,27 @@ def singular_integral_tabulated(f: TabulatedFunction, x, p):
             f"x = {float(x[bad][0])!r} outside tabulated range [0, {f.x_max!r}]"
         )
     x = np.minimum(x, f.x_max)
-    h = f.x_max / (f.xs.size - 1)
-    # x <= x_max, so every k is at most the last node's index
-    k = np.rint(x / h)
-    if x.size and np.all(np.abs(x - k * h) <= _NODE_RTOL * x):
+    k = _node_indices(f.xs, x) if x.size else None
+    if k is not None:
         nodes = _node_integrals(f, p)
         if nodes is not None:
-            return nodes[k.astype(np.intp)]
+            return nodes[k]
     return _tabulated_dense(f, x, p)
 
 
-def _is_uniform(t: np.ndarray) -> bool:
-    """Nodes equal to k * h up to a few ulps of each node (np.linspace
-    grids qualify), so lag-only weights match the per-node ones."""
-    k = np.arange(t.size)
+def _node_indices(t: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """k with every x = k * h, h = t[-1] / (t.size - 1), to within a few
+    ulps of x (_NODE_RTOL; np.linspace grids meet it at every node), or
+    None if some point is off those nodes.  x <= t[-1], so k < t.size."""
     h = t[-1] / (t.size - 1)
-    return bool(np.all(np.abs(t - k * h) <= _NODE_RTOL * t))
+    k = np.rint(x / h)
+    if np.all(np.abs(x - k * h) <= _NODE_RTOL * x):
+        return k.astype(np.intp)
+    return None
 
 
 def _node_index(f: TabulatedFunction, x: float) -> int | None:
-    """k when x is node k * h, h = x_max / (size - 1), to within
-    _NODE_RTOL: the nodes :func:`_node_integrals` holds when the table is
-    uniform."""
+    """:func:`_node_indices` for one float x: k when x is node k * h."""
     h = f.x_max / (f.xs.size - 1)
     k = round(x / h)
     if k < f.xs.size and abs(x - k * h) <= _NODE_RTOL * x:
@@ -677,18 +682,30 @@ def _node_index(f: TabulatedFunction, x: float) -> int | None:
     return None
 
 
-# Holds K[f] at every node of the last few (table, order) pairs, one
-# read-only array of table size each; non-uniform tables map to None.  The
-# key is the table's identity (TabulatedFunction compares by identity) and
-# its samples are read-only, so an entry cannot go stale, and the cache's
-# own reference keeps the id from being reused while the entry lives.
+# Hold K[f], and K[f'] (_node_derivatives), at every node of the last few
+# (table, order) pairs as read-only arrays; non-uniform tables map to None.
+# The key is the table's identity (TabulatedFunction compares by identity)
+# and its samples are read-only, so an entry cannot go stale, and the
+# cache's own reference keeps the id from being reused while it lives.
 @lru_cache(maxsize=8)
 def _node_integrals(f: TabulatedFunction, p: float) -> np.ndarray | None:
-    if not _is_uniform(f.xs):
+    k = _node_indices(f.xs, f.xs)
+    if k is None or np.any(np.diff(k) != 1):  # two samples at one node
         return None
     nodes = _tabulated_toeplitz(f.xs, f.values, p)
     nodes.setflags(write=False)
     return nodes
+
+
+@lru_cache(maxsize=8)
+def _node_derivatives(f: TabulatedFunction, p: float) -> np.ndarray | None:
+    nodes = _node_integrals(f, p) if f.xs.size >= 3 else None
+    if nodes is None:
+        return None
+    g = nodes - float(f.values[0]) * f.xs**p / p
+    slopes = np.gradient(g, f.x_max / (f.xs.size - 1), edge_order=2)
+    slopes.setflags(write=False)
+    return slopes
 
 
 def _tabulated_toeplitz(t, v, p: float) -> np.ndarray:
@@ -741,58 +758,38 @@ def tabulated_derivative_kernel(f: TabulatedFunction, x: float, p) -> float:
     Finite differencing the sampled values and then integrating loses the
     derivative mass near a steep left end (slopes of sqrt-like data are not
     representable on a uniform grid), so instead this differentiates the
-    values-form integral in x:
+    values-form integral of f - f(0) in x:
 
-        d/dx K[f](x) = K[f'](x) + f(0) * x**(p-1)
+        K[f'](x) = d/dx G(x),    G = K[f - f(0)] = K[f] - f(0) x**p / p.
 
     K[f] comes from product integration (exact for the interpolant) and is
-    smooth in x, so a second-order difference with a grid-sized step keeps
-    the overall error at the level of the interpolation of f itself.
-    When x is a node of a uniform table the differences take K[f] at the
-    neighbouring nodes, which the table's cached node integrals hold.
+    smooth in x.  The value is the slope at x of the quadratic through G
+    at c - h, c, c + h: h is the width of the cell holding x (at most
+    x_max / 2), and c is x, moved one step inward where x -+ h would leave
+    [0, x_max], then clipped to [h, x_max - h].  At the nodes of a uniform
+    table that is np.gradient's rule, cached (:func:`_node_derivatives`).
     """
     p = _order_like(p)
     x = float(x)
-    if x <= 0.0:
+    if not x > 0.0:
         raise DomainError(f"upper limit must be > 0, got {x!r}")
-    xs = f.xs
-    x_max = f.x_max
     k = _node_index(f, x)
-    nodes = None if k is None else _node_integrals(f, p)
+    nodes = None if k is None else _node_derivatives(f, p)
     if nodes is not None:
-        # x is within a few ulps of node k of a uniform table, so the
-        # first node >= x (what searchsorted gives) is k or k + 1
-        j = k if xs[k] >= min(x, x_max) else k + 1
-    else:
-        j = int(np.searchsorted(xs, min(x, x_max)))
-    j = min(max(j, 1), xs.size - 1)
-    step = float(xs[j]) - float(xs[j - 1])
-    if x - step < 0.0 and x + step > x_max:
-        # the cell holding x is wider than the room on either side of x:
-        # step over the longer side so the one-sided differences below
-        # stay in [0, x_max]
-        step = max(x, x_max - x)
-
-    def J(m: int) -> float:
-        """K[f] at x + m * step; on a uniform table's node, the cached
-        value at the node m places away."""
-        if nodes is not None:
-            return float(nodes[k + m])
-        return singular_integral_tabulated(f, x + m * step, p)
-
-    if x - step >= 0.0 and x + step <= x_max:
-        slope = (J(1) - J(-1)) / (2.0 * step)
-    elif x + step > x_max:
-        if x - 2.0 * step >= 0.0:
-            slope = (3.0 * J(0) - 4.0 * J(-1) + J(-2)) / (2.0 * step)
-        else:
-            slope = (J(0) - J(-1)) / step
-    else:
-        if x + 2.0 * step <= x_max:
-            slope = (-3.0 * J(0) + 4.0 * J(1) - J(2)) / (2.0 * step)
-        else:
-            slope = (J(1) - J(0)) / step
-    return float(slope) - float(f.values[0]) * x ** (p - 1.0)
+        return float(nodes[k])
+    xs, x_max = f.xs, f.x_max
+    top = x_max * (1.0 + 1e-12)
+    if x > top:
+        raise DomainError(f"x = {x!r} outside tabulated range [0, {x_max!r}]")
+    j = min(max(int(np.searchsorted(xs, x)), 1), xs.size - 1)
+    h = min(float(xs[j]) - float(xs[j - 1]), 0.5 * x_max)
+    # past x_max by rounding alone, x + h is left to the clip
+    c = x + h if x < h else x - h if x + h > top else x
+    c = min(max(c, h), x_max - h)
+    y = np.array([c - h, c, c + h])
+    g = singular_integral_tabulated(f, y, p) - float(f.values[0]) * y**p / p
+    u = (x - c) / h
+    return float((0.5 * (g[2] - g[0]) + u * (g[2] - 2.0 * g[1] + g[0])) / h)
 
 
 def _leading_exponent(terms, cfg: QuadratureConfig) -> float:

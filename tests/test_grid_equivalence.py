@@ -9,6 +9,7 @@ a 1-d x too, and are held to the same rule.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from abelfrac import (
     SolutionBackend,
     TabulatedFunction,
     caputo_derivative,
+    descent_time_integral,
     forward,
     kernel_integral,
     reflection_factor,
@@ -296,11 +298,25 @@ class TestOperatorsOnArrays:
             call(f, np.array([0.5, -0.25]))
         with pytest.raises(DomainError):
             call(f, -0.25)
+        # every comparison with nan is false: a range check must still see it
+        for bad in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(DomainError):
+                call(f, bad)
 
     @pytest.mark.parametrize("op", ["caputo_exact", "caputo_quadrature"])
     def test_derivative_at_zero_is_domain_error(self, op):
         with pytest.raises(DomainError):
             OPERATORS[op][0](INPUTS["power_sum"], np.array([0.5, 0.0]))
+
+    @pytest.mark.parametrize("name", DIFFERENTIABLE)
+    def test_nan_point_solve_is_domain_error(self, name):
+        # the one-point solvers and the descent time, which take a float
+        prob = AbelProblem(INPUTS[name], Order(0.5))
+        for call in (solve_convolution, solve_theorem):
+            with pytest.raises(DomainError):
+                call(prob, math.nan)
+        with pytest.raises(DomainError):
+            descent_time_integral(INPUTS[name], math.nan)
 
     @pytest.mark.parametrize("name", DIFFERENTIABLE)
     def test_forward_is_zero_at_zero(self, name):

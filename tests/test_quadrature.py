@@ -193,6 +193,25 @@ class TestOneEstimator:
         with pytest.raises(DomainError):
             left_weighted_integral(_one, limit, -1.5)
 
+    @pytest.mark.parametrize("form", sorted(CLOSED_FORMS))
+    @pytest.mark.parametrize("bad", [math.nan, np.array([0.5, math.nan])],
+                             ids=["float", "array"])
+    def test_nan_limit_is_domain_error(self, form, bad):
+        # every comparison with nan is false, so it would pass a range check
+        # and leave an empty interval (0) behind
+        with pytest.raises(DomainError):
+            CLOSED_FORMS[form][0](bad, 0.5, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, np.array([0.5, math.nan])],
+                             ids=["float", "array"])
+    def test_nan_limit_of_tabulated_input_is_domain_error(self, bad):
+        f = TabulatedFunction(np.linspace(0.0, 1.0, 11), np.linspace(1.0, 2.0, 11))
+        for call in (singular_integral_tabulated, kernel_integral):
+            with pytest.raises(DomainError):
+                call(f, bad, 0.5)
+        with pytest.raises(DomainError):
+            tabulated_derivative_kernel(f, math.nan, 0.5)
+
     def test_indexed_integrand_reads_its_intervals(self):
         # g(t, k) gets the column of interval positions of its rows; the
         # empty interval (position 1) is never sampled
@@ -305,6 +324,21 @@ class TestTabulatedDerivativeKernel:
         f = TabulatedFunction([0.0, 1.0], [0.0, 1.0])
         with pytest.raises(DomainError):
             tabulated_derivative_kernel(f, 0.0, 0.5)
+
+    @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("c0, c, e", [(1.0, 2.0, 1.0), (1.0, 1.0, 1.5), (2.0, 1.0, 0.75)])
+    def test_nonzero_value_at_zero(self, c0, c, e, p):
+        # f = c0 + c t**e: K[f'](x) = c e B(e, p) x**(e + p - 1), whatever
+        # c0; the rule differentiates K[f - f(0)], so c0 leaves no trace
+        # at the first nodes
+        xs = np.linspace(0.0, 1.0, 1001)
+        f = TabulatedFunction(xs, c0 + c * xs**e)
+        got = np.array([tabulated_derivative_kernel(f, float(x), p) for x in xs[1:]])
+        rel = np.abs(got / (c * e * _beta(e, p) * xs[1:] ** (e + p - 1.0)) - 1.0)
+        assert rel[0] <= 0.15
+        assert rel[1] <= 3e-2
+        assert np.max(rel[9:]) <= 2e-3
+        assert rel[-1] <= 5e-7
 
 
 class TestKernelIntegralDispatch:

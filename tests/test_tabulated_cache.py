@@ -1,12 +1,13 @@
-"""The node-integral cache of uniform tables.
+"""The node caches of uniform tables.
 
 On a uniform table the product-integration integral J = K[f] at every
 node comes from one lag-only (Toeplitz) convolution, kept per (table,
 order) by ``quadrature._node_integrals``.  A grid (a float is the
-one-point grid) whose points are all nodes of a uniform table, and the
-derivative kernel's differences at a node, read it; everything else takes
-the dense cell sum ``quadrature._tabulated_dense``, which is the reference
-here.
+one-point grid) whose points are all nodes of a uniform table reads it;
+everything else takes the dense cell sum ``quadrature._tabulated_dense``,
+which is the reference here.  The derivative kernel at a node reads
+``quadrature._node_derivatives``, the three-point rule on the node
+integrals of K[f - f(0)].
 """
 
 import math
@@ -35,11 +36,16 @@ def _rel(got, want):
     return float(np.max(np.abs(got - want) / np.abs(want)))
 
 
+CACHES = ("_node_integrals", "_node_derivatives")
+
+
 @pytest.fixture(autouse=True)
 def empty_cache():
-    quadrature._node_integrals.cache_clear()
+    for name in CACHES:
+        getattr(quadrature, name).cache_clear()
     yield
-    quadrature._node_integrals.cache_clear()
+    for name in CACHES:
+        getattr(quadrature, name).cache_clear()
 
 
 def _cell_sum(f, x, p):
@@ -57,6 +63,15 @@ def _forbid(monkeypatch, name):
 def _forbid_toeplitz(monkeypatch):
     # the node integrals are not built
     _forbid(monkeypatch, "_tabulated_toeplitz")
+
+
+def _rule(f, x, p, c, h):
+    """The slope at x of the quadratic through G = K[f - f(0)] at c - h,
+    c and c + h."""
+    y = np.array([c - h, c, c + h])
+    gm, g0, gp = singular_integral_tabulated(f, y, p) - float(f.values[0]) * y**p / p
+    u = (x - c) / h
+    return (0.5 * (gp - gm) + u * (gp - 2.0 * g0 + gm)) / h
 
 
 class TestOnNodeValues:
@@ -93,50 +108,41 @@ class TestOnNodeValues:
         xs = [float(x) for x in f.xs[1:]]
         got = [tabulated_derivative_kernel(f, x, 1.0 - n) for x in xs]
         caputo = [caputo_derivative(f, n, x) for x in xs]
-        monkeypatch.setattr(quadrature, "_node_integrals", lambda f, p: None)
+        for name in CACHES:
+            monkeypatch.setattr(quadrature, name, lambda f, p: None)
         want = [tabulated_derivative_kernel(f, x, 1.0 - n) for x in xs]
         want_caputo = [caputo_derivative(f, n, x) for x in xs]
         assert _rel(got, want) <= 1e-11
         assert _rel(caputo, want_caputo) <= 1e-11
 
     @pytest.mark.parametrize("p", ORDERS)
-    def test_derivative_on_node_differences_the_node_integrals(self, p):
+    def test_derivative_on_node_is_the_three_point_rule_on_the_node_integrals(self, p):
         f = _uniform(seed=2)
-        K = [singular_integral_tabulated(f, float(x), p) for x in f.xs]
+        nodes = quadrature._node_integrals(f, p)
+        G = nodes - float(f.values[0]) * f.xs**p / p
+        h = f.x_max / (f.xs.size - 1)
         last = f.xs.size - 1
-        f0 = float(f.values[0])
-        for k in (1, 2, last // 2, last):
+        for k in (1, 2, last // 2, last - 1):
             x = float(f.xs[k])
-            # the step is the width of the cell ending at x
-            h = x - float(f.xs[k - 1])
-            if k == last:
-                slope = (3.0 * K[k] - 4.0 * K[k - 1] + K[k - 2]) / (2.0 * h)
-            else:
-                slope = (K[k + 1] - K[k - 1]) / (2.0 * h)
-            assert tabulated_derivative_kernel(f, x, p) == slope - f0 * x ** (p - 1.0)
+            assert tabulated_derivative_kernel(f, x, p) == (G[k + 1] - G[k - 1]) / (2.0 * h)
+        # the last node: the quadratic through the last three nodes
+        want = (3.0 * G[last] - 4.0 * G[last - 1] + G[last - 2]) / (2.0 * h)
+        got = tabulated_derivative_kernel(f, float(f.xs[last]), p)
+        assert got == pytest.approx(want, rel=1e-12)
 
-    def test_derivative_near_node_steps_over_the_searched_cell(self):
-        # a point a few ulps off node k reads node k's neighbours, with the
-        # step of the cell np.searchsorted puts it in: k's own, or k + 1's
-        # (np.linspace cells differ in their last bits at about half the
-        # nodes of this table, so the two steps are not the same number)
+    def test_points_a_few_ulps_off_a_node_read_the_cache(self, monkeypatch):
         f = _uniform(size=1001, x_max=1.7, seed=4)
-        K = [singular_integral_tabulated(f, float(x), 0.5) for x in f.xs]
-        f0 = float(f.values[0])
-        widths = np.diff(f.xs)
-        assert np.any(widths[2:-1] != widths[1:-2])
-        # nodes 1 and 999 are left out: there x -+ h can leave [0, 1.7],
-        # and a one-sided difference is taken
-        for k in range(2, f.xs.size - 2):
+        on_node = [tabulated_derivative_kernel(f, float(x), 0.5) for x in f.xs[1:]]
+        # no cell sum runs: every value below is read from the cache
+        _forbid(monkeypatch, "_tabulated_dense")
+        for k in range(1, f.xs.size):
             node = float(f.xs[k])
             up = np.nextafter(node, 2.0)
             down = np.nextafter(node, 0.0)
-            for x in (node, up, np.nextafter(up, 2.0), down, np.nextafter(down, 0.0)):
-                x = float(x)
-                j = int(np.searchsorted(f.xs, x))
-                h = float(f.xs[j]) - float(f.xs[j - 1])
-                slope = (K[k + 1] - K[k - 1]) / (2.0 * h)
-                assert tabulated_derivative_kernel(f, x, 0.5) == slope - f0 * x ** (0.5 - 1.0)
+            for x in (up, np.nextafter(up, 2.0), down, np.nextafter(down, 0.0)):
+                assert tabulated_derivative_kernel(f, float(x), 0.5) == on_node[k - 1]
+        info = quadrature._node_derivatives.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
 
 class TestBypass:
@@ -146,8 +152,9 @@ class TestBypass:
         for x in xs:
             singular_integral_tabulated(f, float(x), 0.5)
             tabulated_derivative_kernel(f, float(x), 0.5)
-        info = quadrature._node_integrals.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        for name in CACHES:
+            info = getattr(quadrature, name).cache_info()
+            assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
     def test_off_node_value_is_the_cell_sum(self):
         f = _uniform()
@@ -165,6 +172,7 @@ class TestBypass:
             assert got == _cell_sum(f, x, 0.5)
             tabulated_derivative_kernel(f, x, 0.5)
         assert quadrature._node_integrals(f, 0.5) is None
+        assert quadrature._node_derivatives(f, 0.5) is None
 
 
 class TestGridRouting:
@@ -204,17 +212,24 @@ class TestGridRouting:
             singular_integral_tabulated(f, -1e-300, 0.5)
 
 
+def _fill(name, f, x, p):
+    """A call that reads the cache ``name`` at node x of f."""
+    if name == "_node_integrals":
+        return singular_integral_tabulated(f, x, p)
+    return tabulated_derivative_kernel(f, x, p)
+
+
 class TestCacheKey:
-    def test_equal_samples_do_not_share_an_entry(self):
+    @pytest.mark.parametrize("name", CACHES)
+    def test_equal_samples_do_not_share_an_entry(self, name):
+        cache = getattr(quadrature, name)
         t = np.linspace(0.0, 1.0, 101)
         f, g = TabulatedFunction(t, np.sqrt(t)), TabulatedFunction(t, np.sqrt(t))
-        singular_integral_tabulated(f, 0.5, 0.5)
-        singular_integral_tabulated(g, 0.5, 0.5)
-        info = quadrature._node_integrals.cache_info()
+        _fill(name, f, 0.5, 0.5)
+        _fill(name, g, 0.5, 0.5)
+        info = cache.cache_info()
         assert (info.misses, info.currsize) == (2, 2)
-        assert quadrature._node_integrals(f, 0.5) is not quadrature._node_integrals(
-            g, 0.5
-        )
+        assert cache(f, 0.5) is not cache(g, 0.5)
 
     def test_orders_do_not_share_an_entry(self):
         f = _uniform()
@@ -224,65 +239,75 @@ class TestCacheKey:
         assert quadrature._node_integrals.cache_info().misses == 2
         assert a == pytest.approx(_cell_sum(f, x, 0.25), rel=1e-13)
         assert b == pytest.approx(_cell_sum(f, x, 0.75), rel=1e-13)
+        tabulated_derivative_kernel(f, x, 0.25)
+        tabulated_derivative_kernel(f, x, 0.75)
+        assert quadrature._node_derivatives.cache_info().misses == 2
 
     def test_on_node_differences_are_lookups(self, monkeypatch):
-        # an on-node difference does not sum the cells
+        # an on-node derivative does not sum the cells
         _forbid(monkeypatch, "_tabulated_dense")
-        # uniform to 3 ulps but not np.linspace's rounding: the float points
-        # x +- step then drift off the nodes, the node indices do not
+        # uniform to 3 ulps but not np.linspace's rounding: the table still
+        # counts as uniform and its nodes as nodes
         t = np.linspace(0.0, 1.7, 1001)
         sign = np.random.default_rng(5).choice([-1.0, 1.0], t.size - 2)
         t[1:-1] *= 1.0 + 3.0 * np.finfo(float).eps * sign
         f = _table(t)
         for x in f.xs[1:]:
             tabulated_derivative_kernel(f, float(x), 0.5)
-        info = quadrature._node_integrals.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
+        for name in CACHES:
+            info = getattr(quadrature, name).cache_info()
+            assert (info.misses, info.currsize) == (1, 1)
 
-    def test_never_grows_past_maxsize(self):
-        maxsize = quadrature._node_integrals.cache_parameters()["maxsize"]
+    @pytest.mark.parametrize("name", CACHES)
+    def test_never_grows_past_maxsize(self, name):
+        cache = getattr(quadrature, name)
+        maxsize = cache.cache_parameters()["maxsize"]
         for seed in range(maxsize + 3):
             f = _uniform(size=11, seed=seed)
-            singular_integral_tabulated(f, float(f.xs[5]), 0.5)
-            assert quadrature._node_integrals.cache_info().currsize <= maxsize
-        assert quadrature._node_integrals.cache_info().currsize == maxsize
+            _fill(name, f, float(f.xs[5]), 0.5)
+            assert cache.cache_info().currsize <= maxsize
+        assert cache.cache_info().currsize == maxsize
 
-    def test_cached_nodes_are_read_only(self):
+    @pytest.mark.parametrize("name", CACHES)
+    def test_cached_nodes_are_read_only(self, name):
         f = _uniform()
-        nodes = quadrature._node_integrals(f, 0.5)
+        nodes = getattr(quadrature, name)(f, 0.5)
         with pytest.raises(ValueError):
             nodes[0] = 1.0
 
 
 class TestNarrowTable:
-    """No full step fits on either side of x: the difference steps over
-    the longer side and stays in [0, x_max]."""
+    """Tables too short for a full step on both sides of every point: the
+    step is at most x_max / 2 and the three points stay in [0, x_max]."""
 
-    def test_two_node_table(self):
+    @pytest.mark.parametrize("x", [0.3, 0.5, 0.7, 1.0])
+    def test_two_node_table(self, x):
+        # h = 1/2 and c = 1/2 for every x: G at 0, 1/2 and 1
         f = TabulatedFunction([0.0, 1.0], [0.0, 1.0])
+        got = tabulated_derivative_kernel(f, x, 0.5)
+        assert got == pytest.approx(_rule(f, x, 0.5, 0.5, 0.5), rel=1e-14)
+        # G is K[f - f(0)], so a shifted table gives the same values
+        shifted = TabulatedFunction([0.0, 1.0], [2.0, 3.0])
+        assert tabulated_derivative_kernel(shifted, x, 0.5) == pytest.approx(got, rel=1e-14)
+        assert caputo_derivative(f, 0.5, x) == pytest.approx(got / math.gamma(0.5), rel=1e-14)
 
-        def J(a):
-            return singular_integral_tabulated(f, a, 0.5)
+    @pytest.mark.parametrize("x, c, h", [
+        # the first cell moves x one step in, then clips it to [h, x_max - h]
+        (0.2, 0.5, 0.5), (0.5, 0.5, 0.5), (0.75, 0.5, 0.5), (1.0, 0.5, 0.5),
+    ])
+    def test_three_node_table(self, x, c, h):
+        # a uniform table: its nodes read the derivative cache
+        f = TabulatedFunction([0.0, 0.5, 1.0], [1.0, 1.2, 1.9])
+        got = tabulated_derivative_kernel(f, x, 0.5)
+        assert got == pytest.approx(_rule(f, x, 0.5, c, h), rel=1e-13)
 
-        # f(t) = t: J(a) = a**1.5 / 0.75
-        assert tabulated_derivative_kernel(f, 0.3, 0.5) == pytest.approx(
-            (J(1.0) - J(0.3)) / 0.7, rel=1e-14
-        )
-        assert tabulated_derivative_kernel(f, 0.5, 0.5) == pytest.approx(
-            J(1.0) - J(0.0), rel=1e-14
-        )
-        assert tabulated_derivative_kernel(f, 0.7, 0.5) == pytest.approx(
-            J(0.7) / 0.7, rel=1e-14
-        )
-        assert caputo_derivative(f, 0.5, 0.5) == pytest.approx(
-            (J(1.0) - J(0.0)) / math.gamma(0.5), rel=1e-14
-        )
-
-    def test_wide_first_cell(self):
+    @pytest.mark.parametrize("x, c, h", [
+        # the first cell is 1 wide: h = x_max / 2 and c = x_max / 2
+        (0.1, 0.75, 0.75), (0.8, 0.75, 0.75),
+        # the last cell: h = 1/2 and c = x - h, at most x_max - h = 1
+        (1.2, 0.7, 0.5), (1.5, 1.0, 0.5),
+    ])
+    def test_wide_first_cell(self, x, c, h):
         f = TabulatedFunction([0.0, 1.0, 1.5], [1.0, 2.0, 2.5])
-        got = tabulated_derivative_kernel(f, 0.8, 0.5)
-        want = (
-            singular_integral_tabulated(f, 0.8, 0.5)
-            - singular_integral_tabulated(f, 0.0, 0.5)
-        ) / 0.8 - 0.8**-0.5
-        assert got == pytest.approx(want, rel=1e-14)
+        got = tabulated_derivative_kernel(f, x, 0.5)
+        assert got == pytest.approx(_rule(f, x, 0.5, c, h), rel=1e-14)
