@@ -15,8 +15,8 @@ routes recover s from psi:
 ``solve_theorem`` (Abel's 1823 scaling form) is the convolution route by
 another name, ``solve_piecewise`` is that route for segment-wise psi at
 n = 1/2, and ``solve_on_grid`` runs a backend over a whole grid in one
-vectorised pass (``solve_convolution`` and ``solve_theorem`` are its
-one-point case).  ``forward`` takes a float or a whole 1-d grid.  The
+vectorised pass and wraps it as a tabulated arc length.  ``forward`` and
+the three pointwise solvers take a float or a whole 1-d grid.  The
 quadrature sees psi's algebraic structure only through its leading
 power at 0, which goes into the Jacobi weight; checking it against the
 exact series map is the point of having two routes.
@@ -156,39 +156,41 @@ def solve_series(problem: AbelProblem) -> ArcLengthSolution:
 
 def solve_convolution(
     problem: AbelProblem,
-    x: float,
+    x,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
+):
     """s(x) by the convolution closed form
     (sin n pi / pi) * integral_0^x psi(a) (x-a)**(n-1) da.
 
     psi is treated as a black box evaluated at quadrature nodes (product
     integration on its own grid when tabulated); only its leading power
-    at 0 is used as a weight hint.  This is the one-point case of
-    :func:`solve_on_grid`.
+    at 0 is used as a weight hint.  x is a float (giving a float) or a
+    1-d array of points >= 0 (giving an array of its shape, in one pass);
+    a 2-d x, a negative point or nan is a DomainError.
     """
-    return float(_solve_points(problem.psi, problem.n, float(x), cfg))
+    return _solve_points(problem.psi, problem.n, x, cfg)
 
 
 def solve_theorem(
     problem: AbelProblem,
-    x: float,
+    x,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
+):
     """s(x) by the scaling closed form
     (sin n pi / pi) * x**n * integral_0^1 psi(x t) (1-t)**(n-1) dt.
 
     That is the convolution form after a = x t, and the Gauss-Jacobi rule
     of [0, 1] scaled to [0, x] is the rule of [0, x], so this returns
-    :func:`solve_convolution`'s value, bit for bit, for every psi.  This
-    is the one-point case of :func:`solve_on_grid`.
+    :func:`solve_convolution`'s value, bit for bit, for every psi, at a
+    float or a 1-d array x.
     """
-    return float(_solve_points(problem.psi, problem.n, float(x), cfg))
+    return _solve_points(problem.psi, problem.n, x, cfg)
 
 
 def _solve_points(psi, n, x, cfg: QuadratureConfig):
-    """s at x >= 0 (a point, or every point of a 1-d grid in one pass) by
-    the convolution form, K[psi] taken by the route of psi's type."""
+    """s at x >= 0 (a float, or every point of a 1-d grid in one pass) by
+    the convolution form, K[psi] taken by the route of psi's type;
+    :func:`singular_integral` checks x."""
     n = float(n)
     return reflection_factor(n) * singular_integral(psi, x, n, cfg)
 
@@ -203,15 +205,17 @@ def _sampled(psi, x_max: float, points: int) -> TabulatedFunction:
 
 def solve_piecewise(
     problem: AbelProblem,
-    x: float,
+    x,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
+):
     """s(x) for segment-wise psi at n = 1/2 by the convolution route,
     whose kernel integral is the first segment's on [0, x] plus, at each
     breakpoint b_i below x, that of the jump psi_i - psi_(i-1) on [b_i, x]:
 
     pi * s(x) = integral_0^x psi_0(a) / sqrt(x - a) da
                 + sum_i integral_(b_i)^x (psi_i - psi_(i-1))(a) / sqrt(x - a) da.
+
+    x is a float or a 1-d array, as in :func:`solve_convolution`.
     """
     n = float(problem.n)
     if abs(n - 0.5) > 1e-12:

@@ -164,13 +164,9 @@ class PowerSum:
         Constants vanish, and so does a term whose coefficient c * e
         underflows to 0 (it would give 0 * inf at 0 for e < 1); fractional
         exponents below 1 produce negative derivative exponents, so the
-        result is *not* a PowerSum.  Evaluate with
-        :func:`derivative_values`.
+        result is *not* a PowerSum.  Evaluate with ``_eval_terms``.
         """
         return tuple((c * e, e - 1.0) for c, e in self.terms if c * e != 0.0)
-
-    def derivative_values(self, x):
-        return _eval_terms(self.derivative_terms(), x)
 
     def antiderivative(self) -> "PowerSum":
         """Term-by-term antiderivative vanishing at 0."""
@@ -298,12 +294,6 @@ class TabulatedFunction:
             )
         out = np.interp(xs, self.xs, self.values)
         return float(out) if np.isscalar(x) else out
-
-    def derivative_values(self) -> np.ndarray:
-        """Second-order finite-difference slopes on the (nonuniform) grid."""
-        if self.xs.size < 3:
-            raise DomainError("need at least three samples to differentiate")
-        return np.gradient(self.values, self.xs, edge_order=2)
 
 
 FunctionSpec = Union[PowerSum, PiecewisePowerSum, TabulatedFunction]

@@ -21,7 +21,7 @@ at MAX_NODES.
 ``kernel_integral``, the grid solvers and the operators alike.  A power
 sum on [0, x] is not sampled: the nodes are x * u_i with
 u = (1 + xi)/2, so the n-node estimate of sum(c t**d) is exactly
-(x/2)**(p + le) * sum(c x**d M_n(d)) with the cached rule moments
+(x/2)**(p + le) * sum(c x**d M_n(d)) with the rule moments
 M_n(d) = sum_i w_i u_i**d, doubled as the sampled route doubles
 (``_power_sum_integral``).  A piecewise power sum is its first segment
 on all of [0, x] plus, at each breakpoint lo below x, the jump to the
@@ -29,6 +29,12 @@ next segment on [lo, x]; a polynomial jump, Taylor-shifted to t - lo, is
 a power sum on [0, x - lo] and comes from the moments too.  There only a
 jump with a fractional power is sampled (on [lo, x], where it is
 smooth), and a point whose parts cancel is summed span by span instead.
+Only x**d and the scale depend on x, so two bounded caches hold the
+rest: the moments of a whole sum per (n, alpha, le, exponents)
+(``_moments``), and per (f, le, derivative) the plan of f (``_plan``):
+its first segment's terms less their leading power, their exponents, and
+the jumps at its breakpoints.  A float call then does a few
+multiply-adds per rule.
 Tabulated f is taken piecewise linear on its own grid and the kernel
 moments of every cell are integrated in closed form (product
 integration), which is exact for the interpolant.  Other callables and
@@ -59,9 +65,12 @@ Comput. 35, 2013, survey both routes).  Legendre is a = b = 0.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from itertools import accumulate
+from operator import mul
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -143,10 +152,16 @@ def _jacobi_rule(n: int, alpha: float, beta: float):
 
 
 @lru_cache(maxsize=1024)
+def _moments(n: int, alpha: float, beta: float, exps: tuple) -> tuple:
+    """The rule moments of a whole power sum: _rule_moment(n, alpha, beta,
+    d) for every exponent d in exps, in order."""
+    return tuple(_rule_moment(n, alpha, beta, d) for d in exps)
+
+
 def _rule_moment(n: int, alpha: float, beta: float, e: float) -> float:
     """sum_i w_i u_i**e over the n-node rule of (alpha, beta), its nodes
     mapped to u = (1 + xi)/2 in (0, 1); for e >= 0 at most the total
-    weight."""
+    weight.  Uncached: :func:`_moments` holds its values."""
     xi, w = _jacobi_rule(n, alpha, beta)
     return float(np.dot(w, (0.5 * (1.0 + xi)) ** e))
 
@@ -448,43 +463,53 @@ def _jacobi_integral(
     return out
 
 
-def _power_sum_integral(terms, x, p: float, le: float, cfg: QuadratureConfig):
-    """integral_0^x sum(c * t**d) * t**le * (x - t)**(p - 1) dt for raw
-    (c, d) pairs with every d >= 0: _jacobi_integral's estimates on [0, x]
+class _Plan(NamedTuple):
+    """What the moment route needs of a power sum besides x: its raw
+    (c, d) pairs (every d >= 0), their exponents d, and the power le of t
+    that the weight carries."""
+
+    terms: tuple
+    exps: tuple
+    le: float
+
+
+def _moment_plan(terms, le: float) -> _Plan:
+    return _Plan(terms, tuple(d for _, d in terms), le)
+
+
+def _sampled_terms(terms, x, p: float, le: float, cfg: QuadratureConfig):
+    return _jacobi_integral(lambda t: _eval_terms(terms, t), 0.0, x, p, le, cfg)
+
+
+def _power_sum_integral(plan: _Plan, x, p: float, cfg: QuadratureConfig):
+    """integral_0^x sum(c * t**d) * t**le * (x - t)**(p - 1) dt for the
+    terms and le of ``plan``: _jacobi_integral's estimates on [0, x]
     without sampling.
 
     The nodes of [0, x] are x * u_i, u = (1 + xi)/2, so the n-node
     estimate is exactly (x/2)**(p + le) * sum(c * x**d * M_n(d)) with the
-    cached rule moments M_n(d) = sum_i w_i u_i**d.  Same rules, doubling,
-    tolerances and cap; x is a float or a 1-d array (x >= 0).  Where some
-    |c| x**d or an estimate is not finite the nodes are sampled instead,
-    so an integrand that overflows at a node raises EvaluationError as
-    the sampled route does.
+    rule moments M_n(d) = sum_i w_i u_i**d, cached per sum
+    (:func:`_moments`).  Same rules, doubling, tolerances and cap; x is a
+    float or a 1-d array (x >= 0).  Where some |c| x**d or an estimate is
+    not finite the nodes are sampled instead, so an integrand that
+    overflows at a node raises EvaluationError as the sampled route does.
     """
+    terms, exps, le = plan
     alpha = p - 1.0
-    exps = [d for _, d in terms]
-
-    def sampled():
-        return _jacobi_integral(lambda t: _eval_terms(terms, t), 0.0, x, p, le, cfg)
-
     if isinstance(x, float):
         if x <= 0.0:
             return 0.0
         try:
             h = [c * x**d for c, d in terms]
         except OverflowError:
-            return sampled()
+            return _sampled_terms(terms, x, p, le, cfg)
         if not math.isfinite(sum(map(abs, h))):
-            return sampled()
+            return _sampled_terms(terms, x, p, le, cfg)
         scale = (0.5 * x) ** (p + le)
-
-        def estimate(n: int) -> float:
-            return scale * sum(
-                hk * _rule_moment(n, alpha, le, d) for hk, d in zip(h, exps)
-            )
-
-        value = _doubling(estimate, cfg)
-        return value if math.isfinite(value) else sampled()
+        value = _doubling(
+            lambda n: scale * sum(map(mul, h, _moments(n, alpha, le, exps))), cfg
+        )
+        return value if math.isfinite(value) else _sampled_terms(terms, x, p, le, cfg)
 
     out = np.zeros(x.shape)
     pos = np.flatnonzero(x > 0.0)
@@ -493,16 +518,15 @@ def _power_sum_integral(terms, x, p: float, le: float, cfg: QuadratureConfig):
     with np.errstate(over="ignore", invalid="ignore"):
         h = np.array([c for c, _ in terms]) * x[pos, None] ** np.array(exps)
     if not np.isfinite(np.abs(h).sum(axis=1)).all():
-        return sampled()
+        return _sampled_terms(terms, x, p, le, cfg)
     scale = (0.5 * x[pos]) ** (p + le)
 
     def estimates(n: int, idx: np.ndarray) -> np.ndarray:
-        m = np.array([_rule_moment(n, alpha, le, d) for d in exps])
-        return scale[idx] * (h[idx] @ m)
+        return scale[idx] * (h[idx] @ np.array(_moments(n, alpha, le, exps)))
 
     with np.errstate(over="ignore", invalid="ignore"):
         out[pos] = _doubling_grid(estimates, pos.size, cfg)
-    return out if np.isfinite(out).all() else sampled()
+    return out if np.isfinite(out).all() else _sampled_terms(terms, x, p, le, cfg)
 
 
 def singular_integral(
@@ -535,9 +559,7 @@ def singular_integral(
     if low < 0.0:
         raise DomainError(f"upper limit must be >= 0, got {float(low)!r}")
     if isinstance(g, PowerSum):
-        d = g.min_exponent if g.terms else 0.0
-        terms = tuple((c, e - d) for c, e in g.terms)
-        return _power_sum_integral(terms, x, p, le + d, cfg)
+        return _power_sum_integral(_plan(g, le, False).first, x, p, cfg)
     if le == 0.0 and isinstance(g, PiecewisePowerSum):
         return _piecewise_kernel(g, x, p, cfg)
     if isinstance(g, TabulatedFunction):
@@ -792,11 +814,10 @@ def tabulated_derivative_kernel(f: TabulatedFunction, x: float, p) -> float:
     return float((0.5 * (g[2] - g[0]) + u * (g[2] - 2.0 * g[1] + g[0])) / h)
 
 
-def _leading_exponent(terms, cfg: QuadratureConfig) -> float:
-    """The smallest exponent of terms, to be factored into the weight; a
-    negative one within 2**-53 / rel_tol of -1 is a DomainError: a
-    derivative's e - 1 keeps too few digits of 1 + le."""
-    le = min(e for _, e in terms)
+def _leading_exponent(le: float, cfg: QuadratureConfig) -> float:
+    """le, the smallest exponent of some terms, to be factored into the
+    weight; a negative one within 2**-53 / rel_tol of -1 is a DomainError:
+    a derivative's e - 1 keeps too few digits of 1 + le."""
     if le < 0.0 and 1.0 + le < 2.0**-53 / cfg.rel_tol:
         raise DomainError(
             f"leading exponent {le!r} is too close to -1 for rel_tol "
@@ -805,7 +826,6 @@ def _leading_exponent(terms, cfg: QuadratureConfig) -> float:
     return le
 
 
-@lru_cache(maxsize=256)
 def _jump(prev, terms, lo: float):
     """The jump terms - prev at breakpoint lo (raw (coef, exp) pairs merged
     by exponent, zeros dropped) as (polynomial, jump).
@@ -836,31 +856,79 @@ def _jump(prev, terms, lo: float):
     return True, tuple((qj, float(j)) for j, qj in enumerate(q) if qj != 0.0)
 
 
-def _first_part(terms, x, p: float, cfg: QuadratureConfig):
-    """K of terms over all of [0, x], their leading power in the weight,
-    from rule moments: the route of a PowerSum."""
-    if not terms:
-        return 0.0 if isinstance(x, float) else np.zeros(x.shape)
-    le = _leading_exponent(terms, cfg)
-    return _power_sum_integral(tuple((c, e - le) for c, e in terms), x, p, le, cfg)
+class _Piecewise(NamedTuple):
+    """What K[f] needs of a PowerSum or PiecewisePowerSum f besides x.
+
+    first is the first segment's _Plan, its leading power in the weight;
+    los holds the breakpoints, and jumps[k] = (lo, polynomial, jump) the
+    jump at los[k]: a _Plan in s = t - lo when polynomial, its terms in t
+    when not, None when the segments agree; tops[k] is the largest
+    exponent of segments 0 .. k, or 0 if that is larger."""
+
+    first: _Plan
+    los: tuple
+    jumps: tuple
+    tops: tuple
 
 
-def _kernel_parts(pieces, x, p: float, cfg: QuadratureConfig) -> list:
-    """The parts of K over spans (lo, hi, terms) whose sum is K(x): the
-    first span's terms over all of [0, x], then the jump at each later lo
-    over [lo, x].  x is a float, or a 1-d array (where x <= lo a jump's
-    part is 0)."""
-    (_, _, first), later = pieces[0], pieces[1:]
-    parts = [_first_part(first, x, p, cfg)]
-    prev = first
-    for lo, _, terms in later:
+@lru_cache(maxsize=256)
+def _plan(f, le: float, derivative: bool) -> _Piecewise:
+    """The x-free data of integral_0^x f(t) t**le (x - t)**(p - 1) dt (of
+    f' with ``derivative``) for a PowerSum or PiecewisePowerSum f, built
+    once per f and read by every call: the terms shifted by their leading
+    power, their exponents, and the jumps at the breakpoints
+    (:func:`_jump`)."""
+    if isinstance(f, PiecewisePowerSum):
+        segments, los = f.segments, f.breakpoints
+    else:
+        segments, los = (f,), ()
+    segs = [seg.derivative_terms() if derivative else seg.terms for seg in segments]
+    first = segs[0]
+    lead = min((e for _, e in first), default=0.0)
+    jumps = []
+    for lo, prev, terms in zip(los, segs, segs[1:]):
         polynomial, jump = _jump(prev, terms, lo)
-        prev = terms
-        if not jump:
+        if polynomial:
+            jump = _moment_plan(jump, 0.0) if jump else None
+        jumps.append((lo, polynomial, jump))
+    return _Piecewise(
+        _moment_plan(tuple((c, e - lead) for c, e in first), le + lead),
+        los,
+        tuple(jumps),
+        tuple(accumulate((max((e for _, e in t), default=0.0) for t in segs), max)),
+    )
+
+
+def _spans(f, upper: float, derivative: bool) -> tuple:
+    """(lo, hi, terms) of the spans of f covering [0, upper]; the terms
+    are those of f' with ``derivative``."""
+    return tuple(
+        (lo, hi, seg.derivative_terms() if derivative else seg.terms)
+        for lo, hi, seg in f.pieces(upper)
+    )
+
+
+def _first_part(first: _Plan, x, p: float, cfg: QuadratureConfig):
+    """K of a plan's first segment over all of [0, x], its leading power
+    in the weight, from rule moments: the route of a PowerSum."""
+    if not first.terms:
+        return 0.0 if isinstance(x, float) else np.zeros(x.shape)
+    _leading_exponent(first.le, cfg)
+    return _power_sum_integral(first, x, p, cfg)
+
+
+def _kernel_parts(plan: _Piecewise, k: int, x, p: float, cfg: QuadratureConfig) -> list:
+    """The parts of K whose sum is K(x) when only the plan's first k
+    breakpoints lie below x: the first segment over all of [0, x], then
+    the jump at each of those breakpoints lo over [lo, x].  x is a float,
+    or a 1-d array (where x <= lo a jump's part is 0)."""
+    parts = [_first_part(plan.first, x, p, cfg)]
+    for lo, polynomial, jump in plan.jumps[:k]:
+        if jump is None:
             continue
         if polynomial:
             # from the rule moments of [0, x - lo]: nothing is sampled
-            parts.append(_power_sum_integral(jump, x - lo, p, 0.0, cfg))
+            parts.append(_power_sum_integral(jump, x - lo, p, cfg))
         else:
             parts.append(_jacobi_integral(
                 lambda u: _eval_terms(jump, lo + u), 0.0, x - lo, p, 0.0, cfg
@@ -875,14 +943,12 @@ def _cancels(parts, total, cfg: QuadratureConfig):
     return (mag > 2.0 * cfg.abs_tol / cfg.rel_tol) & (mag > 2.0 * abs(total))
 
 
-def _overflows(pieces, x: float) -> bool:
-    """Whether x**e passes exp(_LOG_PART_MAX) = 1e150 for an exponent e
-    of the spans: a part on [0, x] or [lo, x] could then overflow before
-    the jumps cancel it (a high power on a short first segment)."""
-    if x <= 1.0:
-        return False
-    top = max((e for _, _, terms in pieces for _, e in terms), default=0.0)
-    return math.log(x) * top > _LOG_PART_MAX
+def _overflows(top: float, x: float) -> bool:
+    """Whether x**top passes exp(_LOG_PART_MAX) = 1e150 for the largest
+    exponent top of the spans: a part on [0, x] or [lo, x] could then
+    overflow before the jumps cancel it (a high power on a short first
+    segment)."""
+    return x > 1.0 and math.log(x) * top > _LOG_PART_MAX
 
 
 def _piecewise_kernel(f, x, p: float, cfg: QuadratureConfig, derivative: bool = False):
@@ -900,35 +966,29 @@ def _piecewise_kernel(f, x, p: float, cfg: QuadratureConfig, derivative: bool = 
     (:func:`_cancels`) or could overflow (:func:`_overflows`) is summed
     span by span instead (:func:`_span_kernel`).  An array x takes every
     part over the whole grid in one call; its values are those of scalar
-    calls up to rounding.
+    calls up to rounding.  All but x comes from the cached :func:`_plan`.
     """
-    if isinstance(f, PowerSum):
-        return _first_part(f.derivative_terms() if derivative else f.terms, x, p, cfg)
-
-    def spans(upper: float):
-        return tuple(
-            (lo, hi, seg.derivative_terms() if derivative else seg.terms)
-            for lo, hi, seg in f.pieces(upper)
-        )
-
+    plan = _plan(f, 0.0, derivative)
+    if not plan.los:
+        return _first_part(plan.first, x, p, cfg)
     top = x if isinstance(x, float) else float(np.max(x, initial=0.0))
     if top <= 0.0:
         return 0.0 if isinstance(x, float) else np.zeros(x.shape)
-    pieces = spans(top)
-    if len(pieces) > 1 and _overflows(pieces, top):
+    k = bisect_left(plan.los, top)
+    if k and _overflows(plan.tops[k], top):
         if isinstance(x, float):
-            return _span_kernel(pieces, x, p, cfg)
+            return _span_kernel(_spans(f, x, derivative), x, p, cfg)
         return np.array([_piecewise_kernel(f, float(a), p, cfg, derivative) for a in x])
-    parts = _kernel_parts(pieces, x, p, cfg)
+    parts = _kernel_parts(plan, k, x, p, cfg)
     total = sum(parts[1:], parts[0])
     if len(parts) == 1:
         return total
     guarded = _cancels(parts, total, cfg)
     if isinstance(x, float):
-        return _span_kernel(pieces, x, p, cfg) if guarded else total
-    for k in np.flatnonzero(guarded):
-        xk = float(x[k])
-        total[k] = _span_kernel(spans(xk), xk, p, cfg)
+        return _span_kernel(_spans(f, x, derivative), x, p, cfg) if guarded else total
+    for i in np.flatnonzero(guarded):
+        xi = float(x[i])
+        total[i] = _span_kernel(_spans(f, xi, derivative), xi, p, cfg)
     return total
 
 
@@ -960,7 +1020,7 @@ def _span_kernel(pieces, x: float, p: float, cfg: QuadratureConfig) -> float:
     for lo, hi, terms in pieces:
         if not terms:
             continue
-        le = _leading_exponent(terms, cfg) if lo == 0.0 else 0.0
+        le = _leading_exponent(min(e for _, e in terms), cfg) if lo == 0.0 else 0.0
         shifted = tuple((c, e - le) for c, e in terms)
         if hi >= x:
             # the span carrying the kernel singularity at t = x

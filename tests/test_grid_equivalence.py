@@ -36,6 +36,7 @@ from abelfrac import (
     singular_integral,
     solve_convolution,
     solve_on_grid,
+    solve_piecewise,
     solve_theorem,
 )
 from abelfrac import quadrature
@@ -207,7 +208,7 @@ class TestTabulatedGrid:
 
 
 # ---------------------------------------------------------------------------
-# kernel integrals, operators and forward on 1-d x
+# kernel integrals, operators, forward and the pointwise solvers on 1-d x
 
 N = 0.3
 
@@ -244,6 +245,16 @@ OPERATORS = {
         lambda f, x: caputo_derivative(f, N, x, backend="quadrature"), DIFFERENTIABLE, False
     ),
     "forward": (lambda f, x: forward(f, N, x), DIFFERENTIABLE, True),
+    # the pointwise solvers, psi being any function spec
+    "solve_convolution": (
+        lambda f, x: solve_convolution(AbelProblem(f, Order(N)), x), DIFFERENTIABLE, True
+    ),
+    "solve_theorem": (
+        lambda f, x: solve_theorem(AbelProblem(f, Order(N)), x), DIFFERENTIABLE, True
+    ),
+    "solve_piecewise": (
+        lambda f, x: solve_piecewise(AbelProblem(f, Order(0.5)), x), DIFFERENTIABLE, True
+    ),
 }
 CASES = [
     pytest.param(op, name, id=f"{op}-{name}")

@@ -21,6 +21,7 @@ from abelfrac import (
     DomainError,
     EvaluationError,
     Order,
+    PiecewisePowerSum,
     PowerSum,
     QuadratureConfig,
     SolutionBackend,
@@ -30,6 +31,7 @@ from abelfrac import (
     rl_integral,
     solve_convolution,
     solve_on_grid,
+    solve_piecewise,
     solve_series,
     solve_theorem,
 )
@@ -39,7 +41,9 @@ from abelfrac.functions import _eval_terms
 from abelfrac.quadrature import (
     DEFAULT_CONFIG,
     MAX_NODES,
+    _doubling,
     _jacobi_rule,
+    _moment_plan,
     _power_sum_integral,
     _rule_moment,
     singular_integral,
@@ -114,10 +118,10 @@ class TestEstimates:
         cfg = QuadratureConfig(node_count=n, abs_tol=1e300)
         m = min(2 * n, MAX_NODES)
         bound = 1e-13 * moment_scale(terms, x, p, le, m)
-        got = _power_sum_integral(terms, x, p, le, cfg)
+        got = _power_sum_integral(_moment_plan(terms, le), x, p, cfg)
         assert abs(got - sampled(terms, x, p, le, cfg)) <= bound
         xs = np.array([0.0, x])
-        grid = _power_sum_integral(terms, xs, p, le, cfg)
+        grid = _power_sum_integral(_moment_plan(terms, le), xs, p, cfg)
         assert grid[0] == 0.0
         assert abs(grid[1] - got) <= bound
 
@@ -272,7 +276,7 @@ class TestOutcomes:
         with pytest.raises(EvaluationError) as ref:
             sampled(terms, 1.2, 0.5, 0.0)
         with pytest.raises(EvaluationError) as got:
-            _power_sum_integral(terms, 1.2, 0.5, 0.0, DEFAULT_CONFIG)
+            _power_sum_integral(_moment_plan(terms, 0.0), 1.2, 0.5, DEFAULT_CONFIG)
         assert got.value.t == ref.value.t
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -283,8 +287,10 @@ class TestOutcomes:
         terms = ((1e308, 0.0),)
         ref = sampled(terms, 2.0, 0.5, 0.0)
         assert math.isinf(ref)
-        assert _power_sum_integral(terms, 2.0, 0.5, 0.0, DEFAULT_CONFIG) == ref
-        grid = _power_sum_integral(terms, np.array([0.0, 2.0]), 0.5, 0.0, DEFAULT_CONFIG)
+        assert _power_sum_integral(_moment_plan(terms, 0.0), 2.0, 0.5, DEFAULT_CONFIG) == ref
+        grid = _power_sum_integral(
+            _moment_plan(terms, 0.0), np.array([0.0, 2.0]), 0.5, DEFAULT_CONFIG
+        )
         assert grid[1] == ref
 
     @pytest.mark.parametrize("e", [2.220446049250313e-16, 1e-12, 1e-9])
@@ -306,3 +312,168 @@ class TestOutcomes:
         f = PowerSum(((1.0, 1e-17),))
         assert outcome(lambda: sampled(((1e-17, 0.0),), 1.0, 0.5, -1.0)) is DomainError
         assert outcome(lambda: caputo_derivative(f, 0.5, 1.0, backend="quadrature")) is DomainError
+
+
+def per_term_estimate(terms, x, p, le):
+    """The n-node moment estimate summed term by term, one _rule_moment
+    each: the float route's formula before the moments were cached per
+    sum."""
+    return lambda n: (x / 2) ** (p + le) * sum(
+        c * x**d * _rule_moment(n, p - 1, le, d) for c, d in terms
+    )
+
+
+def raised(fn):
+    """(type, message) of the exception fn raises, or its value."""
+    try:
+        return fn()
+    except (ConvergenceError, DomainError, EvaluationError) as exc:
+        return type(exc), str(exc)
+
+
+class TestFloatPath:
+    """A float limit reads its moments from the per-sum cache and its
+    shifted terms from the per-function plan; the values are those of the
+    per-term formula, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        terms=signed_terms(),
+        x=st.floats(1e-3, 10.0),
+        p=st.sampled_from(ORDERS),
+        le=st.sampled_from(LEFT),
+    )
+    def test_float_path_is_the_per_term_formula(self, terms, x, p, le):
+        ref = raised(lambda: _doubling(per_term_estimate(terms, x, p, le), DEFAULT_CONFIG))
+        got = raised(lambda: _power_sum_integral(_moment_plan(terms, le), x, p, DEFAULT_CONFIG))
+        assert got == ref
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        terms=signed_terms(),
+        x=st.floats(1e-3, 10.0),
+        p=st.sampled_from(ORDERS),
+        le=st.sampled_from(LEFT),
+    )
+    def test_power_sum_plan_factors_out_the_leading_power(self, terms, x, p, le):
+        # singular_integral puts the sum's leading power d into the weight
+        f = PowerSum(terms)
+        d = f.min_exponent if f.terms else 0.0
+        shifted = tuple((c, e - d) for c, e in f.terms)
+        ref = raised(lambda: _doubling(
+            per_term_estimate(shifted, x, p, le + d), DEFAULT_CONFIG
+        ))
+        assert raised(lambda: singular_integral(f, x, p, left_exponent=le)) == ref
+
+    @pytest.mark.parametrize("x", [2.0, 8.0])
+    @np.errstate(over="ignore")
+    def test_overflowing_term_raises_through_the_sampled_route(self, x, monkeypatch):
+        # c x**d overflows: the float route hands the sum to the sampled
+        # route, which raises at its first overflowing node
+        calls = []
+        sampled_terms = quadrature._sampled_terms
+        monkeypatch.setattr(
+            quadrature, "_sampled_terms", lambda *a: calls.append(a[1]) or sampled_terms(*a)
+        )
+        terms = ((1.0, 0.0), (1.0, math.ceil(800.0 / math.log(x))))
+        with pytest.raises(OverflowError):
+            x ** terms[1][1]
+        with pytest.raises(EvaluationError) as ref:
+            sampled(terms, x, 0.5, 0.0)
+        with pytest.raises(EvaluationError) as got:
+            _power_sum_integral(_moment_plan(terms, 0.0), x, 0.5, DEFAULT_CONFIG)
+        assert got.value.t == ref.value.t
+        assert calls == [x]
+
+    def test_capped_sum_still_raises(self, monkeypatch):
+        # s' of the solution of psi = 1 + a^(1/2) at n = 1/4 (see
+        # TestOutcomes): the doubling reaches the cap and stalls there
+        monkeypatch.setattr(quadrature, "MAX_NODES", 128)
+        s = solve_series(AbelProblem(TestOutcomes.HALF_LATTICE, Order(0.25))).s
+        slope = s.derivative_terms()
+        le = min(e for _, e in slope)
+        shifted = tuple((c, e - le) for c, e in slope)
+        ref = raised(lambda: _doubling(per_term_estimate(shifted, 0.7, 0.75, le), DEFAULT_CONFIG))
+        assert ref[0] is ConvergenceError and "128 nodes" in ref[1]
+        plan = _moment_plan(shifted, le)
+        assert raised(lambda: _power_sum_integral(plan, 0.7, 0.75, DEFAULT_CONFIG)) == ref
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base=BASES,
+        coefs=st.lists(st.floats(0.1, 2.0), min_size=1, max_size=4),
+        p=st.floats(0.02, 0.98),
+        x=st.floats(1e-3, 5.0),
+    )
+    def test_float_call_is_the_one_point_grid(self, base, coefs, p, x):
+        f = TestOperators.lattice_sum(base, coefs)
+        one = np.array([x])
+        for route in (
+            lambda y: singular_integral(f, y, p),
+            lambda y: _caputo_kernel(f, 1.0 - p, y, DEFAULT_CONFIG),
+        ):
+            got, grid = route(x), route(one)
+            assert isinstance(got, float) and grid.shape == (1,)
+            assert abs(got - grid[0]) <= 1e-13 * abs(got)
+
+
+MOMENT_CACHES = ("_moments", "_plan")
+
+
+class TestMomentCaches:
+    @pytest.fixture(autouse=True)
+    def empty_caches(self):
+        for name in MOMENT_CACHES:
+            getattr(quadrature, name).cache_clear()
+        yield
+        for name in MOMENT_CACHES:
+            getattr(quadrature, name).cache_clear()
+
+    @staticmethod
+    def fill(name, k):
+        if name == "_moments":
+            quadrature._moments(8, -0.5, 0.0, (float(k),))
+        else:
+            quadrature._plan(PowerSum.monomial(1.0, float(k)), 0.0, False)
+
+    @pytest.mark.parametrize("name", MOMENT_CACHES)
+    def test_never_grows_past_maxsize(self, name):
+        cache = getattr(quadrature, name)
+        maxsize = cache.cache_parameters()["maxsize"]
+        for k in range(maxsize + 3):
+            self.fill(name, k)
+            assert cache.cache_info().currsize <= maxsize
+        assert cache.cache_info().currsize == maxsize
+
+    def test_warm_float_calls_build_nothing(self):
+        # a second pass of float calls on the same functions misses no
+        # cache, and a power sum's moment route looks no rule up at all
+        psi = PowerSum(((1.5, 0.0), (0.5, 1.0), (0.25, 2.0)))
+        s = solve_series(AbelProblem(psi, Order(0.3))).s
+        pw = PiecewisePowerSum([0.5], [
+            PowerSum(((1.0, 0.0), (2.0, 1.0))),
+            PowerSum(((1.25, 0.0), (1.0, 1.0), (1.0, 2.0))),
+        ])
+        pw_prob = AbelProblem(pw, Order(0.5))
+        xs = [float(x) for x in np.linspace(0.05, 1.0, 20)]
+
+        def power_sums():
+            for x in xs:
+                rl_integral(psi, 0.3, x, backend="quadrature")
+                caputo_derivative(psi, 0.3, x, backend="quadrature")
+                forward(s, 0.3, x)
+                solve_convolution(AbelProblem(psi, Order(0.3)), x)
+
+        def piecewise():
+            for x in xs:
+                solve_piecewise(pw_prob, x)
+
+        caches = [_jacobi_rule] + [getattr(quadrature, name) for name in MOMENT_CACHES]
+        power_sums()
+        piecewise()
+        before = [c.cache_info() for c in caches]
+        power_sums()
+        assert _jacobi_rule.cache_info().hits == before[0].hits
+        piecewise()
+        assert [c.cache_info().misses for c in caches] == [i.misses for i in before]
+        assert quadrature._plan.cache_info().currsize == 4

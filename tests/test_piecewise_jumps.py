@@ -35,7 +35,7 @@ from abelfrac import (
     solve_on_grid,
 )
 from abelfrac import quadrature
-from abelfrac.quadrature import _SHIFT_DEGREE, _cancels, _jump, _kernel_parts
+from abelfrac.quadrature import _SHIFT_DEGREE, _cancels, _jump, _kernel_parts, _plan
 
 mp = pytest.importorskip("mpmath")
 
@@ -183,8 +183,7 @@ class TestCancellingParts:
     X, N = 3.0, 0.107
 
     def parts(self):
-        pieces = tuple((lo, hi, seg.terms) for lo, hi, seg in self.F.pieces(self.X))
-        return _kernel_parts(pieces, self.X, self.N, DEFAULT_CONFIG)
+        return _kernel_parts(_plan(self.F, 0.0, False), 1, self.X, self.N, DEFAULT_CONFIG)
 
     def test_guard_catches_the_cancellation(self):
         parts = self.parts()
