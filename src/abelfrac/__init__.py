@@ -47,6 +47,7 @@ from .functions import (
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
+    derivative_kernel,
     graded_mesh,
     kernel_integral,
     singular_integral,
@@ -94,6 +95,7 @@ __all__ = [
     "TabulatedFunction",
     "DEFAULT_CONFIG",
     "QuadratureConfig",
+    "derivative_kernel",
     "graded_mesh",
     "kernel_integral",
     "singular_integral",

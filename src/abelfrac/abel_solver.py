@@ -5,8 +5,9 @@ the curve producing it:
 
     psi(a) = integral_0^a s'(z) * (a - z)**(-n) dz,        0 < n < 1.
 
-``forward`` evaluates that integral for known s.  Two independent
-routes recover s from psi:
+``forward`` evaluates that integral for known s: it is the derivative
+kernel K[s'] at p = 1 - n, ``quadrature.derivative_kernel``.  Two
+independent routes recover s from psi:
 
 * ``solve_series``     -- exact coefficient map on power sums,
 * ``solve_convolution``-- Gauss-Jacobi quadrature of the closed form
@@ -14,7 +15,7 @@ routes recover s from psi:
 
 ``solve_theorem`` (Abel's 1823 scaling form) is the convolution route by
 another name, ``solve_piecewise`` is that route for segment-wise psi at
-n = 1/2, and ``solve_on_grid`` runs a backend over a whole grid in one
+any order, and ``solve_on_grid`` runs a backend over a whole grid in one
 vectorised pass and wraps it as a tabulated arc length.  ``forward`` and
 the three pointwise solvers take a float or a whole 1-d grid.  The
 quadrature sees psi's algebraic structure only through its leading
@@ -39,11 +40,12 @@ from .functions import (
     TabulatedFunction,
     as_order,
 )
-from .fracops import caputo_derivative, rl_power_sum
+from .fracops import rl_power_sum
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     _order_like,
+    derivative_kernel,
     graded_mesh,
     singular_integral,
 )
@@ -117,27 +119,11 @@ def forward(
     a,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ):
-    """psi(a) = integral_0^a s'(z) (a-z)**(-n) dz for known arc length s.
-
-    Equals Gamma(1-n) times the order-n derivative of s; a = 0 gives 0.
-    a is a float (giving a float) or a 1-d array of release heights
-    (giving an array of its shape, in one call of the derivative).
-    """
-    nn = _order_like(n)
-    if isinstance(a, float) or not np.ndim(a):
-        a = float(a)
-        if not a >= 0.0:
-            raise DomainError(f"release height must be >= 0, got {a!r}")
-        if a == 0.0:
-            return 0.0
-        return gamma(1.0 - nn) * caputo_derivative(s, nn, a, cfg, backend="quadrature")
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or not np.all(a >= 0.0):
-        raise DomainError("release heights must be a 1-d array of values >= 0")
-    out = np.zeros(a.shape)
-    pos = a > 0.0
-    out[pos] = gamma(1.0 - nn) * caputo_derivative(s, nn, a[pos], cfg, backend="quadrature")
-    return out
+    """psi(a) = integral_0^a s'(z) (a-z)**(-n) dz for known arc length s,
+    Gamma(1-n) times its order-n derivative: :func:`derivative_kernel` at
+    p = 1 - n.  a is a float (giving a float) or a 1-d array of release
+    heights >= 0 (giving an array of its shape); a = 0 gives 0."""
+    return derivative_kernel(s, a, 1.0 - _order_like(n), cfg)
 
 
 def solve_series(problem: AbelProblem) -> ArcLengthSolution:
@@ -208,21 +194,11 @@ def solve_piecewise(
     x,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ):
-    """s(x) for segment-wise psi at n = 1/2 by the convolution route,
-    whose kernel integral is the first segment's on [0, x] plus, at each
-    breakpoint b_i below x, that of the jump psi_i - psi_(i-1) on [b_i, x]:
-
-    pi * s(x) = integral_0^x psi_0(a) / sqrt(x - a) da
-                + sum_i integral_(b_i)^x (psi_i - psi_(i-1))(a) / sqrt(x - a) da.
-
-    x is a float or a 1-d array, as in :func:`solve_convolution`.
-    """
-    n = float(problem.n)
-    if abs(n - 0.5) > 1e-12:
-        raise DomainError(
-            f"piecewise solving is implemented for order 1/2 only, got n = {n!r}"
-        )
-    return solve_convolution(problem, x, cfg)
+    """s(x) for segment-wise psi: :func:`solve_convolution`, whose kernel
+    integral is then the first segment's on [0, x] plus, at each
+    breakpoint b_i below x, that of the jump psi_i - psi_(i-1) on
+    [b_i, x].  Any order n; x is a float or a 1-d array."""
+    return _solve_points(problem.psi, problem.n, x, cfg)
 
 
 def solve_on_grid(

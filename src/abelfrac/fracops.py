@@ -11,9 +11,12 @@ On power sums both operators act exactly, one monomial at a time:
 x**m maps to Gamma(m+1)/Gamma(m+n+1) x**(m+n) under I^n and, for m > 0,
 to Gamma(m+1)/Gamma(m-n+1) x**(m-n) under D^n (constants differentiate to
 zero).  Everything else is quadrature, at a float x or a 1-d array of
-points in one call.  D^n I^n f = f for continuous f with f(0) = 0;
-``composition_check`` probes that identity numerically with both
-operators evaluated by quadrature, no symbolic shortcuts.
+points in one call: the integral is K[f] at p = n
+(``quadrature.kernel_integral``) and the derivative K[f'] at p = 1 - n
+(``quadrature.derivative_kernel``), each over its Gamma.  D^n I^n f = f
+for continuous f with f(0) = 0; ``composition_check`` probes that
+identity numerically with both operators evaluated by quadrature, no
+symbolic shortcuts.
 """
 
 from __future__ import annotations
@@ -34,10 +37,9 @@ from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     _order_like,
-    _piecewise_kernel,
+    derivative_kernel,
     kernel_integral,
     singular_integral,
-    tabulated_derivative_kernel,
 )
 from .special_functions import gamma, log_gamma, reflection_factor
 
@@ -107,23 +109,6 @@ def _caputo_image_terms(f: PowerSum, n: float):
     return tuple(out)
 
 
-def _caputo_kernel(f, n: float, x, cfg: QuadratureConfig):
-    """integral_0^x f'(t) (x-t)**(-n) dt by quadrature, i.e. the
-    derivative-kernel integral before the 1/Gamma(1-n) normalisation, at
-    a float x > 0 or a 1-d array of them."""
-    p = 1.0 - n
-    if isinstance(f, (PowerSum, PiecewisePowerSum)):
-        return _piecewise_kernel(f, x, p, cfg, derivative=True)
-    if isinstance(f, TabulatedFunction):
-        if isinstance(x, float):
-            return tabulated_derivative_kernel(f, x, p)
-        return np.array([tabulated_derivative_kernel(f, float(a), p) for a in x])
-    raise DomainError(
-        "derivative requires a power-sum, piecewise, or tabulated input "
-        f"(got {type(f).__name__}); bare callables carry no derivative"
-    )
-
-
 def _operator_args(f, x, backend: str, at_zero: bool):
     """(x, exact): x as a float or a 1-d float array of points >= 0 (> 0
     unless ``at_zero``), and whether the exact backend (power sums) runs.
@@ -190,7 +175,7 @@ def caputo_derivative(
     x, exact = _operator_args(f, x, backend, False)  # x > 0
     if exact:
         return _eval_terms(_caputo_image_terms(f, nn), x)
-    return _caputo_kernel(f, nn, x, cfg) / gamma(1.0 - nn)
+    return derivative_kernel(f, x, 1.0 - nn, cfg) / gamma(1.0 - nn)
 
 
 def caputo_limit_at_zero(f, n) -> float | None:
@@ -250,7 +235,7 @@ def composition_check(
     lhs = float(f(x))
 
     def inner(a):  # a fresh quadrature at every outer node, all in one call
-        return _caputo_kernel(f, nn, a, cfg)
+        return derivative_kernel(f, a, 1.0 - nn, cfg)
 
     if isinstance(f, PowerSum) and f.terms:
         # inner(a) behaves like a**(min_exp - n) near 0; hand that factor

@@ -125,6 +125,11 @@ class PowerSum:
             (coef, exp) for exp, coef in sorted(merged.items()) if coef != 0.0
         )
         object.__setattr__(self, "terms", canon)
+        # quadrature's plan cache hashes f at every call: hash once
+        object.__setattr__(self, "_hash", hash(canon))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def zero(cls) -> "PowerSum":
@@ -219,6 +224,10 @@ class PiecewisePowerSum:
                 raise ContinuityError(i, gap)
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "segments", segs)
+        object.__setattr__(self, "_hash", hash((bps, segs)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def segment_index(self, x: float) -> int:
         # right-continuous: x exactly on a breakpoint belongs to the
@@ -257,7 +266,8 @@ class TabulatedFunction:
     """Samples (xs, values) with xs[0] == 0, strictly increasing.
 
     Calls interpolate linearly; evaluation outside [0, xs[-1]] is a
-    DomainError rather than a silent clamp.
+    DomainError rather than a silent clamp.  ``x_max`` is xs[-1] as a
+    float, read-only like the samples.
     """
 
     xs: np.ndarray
@@ -278,10 +288,7 @@ class TabulatedFunction:
             raise DomainError("samples must be finite")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "values", values)
-
-    @property
-    def x_max(self) -> float:
-        return float(self.xs[-1])
+        object.__setattr__(self, "x_max", float(xs[-1]))
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)

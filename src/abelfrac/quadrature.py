@@ -18,9 +18,11 @@ Gauss-Legendre case p = 1, le = 0.  Node counts double from
 at MAX_NODES.
 
 ``singular_integral`` picks the route of each representation of f, for
-``kernel_integral``, the grid solvers and the operators alike.  A power
-sum on [0, x] is not sampled: the nodes are x * u_i with
-u = (1 + xi)/2, so the n-node estimate of sum(c t**d) is exactly
+``kernel_integral``, the grid solvers and ``rl_integral`` alike, and
+``derivative_kernel`` that of K[f'] (f' in place of f) for
+``caputo_derivative``, ``forward`` and ``composition_check``.  A power sum
+on [0, x] is not sampled: the nodes are x * u_i with u = (1 + xi)/2, so
+the n-node estimate of sum(c t**d) is exactly
 (x/2)**(p + le) * sum(c x**d M_n(d)) with the rule moments
 M_n(d) = sum_i w_i u_i**d, doubled as the sampled route doubles
 (``_power_sum_integral``).  A piecewise power sum is its first segment
@@ -88,6 +90,7 @@ __all__ = [
     "DEFAULT_CONFIG",
     "MAX_NODES",
     "singular_integral",
+    "derivative_kernel",
     "singular_integral_tabulated",
     "tabulated_derivative_kernel",
     "smooth_integral",
@@ -567,6 +570,32 @@ def singular_integral(
             raise DomainError("a left weight is not supported for tabulated input")
         return singular_integral_tabulated(g, x, p)
     return _jacobi_integral(g, 0.0, x, p, le, cfg)
+
+
+def derivative_kernel(f, x, p, cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """K[f'](x) = integral_0^x f'(t) (x - t)**(p - 1) dt at a float x or a
+    1-d array of points >= 0, by the route of f's representation
+    (:func:`_piecewise_kernel` for power sums, and for a table
+    :func:`tabulated_derivative_kernel` at each point); x = 0 gives 0 and
+    a bare callable, having no derivative, is a DomainError.  p = 1 is
+    allowed: 1 - n rounds to it for orders n up to 2**-54."""
+    p = 1.0 if p == 1.0 else _order_like(p)
+    # a float x > 0 goes straight to its route: loops over points call this
+    if not (type(x) is float and x > 0.0):
+        x = _limits(x, "upper limits must be a scalar or a 1-d array")
+        low = x if isinstance(x, float) else np.min(x, initial=0.0)
+        if low < 0.0:
+            raise DomainError(f"upper limit must be >= 0, got {float(low)!r}")
+    if isinstance(f, (PowerSum, PiecewisePowerSum)):
+        return _piecewise_kernel(f, x, p, cfg, derivative=True)
+    if isinstance(f, TabulatedFunction):
+        if isinstance(x, float):
+            return tabulated_derivative_kernel(f, x, p) if x > 0.0 else 0.0
+        return np.array([derivative_kernel(f, a, p) for a in x.tolist()])
+    raise DomainError(
+        "derivative requires a power-sum, piecewise, or tabulated input "
+        f"(got {type(f).__name__}); bare callables carry no derivative"
+    )
 
 
 def smooth_integral(

@@ -1,12 +1,14 @@
 """Inverse-problem backends: series map, convolution form, scaled-kernel
-theorem form, half-order piecewise form, and the product-integration grid
-solver.
+theorem form, piecewise form, and the product-integration grid solver.
 
 Reference numbers are closed forms evaluated with mpmath at 30 digits:
 for psi = c a^mu the solution is c * sin(n pi)/pi * B(mu+1, n) * x^(mu+n),
 and the two-segment case reduces to (2 sqrt(x) + 4 (x-1)^{3/2}) / pi.
+A polynomial jump c (a-b)^k at a breakpoint b adds
+c * sin(n pi)/pi * B(k+1, n) * (x-b)^(k+n) beyond b.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -39,6 +41,39 @@ def two_segment_closed_form(x: float) -> float:
     if x <= 1.0:
         return 2.0 * math.sqrt(x) / math.pi
     return (2.0 * math.sqrt(x) + 4.0 * (x - 1.0) ** 1.5) / math.pi
+
+
+# psi = first on [0, JUMP_AT) and first + sum c (a - JUMP_AT)^k beyond;
+# each first segment has its exponents on one lattice
+FIRST_SEGMENTS = [
+    PowerSum([(1.0, 0.0), (0.5, 1.0)]),
+    PowerSum([(2.0, 0.5), (1.0, 1.5)]),
+    PowerSum([(1.0, 0.0), (0.3, 2.0), (0.2, 3.0)]),
+]
+JUMPS = [((0.7, 1),), ((0.4, 1), (-0.9, 2), (0.25, 3))]
+JUMP_AT = 0.6
+
+
+def _beta(a: float, b: float) -> float:
+    return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+
+
+def jump_psi(first: PowerSum, jump) -> PiecewisePowerSum:
+    expanded = [
+        (c * math.comb(k, j) * (-JUMP_AT) ** (k - j), j)
+        for c, k in jump
+        for j in range(k + 1)
+    ]
+    return PiecewisePowerSum([JUMP_AT], [first, PowerSum(first.terms + tuple(expanded))])
+
+
+def jump_closed_form(first: PowerSum, jump, n: float, x: float) -> float:
+    total = sum(c * _beta(e + 1.0, n) * x ** (e + n) for c, e in first.terms)
+    if x > JUMP_AT:
+        total += sum(
+            c * _beta(k + 1.0, n) * (x - JUMP_AT) ** (k + n) for c, k in jump
+        )
+    return math.sin(n * math.pi) / math.pi * total
 
 
 class TestProblemTypes:
@@ -158,10 +193,14 @@ class TestPiecewiseBackend:
                 series.s(x), rel=1e-10
             )
 
-    def test_half_order_only(self):
-        prob = AbelProblem(TWO_SEGMENT, Order(0.4))
-        with pytest.raises(DomainError):
-            solve_piecewise(prob, 1.0)
+    @pytest.mark.parametrize("n", [0.1, 0.3, 0.7, 0.9])
+    def test_polynomial_jump_reference_at_any_order(self, n):
+        xs = np.array([0.3, 0.6, 0.9, 1.5, 2.5])
+        for first, jump in itertools.product(FIRST_SEGMENTS, JUMPS):
+            prob = AbelProblem(jump_psi(first, jump), Order(n))
+            ref = np.array([jump_closed_form(first, jump, n, x) for x in xs])
+            for got in (solve_piecewise(prob, xs), [solve_piecewise(prob, x) for x in xs]):
+                assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
 
     def test_plain_power_sum_accepted(self):
         prob = AbelProblem(PowerSum.constant(2.0), Order(0.5))

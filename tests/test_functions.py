@@ -111,6 +111,14 @@ class TestPowerSum:
         with pytest.raises(AttributeError):
             p.terms = ()
 
+    def test_equal_sums_hash_equal(self):
+        # built in another order: equal, distinct, one hash, same repr
+        p = PowerSum([(2.0, 0.0), (1.0, 0.5)])
+        q = PowerSum([(1.0, 0.5), (2.0, 0.0)])
+        assert p == q and p is not q and hash(p) == hash(q)
+        assert repr(p) == "PowerSum(terms=((2.0, 0.0), (1.0, 0.5)))"
+        assert p != PowerSum([(2.0, 0.0)])
+
     def test_pieces_is_one_span_like_a_piecewise_sum(self):
         p = PowerSum([(2.0, 0.0), (1.0, 0.5)])
         assert list(p.pieces(1.5)) == [(0.0, 1.5, p)]
@@ -158,6 +166,12 @@ class TestPiecewisePowerSum:
         with pytest.raises(DomainError):
             PiecewisePowerSum([1.0], [PowerSum.constant(1.0)])
 
+    def test_equal_sums_hash_equal(self):
+        f, g = self._two_segment(), self._two_segment()
+        assert f == g and f is not g and hash(f) == hash(g)
+        assert repr(f) == repr(g) and repr(f).startswith("PiecewisePowerSum(breakpoints=(1.0,)")
+        assert f != PiecewisePowerSum([1.0], [PowerSum.constant(1.0)] * 2)
+
     def test_pieces_clip_at_upper(self):
         f = self._two_segment()
         spans = list(f.pieces(1.5))
@@ -183,8 +197,15 @@ class TestTabulatedFunction:
         f = TabulatedFunction([0.0, 1.0, 2.0], [0.0, 2.0, 3.0])
         assert f(0.5) == pytest.approx(1.0)
         assert f(1.5) == pytest.approx(2.5)
-        assert f.x_max == 2.0
+        assert f.x_max == 2.0 and type(f.x_max) is float
         np.testing.assert_allclose(f(np.array([0.0, 2.0])), [0.0, 3.0])
+
+    def test_x_max_is_read_only(self):
+        f = TabulatedFunction([0.0, 1.0, 2.0], [0.0, 2.0, 3.0])
+        with pytest.raises(AttributeError):
+            f.x_max = 3.0
+        assert f.x_max == 2.0
+        assert repr(f).startswith("TabulatedFunction(xs=array(")
 
     def test_domain_enforced(self):
         f = TabulatedFunction([0.0, 1.0], [0.0, 1.0])

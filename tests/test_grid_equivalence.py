@@ -4,8 +4,8 @@ solve_on_grid evaluates a whole grid in one vectorised pass; every value
 must equal what the scalar route returns for that point alone, including
 where the node cap makes it return or raise.  The references are the float
 calls of the public routines (singular_integral, singular_integral_tabulated),
-each point on its own.  The kernel integrals, the operators and forward take
-a 1-d x too, and are held to the same rule.
+each point on its own.  The kernel integrals, derivative_kernel, the
+operators and forward take a 1-d x too, and are held to the same rule.
 """
 
 import itertools
@@ -28,6 +28,7 @@ from abelfrac import (
     SolutionBackend,
     TabulatedFunction,
     caputo_derivative,
+    derivative_kernel,
     descent_time_integral,
     forward,
     kernel_integral,
@@ -244,6 +245,9 @@ OPERATORS = {
     "caputo_quadrature": (
         lambda f, x: caputo_derivative(f, N, x, backend="quadrature"), DIFFERENTIABLE, False
     ),
+    "derivative_kernel": (
+        lambda f, x: derivative_kernel(f, x, 1.0 - N), DIFFERENTIABLE, True
+    ),
     "forward": (lambda f, x: forward(f, N, x), DIFFERENTIABLE, True),
     # the pointwise solvers, psi being any function spec
     "solve_convolution": (
@@ -267,7 +271,8 @@ def _exact(op: str, name: str) -> bool:
     """Array calls that must give the scalar calls' bits: the closed
     forms, and tabulated derivatives (one scalar call per point)."""
     return op.endswith("_exact") or (
-        name == "tabulated" and op in ("caputo_quadrature", "forward")
+        name == "tabulated"
+        and op in ("caputo_quadrature", "derivative_kernel", "forward")
     )
 
 
@@ -329,11 +334,42 @@ class TestOperatorsOnArrays:
         with pytest.raises(DomainError):
             descent_time_integral(INPUTS[name], math.nan)
 
+    @pytest.mark.parametrize("op", ["forward", "derivative_kernel"])
     @pytest.mark.parametrize("name", DIFFERENTIABLE)
-    def test_forward_is_zero_at_zero(self, name):
-        got = forward(INPUTS[name], N, np.array([0.0, 0.5, 0.0]))
+    def test_kernel_is_zero_at_zero(self, op, name):
+        call = OPERATORS[op][0]
+        got = call(INPUTS[name], np.array([0.0, 0.5, 0.0]))
         assert got[0] == 0.0 and got[2] == 0.0 and got[1] != 0.0
-        assert forward(INPUTS[name], N, 0.0) == 0.0
+        got = call(INPUTS[name], 0.0)
+        assert type(got) is float and got == 0.0
+
+
+class TestDerivativeKernel:
+    """derivative_kernel is the one dispatch of K[f']: forward is its call
+    at p = 1 - n, and only f with a derivative are taken."""
+
+    def test_tabulated_kernel_still_refuses_zero(self):
+        with pytest.raises(DomainError):
+            quadrature.tabulated_derivative_kernel(INPUTS["tabulated"], 0.0, 1.0 - N)
+
+    @pytest.mark.parametrize("name", DIFFERENTIABLE)
+    def test_forward_is_the_kernel_at_one_minus_n(self, name):
+        f = INPUTS[name]
+        xs = _points(True)
+        assert np.array_equal(forward(f, N, xs), derivative_kernel(f, xs, 1.0 - N))
+        for x in xs:
+            assert forward(f, N, float(x)) == derivative_kernel(f, float(x), 1.0 - N)
+
+    def test_order_that_rounds_p_to_one(self):
+        # 1 - n is 1.0 for n below 2**-54; there K[f'](x) = f(x) - f(0)
+        f = INPUTS["piecewise"]
+        assert forward(f, 1e-17, 0.5) == pytest.approx(f(0.5) - f(0.0), rel=1e-12)
+        assert derivative_kernel(f, 0.5, 1) == forward(f, 1e-17, 0.5)
+
+    @pytest.mark.parametrize("x", [0.5, 0.0, np.array([0.0, 0.5])], ids=["float", "zero", "grid"])
+    def test_bare_callable_is_domain_error(self, x):
+        with pytest.raises(DomainError, match="carry no derivative"):
+            derivative_kernel(INPUTS["callable"], x, 1.0 - N)
 
 
 class TestOneDispatch:

@@ -36,7 +36,6 @@ from abelfrac import (
     solve_theorem,
 )
 from abelfrac import quadrature
-from abelfrac.fracops import _caputo_kernel
 from abelfrac.functions import _eval_terms
 from abelfrac.quadrature import (
     DEFAULT_CONFIG,
@@ -46,6 +45,7 @@ from abelfrac.quadrature import (
     _moment_plan,
     _power_sum_integral,
     _rule_moment,
+    derivative_kernel,
     singular_integral,
 )
 from abelfrac.special_functions import gamma, reflection_factor
@@ -183,7 +183,7 @@ class TestOperators:
             return
         le = min(e for _, e in slope)
         ref = sampled(tuple((c, e - le) for c, e in slope), x, 1.0 - n, le)
-        self.assert_within_tol(_caputo_kernel(f, n, x, DEFAULT_CONFIG), ref)
+        self.assert_within_tol(derivative_kernel(f, x, 1.0 - n, DEFAULT_CONFIG), ref)
         got = caputo_derivative(f, n, x, backend="quadrature")
         self.assert_within_tol(got * gamma(1.0 - n), ref)
         self.assert_within_tol(got, caputo_derivative(f, n, x, backend="exact"))
@@ -410,7 +410,7 @@ class TestFloatPath:
         one = np.array([x])
         for route in (
             lambda y: singular_integral(f, y, p),
-            lambda y: _caputo_kernel(f, 1.0 - p, y, DEFAULT_CONFIG),
+            lambda y: derivative_kernel(f, y, p, DEFAULT_CONFIG),
         ):
             got, grid = route(x), route(one)
             assert isinstance(got, float) and grid.shape == (1,)
@@ -444,6 +444,23 @@ class TestMomentCaches:
             self.fill(name, k)
             assert cache.cache_info().currsize <= maxsize
         assert cache.cache_info().currsize == maxsize
+
+    @pytest.mark.parametrize("pair", ["power_sum", "piecewise"])
+    def test_equal_functions_share_one_plan(self, pair):
+        # equal but distinct instances hash equal, so the second builds no plan
+        def build():
+            if pair == "power_sum":
+                return PowerSum(((1.5, 0.0), (0.5, 1.0)))
+            return PiecewisePowerSum([0.5], [
+                PowerSum(((1.0, 0.0), (2.0, 1.0))),
+                PowerSum(((1.25, 0.0), (1.0, 1.0), (1.0, 2.0))),
+            ])
+
+        f, g = build(), build()
+        assert f is not g and f == g
+        assert singular_integral(f, 0.7, 0.3) == singular_integral(g, 0.7, 0.3)
+        info = quadrature._plan.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
     def test_warm_float_calls_build_nothing(self):
         # a second pass of float calls on the same functions misses no
