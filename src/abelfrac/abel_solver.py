@@ -49,7 +49,7 @@ from .quadrature import (
     graded_mesh,
     singular_integral,
 )
-from .special_functions import gamma, reflection_factor
+from .special_functions import gamma
 
 __all__ = [
     "SolutionBackend",
@@ -71,12 +71,6 @@ class SolutionBackend(enum.Enum):
     NUMERIC_PRODUCT = "numeric"
 
 
-def _check_finite_at_zero(psi) -> None:
-    v = float(psi(0.0))
-    if not math.isfinite(v):
-        raise DomainError("psi must be finite at 0")
-
-
 @dataclass(frozen=True)
 class AbelProblem:
     """The data of one inversion problem: the time function psi and the
@@ -93,7 +87,8 @@ class AbelProblem:
             raise DomainError(
                 f"psi must be a function spec, got {type(self.psi).__name__}"
             )
-        _check_finite_at_zero(self.psi)
+        if not math.isfinite(float(self.psi(0.0))):
+            raise DomainError("psi must be finite at 0")
 
 
 @dataclass(frozen=True)
@@ -178,7 +173,8 @@ def _solve_points(psi, n, x, cfg: QuadratureConfig):
     the convolution form, K[psi] taken by the route of psi's type;
     :func:`singular_integral` checks x."""
     n = float(n)
-    return reflection_factor(n) * singular_integral(psi, x, n, cfg)
+    # reflection_factor without its order check: an Order is already in (0, 1)
+    return math.sin(math.pi * n) / math.pi * singular_integral(psi, x, n, cfg)
 
 
 def _sampled(psi, x_max: float, points: int) -> TabulatedFunction:

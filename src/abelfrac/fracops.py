@@ -41,7 +41,7 @@ from .quadrature import (
     kernel_integral,
     singular_integral,
 )
-from .special_functions import gamma, log_gamma, reflection_factor
+from .special_functions import log_gamma, reflection_factor
 
 __all__ = [
     "rl_integral",
@@ -109,11 +109,15 @@ def _caputo_image_terms(f: PowerSum, n: float):
     return tuple(out)
 
 
-def _operator_args(f, x, backend: str, at_zero: bool):
-    """(x, exact): x as a float or a 1-d float array of points >= 0 (> 0
-    unless ``at_zero``), and whether the exact backend (power sums) runs.
-    Loops over points call the operators one float at a time, so a float
-    takes the shortest path (and the flag is positional: cheaper)."""
+def _operator_args(f, n, x, backend: str, at_zero: bool):
+    """(n, x, exact), the checks of an operator's public entry: the order
+    n as a float in (0, 1), x as a float or a 1-d float array of points
+    >= 0 (> 0 unless ``at_zero``), and whether the exact backend (power
+    sums) runs.  Loops over points call the operators one float at a
+    time, so a float takes the shortest path (and the flag is positional:
+    cheaper)."""
+    if not (type(n) is float and 0.0 < n < 1.0):
+        n = _order_like(n)
     if type(x) is float:
         low = x
     elif not np.ndim(x):
@@ -126,12 +130,13 @@ def _operator_args(f, x, backend: str, at_zero: bool):
     # written so that a nan low fails it
     if not (low > 0.0 or (at_zero and low == 0.0)):
         raise DomainError(f"x must be {'>=' if at_zero else '>'} 0, got {low!r}")
-    if backend not in ("auto", "exact", "quadrature"):
+    if backend == "auto":
+        return n, x, isinstance(f, PowerSum)
+    if backend not in ("exact", "quadrature"):
         raise DomainError(f"unknown backend {backend!r}")
-    exact = backend == "exact" or (backend == "auto" and isinstance(f, PowerSum))
-    if exact and not isinstance(f, PowerSum):
+    if backend == "exact" and not isinstance(f, PowerSum):
         raise DomainError("exact backend requires a PowerSum input")
-    return x, exact
+    return n, x, backend == "exact"
 
 
 def rl_integral(
@@ -148,11 +153,10 @@ def rl_integral(
     backend: 'exact' (power sums only, closed form), 'quadrature', or
     'auto' (exact when available, else quadrature).
     """
-    nn = _order_like(n)
-    x, exact = _operator_args(f, x, backend, True)  # x = 0 allowed
+    nn, x, exact = _operator_args(f, n, x, backend, True)  # x = 0 allowed
     if exact:
         return rl_power_sum(f, nn)(x)
-    return kernel_integral(f, x, nn, cfg) / gamma(nn)
+    return kernel_integral(f, x, nn, cfg) / math.gamma(nn)
 
 
 def caputo_derivative(
@@ -171,11 +175,10 @@ def caputo_derivative(
     (-1, 0), where the derivative diverges as x -> 0 but is finite for
     x > 0.
     """
-    nn = _order_like(n)
-    x, exact = _operator_args(f, x, backend, False)  # x > 0
+    nn, x, exact = _operator_args(f, n, x, backend, False)  # x > 0
     if exact:
         return _eval_terms(_caputo_image_terms(f, nn), x)
-    return derivative_kernel(f, x, 1.0 - nn, cfg) / gamma(1.0 - nn)
+    return derivative_kernel(f, x, 1.0 - nn, cfg) / math.gamma(1.0 - nn)
 
 
 def caputo_limit_at_zero(f, n) -> float | None:

@@ -116,14 +116,16 @@ class PowerSum:
                 raise DomainError(f"terms must be (coef, exp) pairs, got {item!r}")
             coef = float(coef)
             exp = float(exp)
-            if not math.isfinite(coef):
-                raise DomainError(f"non-finite coefficient {coef!r}")
             if not (math.isfinite(exp) and exp >= 0.0):
                 raise DomainError(f"exponent must be finite and >= 0, got {exp!r}")
             merged[exp] = merged.get(exp, 0.0) + coef
         canon = tuple(
             (coef, exp) for exp, coef in sorted(merged.items()) if coef != 0.0
         )
+        # after merging: finite coefficients of one exponent can sum to inf
+        for coef, _ in canon:
+            if not math.isfinite(coef):
+                raise DomainError(f"non-finite coefficient {coef!r}")
         object.__setattr__(self, "terms", canon)
         # quadrature's plan cache hashes f at every call: hash once
         object.__setattr__(self, "_hash", hash(canon))

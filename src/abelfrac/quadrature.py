@@ -25,18 +25,18 @@ on [0, x] is not sampled: the nodes are x * u_i with u = (1 + xi)/2, so
 the n-node estimate of sum(c t**d) is exactly
 (x/2)**(p + le) * sum(c x**d M_n(d)) with the rule moments
 M_n(d) = sum_i w_i u_i**d, doubled as the sampled route doubles
-(``_power_sum_integral``).  A piecewise power sum is its first segment
-on all of [0, x] plus, at each breakpoint lo below x, the jump to the
-next segment on [lo, x]; a polynomial jump, Taylor-shifted to t - lo, is
-a power sum on [0, x - lo] and comes from the moments too.  There only a
-jump with a fractional power is sampled (on [lo, x], where it is
-smooth), and a point whose parts cancel is summed span by span instead.
-Only x**d and the scale depend on x, so two bounded caches hold the
-rest: the moments of a whole sum per (n, alpha, le, exponents)
-(``_moments``), and per (f, le, derivative) the plan of f (``_plan``):
-its first segment's terms less their leading power, their exponents, and
-the jumps at its breakpoints.  A float call then does a few
-multiply-adds per rule.
+(``_power_sum_integral``; its float branch runs its own loop).  A
+piecewise power sum is its first segment on all of [0, x] plus, at each
+breakpoint lo below x, the jump to the next segment on [lo, x]; a
+polynomial jump, Taylor-shifted to t - lo, is a power sum on [0, x - lo]
+and comes from the moments too.  There only a jump with a fractional
+power is sampled (on [lo, x], where it is smooth), and a point whose
+parts cancel is summed span by span instead.  Only x**d and the scale
+depend on x, so two bounded caches hold the rest: the moments of a
+whole sum per (n, alpha, le, exponents) (``_moments``), and per
+(f, le, derivative) the plan of f (``_plan``): its first segment's terms
+less their leading power, their exponents, and the jumps at its
+breakpoints.  A float call then does a few multiply-adds per rule.
 Tabulated f is taken piecewise linear on its own grid and the kernel
 moments of every cell are integrated in closed form (product
 integration), which is exact for the interpolant.  Other callables and
@@ -116,7 +116,7 @@ _LOG_PART_MAX = 345.0
 
 #: relative distance (4 ulps) within which a point counts as node k * h of
 #: a uniform table; np.linspace grids meet it at every node
-_NODE_RTOL = 4.0 * np.finfo(float).eps
+_NODE_RTOL = 4.0 * 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -337,38 +337,19 @@ def _stalled(n: int, err: float, tol: float) -> ConvergenceError:
     )
 
 
-def _doubling(estimate: Callable[[int], float], cfg: QuadratureConfig) -> float:
-    """Double the rule from n = node_count until two successive estimates
-    estimate(n) agree to tolerance.  At the MAX_NODES cap a mild shortfall
-    returns the last estimate; disagreement two orders beyond tolerance
-    raises ConvergenceError.  A non-finite estimate is returned as it is."""
-    n = cfg.node_count
-    val = estimate(n)
-    while n < MAX_NODES and math.isfinite(val):
-        n = min(2 * n, MAX_NODES)
-        prev, val = val, estimate(n)
-        err = abs(val - prev)
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(val))
-        if err <= tol:
-            break
-        if n >= MAX_NODES and err > 100.0 * tol:
-            raise _stalled(n, err, tol)
-    return val
-
-
 def _doubling_grid(
     estimate: Callable[[int, np.ndarray], np.ndarray],
     size: int,
     cfg: QuadratureConfig,
 ) -> np.ndarray:
-    """:func:`_doubling` applied to every one of ``size`` points at once.
-
+    """Double the rule from n = node_count at ``size`` points at once;
     estimate(n, idx) returns the n-node estimates at the points idx.  A
     point leaves the pass at the first doubling that meets its own
-    tolerance max(abs_tol, rel_tol * |value|), so each value is the one
-    the scalar rule returns for that point alone; only unconverged points
-    are estimated again.  The cap rule is the scalar one, and a stall is
-    reported for the first stalled point in grid order.
+    tolerance max(abs_tol, rel_tol * |value|); only unconverged points are
+    estimated again.  At the MAX_NODES cap a mild shortfall returns the
+    last estimate, and disagreement two orders beyond tolerance raises
+    ConvergenceError for the first stalled point in grid order.  The float
+    branch of :func:`_power_sum_integral` runs this loop for one point.
     """
     n = cfg.node_count
     idx = np.arange(size)
@@ -509,9 +490,18 @@ def _power_sum_integral(plan: _Plan, x, p: float, cfg: QuadratureConfig):
         if not math.isfinite(sum(map(abs, h))):
             return _sampled_terms(terms, x, p, le, cfg)
         scale = (0.5 * x) ** (p + le)
-        value = _doubling(
-            lambda n: scale * sum(map(mul, h, _moments(n, alpha, le, exps))), cfg
-        )
+        # _doubling_grid's loop for one point; a non-finite estimate stops it
+        n = cfg.node_count
+        value = scale * sum(map(mul, h, _moments(n, alpha, le, exps)))
+        while n < MAX_NODES and math.isfinite(value):
+            n = min(2 * n, MAX_NODES)
+            prev, value = value, scale * sum(map(mul, h, _moments(n, alpha, le, exps)))
+            err = abs(value - prev)
+            tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+            if err <= tol:
+                break
+            if n >= MAX_NODES and err > 100.0 * tol:
+                raise _stalled(n, err, tol)
         return value if math.isfinite(value) else _sampled_terms(terms, x, p, le, cfg)
 
     out = np.zeros(x.shape)
@@ -555,12 +545,17 @@ def singular_integral(
     x is a float, or a 1-d array of upper limits evaluated in one pass
     with each value the one a scalar call gives, up to rounding.
     """
-    p = _order_like(p)
-    le = _left_exponent(left_exponent)
-    x = _limits(x, "upper limits must be a scalar or a 1-d array")
-    low = x if isinstance(x, float) else np.min(x, initial=0.0)
-    if low < 0.0:
-        raise DomainError(f"upper limit must be >= 0, got {float(low)!r}")
+    # loops over points call this: a float p, le = 0 and x > 0 skip the checks
+    if not (type(p) is float and 0.0 < p < 1.0):
+        p = _order_like(p)
+    le = left_exponent
+    if not (type(le) is float and le == 0.0):
+        le = _left_exponent(le)
+    if not (type(x) is float and x > 0.0):
+        x = _limits(x, "upper limits must be a scalar or a 1-d array")
+        low = x if isinstance(x, float) else np.min(x, initial=0.0)
+        if low < 0.0:
+            raise DomainError(f"upper limit must be >= 0, got {float(low)!r}")
     if isinstance(g, PowerSum):
         return _power_sum_integral(_plan(g, le, False).first, x, p, cfg)
     if le == 0.0 and isinstance(g, PiecewisePowerSum):
@@ -579,19 +574,31 @@ def derivative_kernel(f, x, p, cfg: QuadratureConfig = DEFAULT_CONFIG):
     :func:`tabulated_derivative_kernel` at each point); x = 0 gives 0 and
     a bare callable, having no derivative, is a DomainError.  p = 1 is
     allowed: 1 - n rounds to it for orders n up to 2**-54."""
-    p = 1.0 if p == 1.0 else _order_like(p)
-    # a float x > 0 goes straight to its route: loops over points call this
+    # loops over points call this: a float p and x > 0 skip the checks
+    if not (type(p) is float and 0.0 < p <= 1.0):
+        p = 1.0 if p == 1.0 else _order_like(p)
     if not (type(x) is float and x > 0.0):
         x = _limits(x, "upper limits must be a scalar or a 1-d array")
         low = x if isinstance(x, float) else np.min(x, initial=0.0)
         if low < 0.0:
             raise DomainError(f"upper limit must be >= 0, got {float(low)!r}")
+    if isinstance(f, TabulatedFunction):
+        if p == 1.0:
+            # K[f'] = f(x) - f(0), exact on the interpolant
+            return f(x) - f.values.item(0)
+        if not isinstance(x, float):
+            return np.array([derivative_kernel(f, a, p) for a in x.tolist()])
+        if x == 0.0:
+            return 0.0
+        if x > f.x_max * (1.0 + 1e-12):
+            raise DomainError(f"x = {x!r} outside tabulated range [0, {f.x_max!r}]")
+        # node k * h of a uniform table: its cached slope (k <= last, as x is in range)
+        h = f.x_max / (f.xs.size - 1)
+        k = round(x / h)
+        nodes = _node_derivatives(f, p) if abs(x - k * h) <= _NODE_RTOL * x else None
+        return _tabulated_slope(f, x, p) if nodes is None else nodes.item(k)
     if isinstance(f, (PowerSum, PiecewisePowerSum)):
         return _piecewise_kernel(f, x, p, cfg, derivative=True)
-    if isinstance(f, TabulatedFunction):
-        if isinstance(x, float):
-            return tabulated_derivative_kernel(f, x, p) if x > 0.0 else 0.0
-        return np.array([derivative_kernel(f, a, p) for a in x.tolist()])
     raise DomainError(
         "derivative requires a power-sum, piecewise, or tabulated input "
         f"(got {type(f).__name__}); bare callables carry no derivative"
@@ -724,15 +731,6 @@ def _node_indices(t: np.ndarray, x: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _node_index(f: TabulatedFunction, x: float) -> int | None:
-    """:func:`_node_indices` for one float x: k when x is node k * h."""
-    h = f.x_max / (f.xs.size - 1)
-    k = round(x / h)
-    if k < f.xs.size and abs(x - k * h) <= _NODE_RTOL * x:
-        return k
-    return None
-
-
 # Hold K[f], and K[f'] (_node_derivatives), at every node of the last few
 # (table, order) pairs as read-only arrays; non-uniform tables map to None.
 # The key is the table's identity (TabulatedFunction compares by identity)
@@ -824,14 +822,13 @@ def tabulated_derivative_kernel(f: TabulatedFunction, x: float, p) -> float:
     x = float(x)
     if not x > 0.0:
         raise DomainError(f"upper limit must be > 0, got {x!r}")
-    k = _node_index(f, x)
-    nodes = None if k is None else _node_derivatives(f, p)
-    if nodes is not None:
-        return float(nodes[k])
+    return derivative_kernel(f, x, p)
+
+
+def _tabulated_slope(f: TabulatedFunction, x: float, p: float) -> float:
+    """:func:`tabulated_derivative_kernel` off the nodes, x and p checked."""
     xs, x_max = f.xs, f.x_max
     top = x_max * (1.0 + 1e-12)
-    if x > top:
-        raise DomainError(f"x = {x!r} outside tabulated range [0, {x_max!r}]")
     j = min(max(int(np.searchsorted(xs, x)), 1), xs.size - 1)
     h = min(float(xs[j]) - float(xs[j - 1]), 0.5 * x_max)
     # past x_max by rounding alone, x + h is left to the clip

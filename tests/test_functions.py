@@ -62,6 +62,16 @@ class TestPowerSum:
         with pytest.raises(DomainError):
             PowerSum([(float("inf"), 1.0)])
 
+    def test_merged_coefficients_must_be_finite(self):
+        # each 1e308 is finite, their merged sum is not
+        with pytest.raises(DomainError, match="non-finite coefficient inf"):
+            PowerSum([(1e308, 0.0), (1e308, 0.0)])
+        big = PowerSum([(1e308, 0.0)])
+        with pytest.raises(DomainError, match="non-finite coefficient inf"):
+            big + big
+        with pytest.raises(DomainError, match="non-finite coefficient nan"):
+            PowerSum([(math.inf, 1.0), (-math.inf, 1.0)])
+
     def test_evaluation_scalar_and_array(self):
         p = PowerSum([(2.0, 0.0), (1.0, 1.0), (0.5, 2.0)])
         assert p(2.0) == pytest.approx(2.0 + 2.0 + 2.0)

@@ -366,6 +366,16 @@ class TestDerivativeKernel:
         assert forward(f, 1e-17, 0.5) == pytest.approx(f(0.5) - f(0.0), rel=1e-12)
         assert derivative_kernel(f, 0.5, 1) == forward(f, 1e-17, 0.5)
 
+    def test_order_that_rounds_p_to_one_on_a_table(self):
+        # the same on the interpolant, exactly, for a float and for a 1-d x
+        t = np.linspace(0.0, 1.0, 101)
+        f = TabulatedFunction(t, 2.0 * np.sqrt(t))
+        for a in (0.5, float(t[37]), 1.0, 0.0):
+            assert forward(f, 1e-17, a) == f(a) - f(0.0)
+        xs = np.concatenate((t, [0.123, 0.987]))
+        assert np.array_equal(forward(f, 1e-17, xs), f(xs) - f(0.0))
+        assert np.array_equal(derivative_kernel(f, xs, 1.0), f(xs) - f(0.0))
+
     @pytest.mark.parametrize("x", [0.5, 0.0, np.array([0.0, 0.5])], ids=["float", "zero", "grid"])
     def test_bare_callable_is_domain_error(self, x):
         with pytest.raises(DomainError, match="carry no derivative"):
@@ -405,3 +415,61 @@ class TestOneDispatch:
         got = quadrature._piecewise_kernel(INPUTS[name], 0.0, N, DEFAULT_CONFIG, derivative)
         assert type(got) is float and got == 0.0
         assert singular_integral(INPUTS[name], 0.0, N) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# every float entry on bad input: each check runs once, at the entry
+
+
+# name -> (call(f, n, x), the inputs it takes, whether x = 0 is allowed);
+# n is the kernel exponent p for derivative_kernel and singular_integral
+FLOAT_ENTRIES = {
+    "rl_exact": (lambda f, n, x: rl_integral(f, n, x, backend="exact"), POWER_SUMS, True),
+    "rl_quadrature": (
+        lambda f, n, x: rl_integral(f, n, x, backend="quadrature"), DIFFERENTIABLE, True
+    ),
+    "caputo_exact": (
+        lambda f, n, x: caputo_derivative(f, n, x, backend="exact"), POWER_SUMS, False
+    ),
+    "caputo_quadrature": (
+        lambda f, n, x: caputo_derivative(f, n, x, backend="quadrature"), DIFFERENTIABLE, False
+    ),
+    "forward": (lambda f, n, x: forward(f, n, x), DIFFERENTIABLE, True),
+    "derivative_kernel": (lambda f, p, x: derivative_kernel(f, x, p), DIFFERENTIABLE, True),
+    "singular_integral": (lambda f, p, x: singular_integral(f, x, p), DIFFERENTIABLE, True),
+    "solve_convolution": (
+        lambda f, n, x: solve_convolution(AbelProblem(f, n), x), DIFFERENTIABLE, True
+    ),
+    "solve_theorem": (
+        lambda f, n, x: solve_theorem(AbelProblem(f, n), x), DIFFERENTIABLE, True
+    ),
+    "solve_piecewise": (
+        lambda f, n, x: solve_piecewise(AbelProblem(f, n), x), DIFFERENTIABLE, True
+    ),
+}
+
+
+def _bad_float_calls():
+    for entry, (_, names, zero) in FLOAT_ENTRIES.items():
+        for name in names:
+            cases = [("nan", N, math.nan), ("negative", N, -0.25)]
+            if not zero:
+                cases.append(("zero", N, 0.0))
+            if name == "tabulated":
+                cases.append(("inf", N, math.inf))
+            # derivative_kernel takes p = 1, the kernel of an order that rounds 1 - n to 1
+            orders = (0.0, math.nan) if entry == "derivative_kernel" else (0.0, 1.0, math.nan)
+            cases += [(f"order-{n}", n, 0.5) for n in orders]
+            for bad, n, x in cases:
+                yield pytest.param(entry, name, n, x, id=f"{entry}-{name}-{bad}")
+
+
+class TestFloatEntriesOnBadInput:
+    """A float call checks its order and point once, at its public entry:
+    each bad order or point is still a DomainError.  A table at x = inf is
+    one too, not a bare OverflowError from its node index."""
+
+    @pytest.mark.parametrize("entry, name, n, x", list(_bad_float_calls()))
+    def test_is_domain_error(self, entry, name, n, x):
+        with pytest.raises(DomainError):
+            FLOAT_ENTRIES[entry][0](INPUTS[name], n, x)

@@ -40,7 +40,6 @@ from abelfrac.functions import _eval_terms
 from abelfrac.quadrature import (
     DEFAULT_CONFIG,
     MAX_NODES,
-    _doubling,
     _jacobi_rule,
     _moment_plan,
     _power_sum_integral,
@@ -323,6 +322,31 @@ def per_term_estimate(terms, x, p, le):
     )
 
 
+def doubling(estimate, cfg):
+    """Sequential doubling of the rule from n = node_count until two
+    successive estimate(n) agree to tolerance, the cap read from the module
+    at call time: the reference loop of the float route.  At the cap a
+    mild shortfall returns the last estimate and disagreement two orders
+    beyond tolerance raises ConvergenceError; a non-finite estimate is
+    returned as it is."""
+    cap = quadrature.MAX_NODES
+    n = cfg.node_count
+    val = estimate(n)
+    while n < cap and math.isfinite(val):
+        n = min(2 * n, cap)
+        prev, val = val, estimate(n)
+        err = abs(val - prev)
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(val))
+        if err <= tol:
+            break
+        if n >= cap and err > 100.0 * tol:
+            raise ConvergenceError(
+                f"quadrature stalled at {n} nodes "
+                f"(last change {err:.3e}, tolerance {tol:.3e})"
+            )
+    return val
+
+
 def raised(fn):
     """(type, message) of the exception fn raises, or its value."""
     try:
@@ -344,7 +368,7 @@ class TestFloatPath:
         le=st.sampled_from(LEFT),
     )
     def test_float_path_is_the_per_term_formula(self, terms, x, p, le):
-        ref = raised(lambda: _doubling(per_term_estimate(terms, x, p, le), DEFAULT_CONFIG))
+        ref = raised(lambda: doubling(per_term_estimate(terms, x, p, le), DEFAULT_CONFIG))
         got = raised(lambda: _power_sum_integral(_moment_plan(terms, le), x, p, DEFAULT_CONFIG))
         assert got == ref
 
@@ -360,7 +384,7 @@ class TestFloatPath:
         f = PowerSum(terms)
         d = f.min_exponent if f.terms else 0.0
         shifted = tuple((c, e - d) for c, e in f.terms)
-        ref = raised(lambda: _doubling(
+        ref = raised(lambda: doubling(
             per_term_estimate(shifted, x, p, le + d), DEFAULT_CONFIG
         ))
         assert raised(lambda: singular_integral(f, x, p, left_exponent=le)) == ref
@@ -393,7 +417,7 @@ class TestFloatPath:
         slope = s.derivative_terms()
         le = min(e for _, e in slope)
         shifted = tuple((c, e - le) for c, e in slope)
-        ref = raised(lambda: _doubling(per_term_estimate(shifted, 0.7, 0.75, le), DEFAULT_CONFIG))
+        ref = raised(lambda: doubling(per_term_estimate(shifted, 0.7, 0.75, le), DEFAULT_CONFIG))
         assert ref[0] is ConvergenceError and "128 nodes" in ref[1]
         plan = _moment_plan(shifted, le)
         assert raised(lambda: _power_sum_integral(plan, 0.7, 0.75, DEFAULT_CONFIG)) == ref
