@@ -36,6 +36,7 @@ from .functions import (
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
+    _limits,
     _order_like,
     derivative_kernel,
     kernel_integral,
@@ -111,25 +112,15 @@ def _caputo_image_terms(f: PowerSum, n: float):
 
 def _operator_args(f, n, x, backend: str, at_zero: bool):
     """(n, x, exact), the checks of an operator's public entry: the order
-    n as a float in (0, 1), x as a float or a 1-d float array of points
-    >= 0 (> 0 unless ``at_zero``), and whether the exact backend (power
-    sums) runs.  Loops over points call the operators one float at a
-    time, so a float takes the shortest path (and the flag is positional:
-    cheaper)."""
+    n as a float in (0, 1), x as a float or a 1-d float array of finite
+    points >= 0 (> 0 unless ``at_zero``), and whether the exact backend
+    (power sums) runs.  Loops over points call the operators one float at
+    a time, so a finite float x > 0 takes the shortest path (and the flag
+    is positional: cheaper)."""
     if not (type(n) is float and 0.0 < n < 1.0):
         n = _order_like(n)
-    if type(x) is float:
-        low = x
-    elif not np.ndim(x):
-        x = low = float(x)
-    else:
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1:
-            raise DomainError("x must be a scalar or a 1-d array")
-        low = float(np.min(x, initial=math.inf))
-    # written so that a nan low fails it
-    if not (low > 0.0 or (at_zero and low == 0.0)):
-        raise DomainError(f"x must be {'>=' if at_zero else '>'} 0, got {low!r}")
+    if not (type(x) is float and 0.0 < x < math.inf):
+        x = _points(x, at_zero)
     if backend == "auto":
         return n, x, isinstance(f, PowerSum)
     if backend not in ("exact", "quadrature"):
@@ -137,6 +128,16 @@ def _operator_args(f, n, x, backend: str, at_zero: bool):
     if backend == "exact" and not isinstance(f, PowerSum):
         raise DomainError("exact backend requires a PowerSum input")
     return n, x, backend == "exact"
+
+
+def _points(x, at_zero: bool):
+    """x as a float or a 1-d float array of finite points (``_limits``)
+    >= 0 (> 0 unless ``at_zero``), else a DomainError."""
+    x = _limits(x, "x must be a scalar or a 1-d array")
+    low = x if isinstance(x, float) else float(np.min(x, initial=math.inf))
+    if not (low > 0.0 or (at_zero and low == 0.0)):
+        raise DomainError(f"x must be {'>=' if at_zero else '>'} 0, got {low!r}")
+    return x
 
 
 def rl_integral(

@@ -32,11 +32,14 @@ polynomial jump, Taylor-shifted to t - lo, is a power sum on [0, x - lo]
 and comes from the moments too.  There only a jump with a fractional
 power is sampled (on [lo, x], where it is smooth), and a point whose
 parts cancel is summed span by span instead.  Only x**d and the scale
-depend on x, so two bounded caches hold the rest: the moments of a
-whole sum per (n, alpha, le, exponents) (``_moments``), and per
-(f, le, derivative) the plan of f (``_plan``): its first segment's terms
-less their leading power, their exponents, and the jumps at its
-breakpoints.  A float call then does a few multiply-adds per rule.
+depend on x, so bounded caches hold the rest: the moments of a whole
+sum per (n, alpha, le, exponents) (``_moments``); per (f, le,
+derivative) the plan of f (``_plan``): its first segment's terms less
+their leading power, their exponents, and the jumps at its breakpoints;
+and per (plan, alpha, n, 2n) the rows (c, d, M_n(d), M_2n(d)) of a
+sum's first two rules (``_first_rows``).  A float call then takes both
+first estimates in one pass over the terms, a few multiply-adds each,
+left to right, and only a point they leave unconverged doubles on.
 Tabulated f is taken piecewise linear on its own grid and the kernel
 moments of every cell are integrated in closed form (product
 integration), which is exact for the interpolant.  Other callables and
@@ -47,7 +50,8 @@ in one vectorised pass; the sampled and tabulated routes take a float as
 a one-point grid.  Gauss-Jacobi is affine-invariant, so the nodes of
 every interval are a + (b - a)(1 + xi)/2 and one matrix product gives the
 integral over all of them; each point still stops doubling at its own
-tolerance.
+tolerance.  Every limit, a float or in an array, must be a finite number:
+nan and +-inf are a DomainError at each public entry.
 
 The rules are built here, in numpy; no scipy is imported.  Node k is
 x = cos(theta_k), and each half of [-1, 1] is found from its own end (the
@@ -71,7 +75,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from operator import mul
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -349,7 +352,9 @@ def _doubling_grid(
     estimated again.  At the MAX_NODES cap a mild shortfall returns the
     last estimate, and disagreement two orders beyond tolerance raises
     ConvergenceError for the first stalled point in grid order.  The float
-    branch of :func:`_power_sum_integral` runs this loop for one point.
+    branch of :func:`_power_sum_integral` runs this loop for one point: its
+    first two rules in one pass over the terms, the rest in
+    :func:`_doubled`.
     """
     n = cfg.node_count
     idx = np.arange(size)
@@ -384,17 +389,28 @@ def _order_like(p) -> float:
 
 def _limits(x, error: str = "limits must be scalars or 1-d arrays"):
     """x as a float, or as a 1-d float array; nan, which passes every
-    range check, is a DomainError."""
+    range check, and +-inf are a DomainError."""
     if isinstance(x, float) or not np.ndim(x):
         x = float(x)
-        if x != x:
-            raise DomainError(f"limit must be a number, got {x!r}")
+        if not math.isfinite(x):
+            raise DomainError(f"limit must be a finite number, got {x!r}")
         return x
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DomainError(error)
-    if np.isnan(x).any():
-        raise DomainError("limits must be numbers, got nan")
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise DomainError(f"limits must be finite numbers, got {float(x[~finite][0])!r}")
+    return x
+
+
+def _upper_limits(x):
+    """x as a float or a 1-d array of upper limits (:func:`_limits`), each
+    >= 0."""
+    x = _limits(x, "upper limits must be a scalar or a 1-d array")
+    low = x if isinstance(x, float) else np.min(x, initial=0.0)
+    if low < 0.0:
+        raise DomainError(f"upper limit must be >= 0, got {float(low)!r}")
     return x
 
 
@@ -465,6 +481,46 @@ def _sampled_terms(terms, x, p: float, le: float, cfg: QuadratureConfig):
     return _jacobi_integral(lambda t: _eval_terms(terms, t), 0.0, x, p, le, cfg)
 
 
+@lru_cache(maxsize=512)
+def _first_rows(plan: _Plan, alpha: float, n: int, m: int) -> tuple:
+    """(c, d, M_n(d), M_m(d)) for each term (c, d) of the plan: all but x
+    of a float call's first two estimates, at n and m = min(2n, MAX_NODES)
+    nodes."""
+    terms, exps, le = plan
+    return tuple(
+        (c, d, mn, mm)
+        for (c, d), mn, mm in zip(
+            terms, _moments(n, alpha, le, exps), _moments(m, alpha, le, exps)
+        )
+    )
+
+
+def _doubled(
+    plan: _Plan, x: float, alpha: float, scale: float, n: int,
+    prev: float, value: float, cfg: QuadratureConfig,
+) -> float:
+    """_doubling_grid's loop for one float point, from its estimates prev
+    and value at the rule before n nodes and at n: the first estimate that
+    meets the tolerance, the last one at the MAX_NODES cap (or
+    ConvergenceError), or the first that is not finite.  Each estimate sums
+    its terms left to right, as the first two do."""
+    terms, exps, le = plan
+    while True:
+        err = abs(value - prev)
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+        if err <= tol or not math.isfinite(value):
+            return value
+        if n >= MAX_NODES:
+            if err > 100.0 * tol:
+                raise _stalled(n, err, tol)
+            return value
+        n = min(2 * n, MAX_NODES)
+        total = 0.0
+        for (c, d), mom in zip(terms, _moments(n, alpha, le, exps)):
+            total += c * x**d * mom
+        prev, value = value, scale * total
+
+
 def _power_sum_integral(plan: _Plan, x, p: float, cfg: QuadratureConfig):
     """integral_0^x sum(c * t**d) * t**le * (x - t)**(p - 1) dt for the
     terms and le of ``plan``: _jacobi_integral's estimates on [0, x]
@@ -477,31 +533,40 @@ def _power_sum_integral(plan: _Plan, x, p: float, cfg: QuadratureConfig):
     float or a 1-d array (x >= 0).  Where some |c| x**d or an estimate is
     not finite the nodes are sampled instead, so an integrand that
     overflows at a node raises EvaluationError as the sampled route does.
+
+    A float x makes one pass over the rows (c, d, M_n(d), M_2n(d)) cached
+    per (plan, alpha, n, 2n) (:func:`_first_rows`; 2n is capped at
+    MAX_NODES, read at call time), which gives both first estimates and
+    sum |c| x**d; only a point they leave unconverged doubles on
+    (:func:`_doubled`).  Every estimate adds its terms left to right, so a
+    float call's bits are the same on every Python version.
     """
     terms, exps, le = plan
     alpha = p - 1.0
     if isinstance(x, float):
         if x <= 0.0:
             return 0.0
+        n, cap = cfg.node_count, MAX_NODES
+        m = min(2 * n, cap)
+        # the first two estimates' sums and sum |c x**d|, left to right
+        first = second = size = 0.0
         try:
-            h = [c * x**d for c, d in terms]
+            for c, d, mn, mm in _first_rows(plan, alpha, n, m):
+                h = c * x**d
+                size += abs(h)
+                first += h * mn
+                second += h * mm
         except OverflowError:
             return _sampled_terms(terms, x, p, le, cfg)
-        if not math.isfinite(sum(map(abs, h))):
+        if not math.isfinite(size):
             return _sampled_terms(terms, x, p, le, cfg)
         scale = (0.5 * x) ** (p + le)
-        # _doubling_grid's loop for one point; a non-finite estimate stops it
-        n = cfg.node_count
-        value = scale * sum(map(mul, h, _moments(n, alpha, le, exps)))
-        while n < MAX_NODES and math.isfinite(value):
-            n = min(2 * n, MAX_NODES)
-            prev, value = value, scale * sum(map(mul, h, _moments(n, alpha, le, exps)))
-            err = abs(value - prev)
-            tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
-            if err <= tol:
-                break
-            if n >= MAX_NODES and err > 100.0 * tol:
-                raise _stalled(n, err, tol)
+        value = scale * first
+        if n < cap and math.isfinite(value):
+            prev, value = value, scale * second
+            # most points stop here; the rest, and the cap, go on doubling
+            if not abs(value - prev) <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+                value = _doubled(plan, x, alpha, scale, m, prev, value, cfg)
         return value if math.isfinite(value) else _sampled_terms(terms, x, p, le, cfg)
 
     out = np.zeros(x.shape)
@@ -545,17 +610,15 @@ def singular_integral(
     x is a float, or a 1-d array of upper limits evaluated in one pass
     with each value the one a scalar call gives, up to rounding.
     """
-    # loops over points call this: a float p, le = 0 and x > 0 skip the checks
+    # loops over points call this: a float p, le = 0 and a finite x > 0
+    # skip the checks
     if not (type(p) is float and 0.0 < p < 1.0):
         p = _order_like(p)
     le = left_exponent
     if not (type(le) is float and le == 0.0):
         le = _left_exponent(le)
-    if not (type(x) is float and x > 0.0):
-        x = _limits(x, "upper limits must be a scalar or a 1-d array")
-        low = x if isinstance(x, float) else np.min(x, initial=0.0)
-        if low < 0.0:
-            raise DomainError(f"upper limit must be >= 0, got {float(low)!r}")
+    if not (type(x) is float and 0.0 < x < math.inf):
+        x = _upper_limits(x)
     if isinstance(g, PowerSum):
         return _power_sum_integral(_plan(g, le, False).first, x, p, cfg)
     if le == 0.0 and isinstance(g, PiecewisePowerSum):
@@ -574,14 +637,11 @@ def derivative_kernel(f, x, p, cfg: QuadratureConfig = DEFAULT_CONFIG):
     :func:`tabulated_derivative_kernel` at each point); x = 0 gives 0 and
     a bare callable, having no derivative, is a DomainError.  p = 1 is
     allowed: 1 - n rounds to it for orders n up to 2**-54."""
-    # loops over points call this: a float p and x > 0 skip the checks
+    # loops over points call this: a float p and a finite x > 0 skip the checks
     if not (type(p) is float and 0.0 < p <= 1.0):
         p = 1.0 if p == 1.0 else _order_like(p)
-    if not (type(x) is float and x > 0.0):
-        x = _limits(x, "upper limits must be a scalar or a 1-d array")
-        low = x if isinstance(x, float) else np.min(x, initial=0.0)
-        if low < 0.0:
-            raise DomainError(f"upper limit must be >= 0, got {float(low)!r}")
+    if not (type(x) is float and 0.0 < x < math.inf):
+        x = _upper_limits(x)
     if isinstance(f, TabulatedFunction):
         if p == 1.0:
             # K[f'] = f(x) - f(0), exact on the interpolant
@@ -817,8 +877,8 @@ def tabulated_derivative_kernel(f: TabulatedFunction, x: float, p) -> float:
     x_max / 2), and c is x, moved one step inward where x -+ h would leave
     [0, x_max], then clipped to [h, x_max - h].  At the nodes of a uniform
     table that is np.gradient's rule, cached (:func:`_node_derivatives`).
+    p = 1 gives f(x) - f(0), as :func:`derivative_kernel` does.
     """
-    p = _order_like(p)
     x = float(x)
     if not x > 0.0:
         raise DomainError(f"upper limit must be > 0, got {x!r}")

@@ -452,11 +452,15 @@ FLOAT_ENTRIES = {
 def _bad_float_calls():
     for entry, (_, names, zero) in FLOAT_ENTRIES.items():
         for name in names:
-            cases = [("nan", N, math.nan), ("negative", N, -0.25)]
+            cases = [
+                ("nan", N, math.nan),
+                ("negative", N, -0.25),
+                ("inf", N, math.inf),
+                ("minus-inf", N, -math.inf),
+                ("inf-in-array", N, np.array([0.5, math.inf])),
+            ]
             if not zero:
                 cases.append(("zero", N, 0.0))
-            if name == "tabulated":
-                cases.append(("inf", N, math.inf))
             # derivative_kernel takes p = 1, the kernel of an order that rounds 1 - n to 1
             orders = (0.0, math.nan) if entry == "derivative_kernel" else (0.0, 1.0, math.nan)
             cases += [(f"order-{n}", n, 0.5) for n in orders]
@@ -466,8 +470,10 @@ def _bad_float_calls():
 
 class TestFloatEntriesOnBadInput:
     """A float call checks its order and point once, at its public entry:
-    each bad order or point is still a DomainError.  A table at x = inf is
-    one too, not a bare OverflowError from its node index."""
+    each bad order or point is still a DomainError.  So is x = +-inf, as a
+    float or inside an array, on every input: not a value read at
+    scale = inf**0 = 1, an EvaluationError from the samples, or a bare
+    OverflowError from a table's node index."""
 
     @pytest.mark.parametrize("entry, name, n, x", list(_bad_float_calls()))
     def test_is_domain_error(self, entry, name, n, x):

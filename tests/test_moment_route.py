@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abelfrac import (
@@ -314,12 +314,17 @@ class TestOutcomes:
 
 
 def per_term_estimate(terms, x, p, le):
-    """The n-node moment estimate summed term by term, one _rule_moment
-    each: the float route's formula before the moments were cached per
-    sum."""
-    return lambda n: (x / 2) ** (p + le) * sum(
-        c * x**d * _rule_moment(n, p - 1, le, d) for c, d in terms
-    )
+    """The n-node moment estimate summed term by term, left to right, one
+    _rule_moment each: the float route's formula before the moments were
+    cached.  An explicit loop, not sum(), which compensates its rounding
+    on Python 3.12 and later."""
+    def estimate(n):
+        total = 0.0
+        for c, d in terms:
+            total += c * x**d * _rule_moment(n, p - 1, le, d)
+        return (x / 2) ** (p + le) * total
+
+    return estimate
 
 
 def doubling(estimate, cfg):
@@ -345,6 +350,22 @@ def doubling(estimate, cfg):
                 f"(last change {err:.3e}, tolerance {tol:.3e})"
             )
     return val
+
+
+def float_route(terms, x, p, le, cfg):
+    """The float route by its definition: the sampled route where some
+    c x**d, sum |c x**d| or the doubled estimate is not finite, else the
+    sequential doubling of the per-term estimate."""
+    size = 0.0
+    try:
+        for c, d in terms:
+            size += abs(c * x**d)
+    except OverflowError:
+        return sampled(terms, x, p, le, cfg)
+    if not math.isfinite(size):
+        return sampled(terms, x, p, le, cfg)
+    value = doubling(per_term_estimate(terms, x, p, le), cfg)
+    return value if math.isfinite(value) else sampled(terms, x, p, le, cfg)
 
 
 def raised(fn):
@@ -388,6 +409,38 @@ class TestFloatPath:
             per_term_estimate(shifted, x, p, le + d), DEFAULT_CONFIG
         ))
         assert raised(lambda: singular_integral(f, x, p, left_exponent=le)) == ref
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # exponents up to 400 need 256 nodes and more, and overflow beyond
+        # x = 5.9; the last sum overflows in sum |c x**d| near x = 1, while
+        # its estimates need not
+        terms=st.one_of(
+            signed_terms(), signed_terms(400.0), st.just(((1e308, 5.0), (1e308, 6.0)))
+        ),
+        x=st.floats(1e-3, 10.0),
+        p=st.sampled_from((0.25, 0.8)),
+        le=st.sampled_from((0.0, 0.5)),
+        n=st.sampled_from((2, 64, 2048, 4096)),
+    )
+    # a stall at the cap, x**400 overflowing, sum |c x**d| overflowing with
+    # finite estimates, and a degree-300 term that 2048 nodes integrate
+    @example(((1.0, 0.0), (1.0, 0.5)), 0.7, 0.25, 0.0, 2)
+    @example(((1.0, 0.0), (1.0, 400.0)), 8.0, 0.8, 0.0, 64)
+    @example(((1e308, 5.0), (1e308, 6.0)), 1.0, 0.8, 0.0, 64)
+    @example(((1.0, 0.0), (-0.5, 300.0)), 1.5, 0.25, 0.5, 2048)
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_one_pass_is_the_doubling_loop(self, terms, x, p, le, n):
+        # the first two estimates come from one pass over the cached rows:
+        # with the cap at n there is one rule, at 2n the pass holds both;
+        # the same sum under both caps reads no row of the other
+        plan = _moment_plan(terms, le)
+        for cap in (n, 2 * n, n):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(quadrature, "MAX_NODES", cap)
+                cfg = QuadratureConfig(node_count=n)
+                ref = raised(lambda: float_route(terms, x, p, le, cfg))
+                assert raised(lambda: _power_sum_integral(plan, x, p, cfg)) == ref
 
     @pytest.mark.parametrize("x", [2.0, 8.0])
     @np.errstate(over="ignore")
@@ -441,7 +494,7 @@ class TestFloatPath:
             assert abs(got - grid[0]) <= 1e-13 * abs(got)
 
 
-MOMENT_CACHES = ("_moments", "_plan")
+MOMENT_CACHES = ("_moments", "_plan", "_first_rows")
 
 
 class TestMomentCaches:
@@ -457,6 +510,8 @@ class TestMomentCaches:
     def fill(name, k):
         if name == "_moments":
             quadrature._moments(8, -0.5, 0.0, (float(k),))
+        elif name == "_first_rows":
+            quadrature._first_rows(_moment_plan(((1.0, float(k)),), 0.0), -0.5, 8, 16)
         else:
             quadrature._plan(PowerSum.monomial(1.0, float(k)), 0.0, False)
 

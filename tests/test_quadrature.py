@@ -23,6 +23,7 @@ from abelfrac import (
 from abelfrac.quadrature import (
     MAX_NODES,
     _indexed_smooth_integral,
+    derivative_kernel,
     graded_mesh,
     left_weighted_integral,
     singular_integral_tabulated,
@@ -194,11 +195,15 @@ class TestOneEstimator:
             left_weighted_integral(_one, limit, -1.5)
 
     @pytest.mark.parametrize("form", sorted(CLOSED_FORMS))
-    @pytest.mark.parametrize("bad", [math.nan, np.array([0.5, math.nan])],
-                             ids=["float", "array"])
+    @pytest.mark.parametrize(
+        "bad",
+        [math.nan, np.array([0.5, math.nan]), math.inf, -math.inf, np.array([0.5, math.inf])],
+        ids=["float", "array", "inf", "-inf", "inf-array"],
+    )
     def test_nan_limit_is_domain_error(self, form, bad):
         # every comparison with nan is false, so it would pass a range check
-        # and leave an empty interval (0) behind
+        # and leave an empty interval (0) behind; an infinite interval has
+        # no nodes either (smooth_integral(g, 0, inf) gave nan)
         with pytest.raises(DomainError):
             CLOSED_FORMS[form][0](bad, 0.5, 0.0)
 
@@ -324,6 +329,15 @@ class TestTabulatedDerivativeKernel:
         f = TabulatedFunction([0.0, 1.0], [0.0, 1.0])
         with pytest.raises(DomainError):
             tabulated_derivative_kernel(f, 0.0, 0.5)
+
+    def test_p_one_is_the_dispatch_value(self):
+        # p = 1 (1 - n for n below 2**-54): K[f'](x) = f(x) - f(0), exact on
+        # the interpolant, as derivative_kernel gives it
+        xs = np.linspace(0.0, 1.0, 101)
+        f = TabulatedFunction(xs, 1.0 + 2.0 * np.sqrt(xs))
+        for x in (0.123, float(xs[37]), 0.5, 1.0):
+            got = tabulated_derivative_kernel(f, x, 1.0)
+            assert got == derivative_kernel(f, x, 1.0) == f(x) - f(0.0)
 
     @pytest.mark.parametrize("p", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("c0, c, e", [(1.0, 2.0, 1.0), (1.0, 1.0, 1.5), (2.0, 1.0, 0.75)])
