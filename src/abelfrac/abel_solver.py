@@ -43,9 +43,10 @@ from .functions import (
 from .fracops import rl_power_sum
 from .quadrature import (
     DEFAULT_CONFIG,
+    DIFFERENTIABLE,
     QuadratureConfig,
-    _order_like,
-    derivative_kernel,
+    check_operator,
+    derivative_route,
     graded_mesh,
     singular_integral,
 )
@@ -118,7 +119,12 @@ def forward(
     Gamma(1-n) times its order-n derivative: :func:`derivative_kernel` at
     p = 1 - n.  a is a float (giving a float) or a 1-d array of release
     heights >= 0 (giving an array of its shape); a = 0 gives 0."""
-    return derivative_kernel(s, a, 1.0 - _order_like(n), cfg)
+    if not (
+        type(n) is float and 0.0 < n < 1.0 and type(a) is float and 0.0 < a < math.inf
+        and type(s) in DIFFERENTIABLE
+    ):
+        n, a, _ = check_operator(s, n, a, True, True)
+    return derivative_route(s, a, 1.0 - n, cfg)
 
 
 def solve_series(problem: AbelProblem) -> ArcLengthSolution:
@@ -168,11 +174,11 @@ def solve_theorem(
     return _solve_points(problem.psi, problem.n, x, cfg)
 
 
-def _solve_points(psi, n, x, cfg: QuadratureConfig):
+def _solve_points(psi, order: Order, x, cfg: QuadratureConfig):
     """s at x >= 0 (a float, or every point of a 1-d grid in one pass) by
     the convolution form, K[psi] taken by the route of psi's type;
     :func:`singular_integral` checks x."""
-    n = float(n)
+    n = order.n
     # reflection_factor without its order check: an Order is already in (0, 1)
     return math.sin(math.pi * n) / math.pi * singular_integral(psi, x, n, cfg)
 

@@ -12,8 +12,8 @@ x**m maps to Gamma(m+1)/Gamma(m+n+1) x**(m+n) under I^n and, for m > 0,
 to Gamma(m+1)/Gamma(m-n+1) x**(m-n) under D^n (constants differentiate to
 zero).  Everything else is quadrature, at a float x or a 1-d array of
 points in one call: the integral is K[f] at p = n
-(``quadrature.kernel_integral``) and the derivative K[f'] at p = 1 - n
-(``quadrature.derivative_kernel``), each over its Gamma.  D^n I^n f = f
+(``quadrature.kernel_route``) and the derivative K[f'] at p = 1 - n
+(``quadrature.derivative_route``), each over its Gamma.  D^n I^n f = f
 for continuous f with f(0) = 0; ``composition_check`` probes that
 identity numerically with both operators evaluated by quadrature, no
 symbolic shortcuts.
@@ -23,24 +23,17 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import DomainError
-from .functions import (
-    PiecewisePowerSum,
-    PowerSum,
-    TabulatedFunction,
-    _eval_terms,
-    as_order,
-)
+from .functions import PiecewisePowerSum, PowerSum, TabulatedFunction, _eval_terms
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
-    _limits,
-    _order_like,
-    derivative_kernel,
-    kernel_integral,
-    singular_integral,
+    check_integrand,
+    check_operator,
+    check_order,
+    check_point,
+    derivative_route,
+    kernel_route,
 )
 from .special_functions import log_gamma, reflection_factor
 
@@ -66,7 +59,7 @@ def monomial_frac_derivative(m: float, n) -> tuple[float, float]:
     m = 0 gives the zero function; m > 0 gives
     Gamma(m+1)/Gamma(m-n+1) * x**(m-n).
     """
-    n = float(as_order(n))
+    n = check_order(n)
     m = float(m)
     if not (math.isfinite(m) and m >= 0.0):
         raise DomainError(f"monomial exponent must be >= 0, got {m!r}")
@@ -77,7 +70,10 @@ def monomial_frac_derivative(m: float, n) -> tuple[float, float]:
 
 def rl_power_sum(f: PowerSum, n) -> PowerSum:
     """Exact image of a power sum under the order-n integral."""
-    n = float(as_order(n))
+    return _rl_power_sum(f, check_order(n))
+
+
+def _rl_power_sum(f: PowerSum, n: float) -> PowerSum:
     return PowerSum(
         tuple((c * _gamma_ratio(e + 1.0, e + n + 1.0), e + n) for c, e in f.terms)
     )
@@ -90,7 +86,7 @@ def caputo_power_sum(f: PowerSum, n) -> PowerSum:
     the image exponents stay >= 0; otherwise the image is not a power sum
     (evaluate pointwise via :func:`caputo_derivative` instead).
     """
-    n = float(as_order(n))
+    n = check_order(n)
     for _, e in f.terms:
         if e != 0.0 and e < n:
             raise DomainError(
@@ -110,36 +106,6 @@ def _caputo_image_terms(f: PowerSum, n: float):
     return tuple(out)
 
 
-def _operator_args(f, n, x, backend: str, at_zero: bool):
-    """(n, x, exact), the checks of an operator's public entry: the order
-    n as a float in (0, 1), x as a float or a 1-d float array of finite
-    points >= 0 (> 0 unless ``at_zero``), and whether the exact backend
-    (power sums) runs.  Loops over points call the operators one float at
-    a time, so a finite float x > 0 takes the shortest path (and the flag
-    is positional: cheaper)."""
-    if not (type(n) is float and 0.0 < n < 1.0):
-        n = _order_like(n)
-    if not (type(x) is float and 0.0 < x < math.inf):
-        x = _points(x, at_zero)
-    if backend == "auto":
-        return n, x, isinstance(f, PowerSum)
-    if backend not in ("exact", "quadrature"):
-        raise DomainError(f"unknown backend {backend!r}")
-    if backend == "exact" and not isinstance(f, PowerSum):
-        raise DomainError("exact backend requires a PowerSum input")
-    return n, x, backend == "exact"
-
-
-def _points(x, at_zero: bool):
-    """x as a float or a 1-d float array of finite points (``_limits``)
-    >= 0 (> 0 unless ``at_zero``), else a DomainError."""
-    x = _limits(x, "x must be a scalar or a 1-d array")
-    low = x if isinstance(x, float) else float(np.min(x, initial=math.inf))
-    if not (low > 0.0 or (at_zero and low == 0.0)):
-        raise DomainError(f"x must be {'>=' if at_zero else '>'} 0, got {low!r}")
-    return x
-
-
 def rl_integral(
     f,
     n,
@@ -154,10 +120,10 @@ def rl_integral(
     backend: 'exact' (power sums only, closed form), 'quadrature', or
     'auto' (exact when available, else quadrature).
     """
-    nn, x, exact = _operator_args(f, n, x, backend, True)  # x = 0 allowed
+    n, x, exact = check_operator(f, n, x, True, False, backend)
     if exact:
-        return rl_power_sum(f, nn)(x)
-    return kernel_integral(f, x, nn, cfg) / math.gamma(nn)
+        return _rl_power_sum(f, n)(x)
+    return kernel_route(f, x, n, 0.0, cfg) / math.gamma(n)
 
 
 def caputo_derivative(
@@ -176,10 +142,10 @@ def caputo_derivative(
     (-1, 0), where the derivative diverges as x -> 0 but is finite for
     x > 0.
     """
-    nn, x, exact = _operator_args(f, n, x, backend, False)  # x > 0
+    n, x, exact = check_operator(f, n, x, False, True, backend)
     if exact:
-        return _eval_terms(_caputo_image_terms(f, nn), x)
-    return derivative_kernel(f, x, 1.0 - nn, cfg) / math.gamma(1.0 - nn)
+        return _eval_terms(_caputo_image_terms(f, n), x)
+    return derivative_route(f, x, 1.0 - n, cfg) / math.gamma(1.0 - n)
 
 
 def caputo_limit_at_zero(f, n) -> float | None:
@@ -189,24 +155,22 @@ def caputo_limit_at_zero(f, n) -> float | None:
     Useful for grids that include the origin, where the pointwise
     operator itself is undefined.
     """
-    nn = float(as_order(n))
+    nn, f = check_order(n), check_integrand(f, True)
     if isinstance(f, PiecewisePowerSum):
         f = f.segments[0]
     if isinstance(f, TabulatedFunction):
         # interpolants have bounded slope, so the kernel integral shrinks
         # like x**(1-n)
         return 0.0
-    if isinstance(f, PowerSum):
-        total = 0.0
-        for c, e in _caputo_image_terms(f, nn):
-            if c == 0.0:
-                continue
-            if e < 0.0:
-                return None
-            if e == 0.0:
-                total += c
-        return total
-    raise DomainError(f"unsupported input type {type(f).__name__}")
+    total = 0.0
+    for c, e in _caputo_image_terms(f, nn):
+        if c == 0.0:
+            continue
+        if e < 0.0:
+            return None
+        if e == 0.0:
+            total += c
+    return total
 
 
 def composition_check(
@@ -228,10 +192,8 @@ def composition_check(
     of f, so the two sides agree exactly when f is continuous with
     f(0) = 0 (which is required, as is a differentiable representation).
     """
-    nn = float(as_order(n))
-    x = float(x)
-    if not x > 0.0:
-        raise DomainError(f"x must be > 0, got {x!r}")
+    nn, x = check_order(n), check_point(x)
+    check_integrand(f, True)
     f0 = float(f(0.0))
     if abs(f0) > 1e-12 * max(1.0, abs(float(f(x)))):
         raise DomainError(f"composition identity needs f(0) = 0, got {f0!r}")
@@ -239,15 +201,15 @@ def composition_check(
     lhs = float(f(x))
 
     def inner(a):  # a fresh quadrature at every outer node, all in one call
-        return derivative_kernel(f, a, 1.0 - nn, cfg)
+        return derivative_route(f, a, 1.0 - nn, cfg)
 
     if isinstance(f, PowerSum) and f.terms:
         # inner(a) behaves like a**(min_exp - n) near 0; hand that factor
         # to the quadrature weight
         le = f.min_exponent - nn
-        rhs = reflection_factor(nn) * singular_integral(
-            lambda a: inner(a) * a ** (-le), x, nn, cfg, left_exponent=le
+        rhs = reflection_factor(nn) * kernel_route(
+            lambda a: inner(a) * a ** (-le), x, nn, le, cfg
         )
     else:
-        rhs = reflection_factor(nn) * singular_integral(inner, x, nn, cfg)
+        rhs = reflection_factor(nn) * kernel_route(inner, x, nn, 0.0, cfg)
     return lhs, rhs

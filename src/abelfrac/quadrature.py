@@ -17,10 +17,10 @@ Gauss-Legendre case p = 1, le = 0.  Node counts double from
 ``node_count`` until two successive estimates agree to tolerance, capped
 at MAX_NODES.
 
-``singular_integral`` picks the route of each representation of f, for
-``kernel_integral``, the grid solvers and ``rl_integral`` alike, and
-``derivative_kernel`` that of K[f'] (f' in place of f) for
-``caputo_derivative``, ``forward`` and ``composition_check``.  A power sum
+``kernel_route`` picks the route of each representation of f, for
+``singular_integral``, the solvers and ``rl_integral`` alike, and
+``derivative_route`` that of K[f'] (f' in place of f) for
+``derivative_kernel``, ``caputo_derivative`` and ``forward``.  A power sum
 on [0, x] is not sampled: the nodes are x * u_i with u = (1 + xi)/2, so
 the n-node estimate of sum(c t**d) is exactly
 (x/2)**(p + le) * sum(c x**d M_n(d)) with the rule moments
@@ -50,8 +50,10 @@ in one vectorised pass; the sampled and tabulated routes take a float as
 a one-point grid.  Gauss-Jacobi is affine-invariant, so the nodes of
 every interval are a + (b - a)(1 + xi)/2 and one matrix product gives the
 integral over all of them; each point still stops doubling at its own
-tolerance.  Every limit, a float or in an array, must be a finite number:
-nan and +-inf are a DomainError at each public entry.
+tolerance.  Each public entry of this module, fracops and abel_solver
+checks its arguments once, with the ``check_*`` functions below, and the
+routes behind it check nothing.  Every limit, a float or in an array,
+must be a finite number: nan and +-inf are a DomainError.
 
 The rules are built here, in numpy; no scipy is imported.  Node k is
 x = cos(theta_k), and each half of [-1, 1] is found from its own end (the
@@ -380,45 +382,111 @@ def _doubling_grid(
     return out
 
 
-def _order_like(p) -> float:
-    # a float already in (0, 1) needs no Order built to say so
-    if type(p) is float and 0.0 < p < 1.0:
-        return p
-    return float(as_order(p))
+# The checks of the public entries: each returns its argument as a float,
+# or a 1-d float array, in range, or raises DomainError.  An entry that
+# loops over points call one float at a time tests all its float
+# arguments at once and calls these only if that test fails.
+
+#: the representations that carry their derivative, for a fast test of
+#: type(f); check_integrand admits their subclasses too
+DIFFERENTIABLE = frozenset((PowerSum, PiecewisePowerSum, TabulatedFunction))
 
 
-def _limits(x, error: str = "limits must be scalars or 1-d arrays"):
-    """x as a float, or as a 1-d float array; nan, which passes every
-    range check, and +-inf are a DomainError."""
+def check_order(n) -> float:
+    """The order n of an operator or solver, as a float in (0, 1)."""
+    if type(n) is float and 0.0 < n < 1.0:
+        return n
+    return float(as_order(n))
+
+
+def check_exponent(p, closed: bool = False) -> float:
+    """A kernel exponent p as a float in (0, 1), or (0, 1] if ``closed``."""
+    q = float(p)
+    if not (0.0 < q < 1.0 or closed and q == 1.0):
+        bound = "<=" if closed else "<"
+        raise DomainError(f"kernel exponent must satisfy 0 < p {bound} 1, got {p!r}")
+    return q
+
+
+def check_limits(x, name: str = "limit"):
+    """x as a float or a 1-d float array of finite numbers: nan, which
+    passes every range check, and +-inf are a DomainError."""
     if isinstance(x, float) or not np.ndim(x):
         x = float(x)
         if not math.isfinite(x):
-            raise DomainError(f"limit must be a finite number, got {x!r}")
+            raise DomainError(f"{name} must be finite, got {x!r}")
         return x
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
-        raise DomainError(error)
+        raise DomainError(f"{name} must be a float or a 1-d array, got {x.ndim}-d")
     finite = np.isfinite(x)
     if not finite.all():
-        raise DomainError(f"limits must be finite numbers, got {float(x[~finite][0])!r}")
+        raise DomainError(f"{name} must be finite, got {float(x[~finite][0])!r}")
     return x
 
 
-def _upper_limits(x):
-    """x as a float or a 1-d array of upper limits (:func:`_limits`), each
-    >= 0."""
-    x = _limits(x, "upper limits must be a scalar or a 1-d array")
-    low = x if isinstance(x, float) else np.min(x, initial=0.0)
-    if low < 0.0:
-        raise DomainError(f"upper limit must be >= 0, got {float(low)!r}")
+def check_points(x, at_zero: bool = True, name: str = "x"):
+    """x as :func:`check_limits` gives it, every point >= 0, or > 0
+    unless ``at_zero``."""
+    if type(x) is float and 0.0 < x < math.inf:
+        return x
+    x = check_limits(x, name)
+    low = x if isinstance(x, float) else float(np.min(x, initial=math.inf))
+    if not (low > 0.0 or at_zero and low == 0.0):
+        raise DomainError(f"{name} must be {'>=' if at_zero else '>'} 0, got {low!r}")
     return x
 
 
-def _left_exponent(left_exponent) -> float:
-    le = float(left_exponent)
-    if not (math.isfinite(le) and le > -1.0):
-        raise DomainError(f"left_exponent must be > -1, got {left_exponent!r}")
-    return le
+def check_point(x, name: str = "x") -> float:
+    """x as a float > 0, for the entries that take no array."""
+    x = check_points(x, False, name)
+    if not isinstance(x, float):
+        raise DomainError(f"{name} must be a float, got an array of shape {x.shape}")
+    return x
+
+
+def check_left_exponent(le) -> float:
+    """A left_exponent as a finite float > -1."""
+    e = float(le)
+    if not -1.0 < e < math.inf:
+        raise DomainError(f"left_exponent must be > -1, got {le!r}")
+    return e
+
+
+def check_integrand(f, derivative: bool = False):
+    """f, callable, or with ``derivative`` a representation that carries
+    its derivative."""
+    if derivative and not isinstance(f, tuple(DIFFERENTIABLE)):
+        raise DomainError(
+            "derivative requires a power-sum, piecewise, or tabulated input "
+            f"(got {type(f).__name__}); bare callables carry no derivative"
+        )
+    if not callable(f):
+        raise DomainError(f"unsupported integrand type {type(f).__name__}")
+    return f
+
+
+def check_operator(f, n, x, at_zero: bool, derivative: bool, backend: str = "quadrature"):
+    """(n, x, exact), the check of rl_integral and caputo_derivative, and
+    of forward when its own test fails: the order n, the points x (x = 0
+    only ``at_zero``), the backend ('auto', 'exact' or 'quadrature'; only
+    a PowerSum has the exact one) and, for quadrature, the integrand
+    (:func:`check_integrand`)."""
+    if not (type(n) is float and 0.0 < n < 1.0 and type(x) is float and 0.0 < x < math.inf):
+        n, x = check_order(n), check_points(x, at_zero)
+    if backend == "auto":
+        exact = isinstance(f, PowerSum)
+    elif backend == "quadrature":
+        exact = False
+    elif backend == "exact":
+        if not isinstance(f, PowerSum):
+            raise DomainError("exact backend requires a PowerSum input")
+        exact = True
+    else:
+        raise DomainError(f"unknown backend {backend!r}")
+    if not (exact or (type(f) in DIFFERENTIABLE if derivative else callable(f))):
+        check_integrand(f, derivative)
+    return n, x, exact
 
 
 def _jacobi_integral(
@@ -595,8 +663,8 @@ def singular_integral(
     *,
     left_exponent: float = 0.0,
 ):
-    """integral_0^x g(t) * t**left_exponent * (x - t)**(p - 1) dt, by the
-    route of g's representation; the one place that picks it.
+    """integral_0^x g(t) * t**left_exponent * (x - t)**(p - 1) dt for a
+    callable g, by the route of its representation (:func:`kernel_route`).
 
     ``left_exponent`` (> -1) factors a known algebraic behaviour of the
     integrand at t = 0 into the weight, so the remaining g should be
@@ -610,59 +678,64 @@ def singular_integral(
     x is a float, or a 1-d array of upper limits evaluated in one pass
     with each value the one a scalar call gives, up to rounding.
     """
-    # loops over points call this: a float p, le = 0 and a finite x > 0
-    # skip the checks
-    if not (type(p) is float and 0.0 < p < 1.0):
-        p = _order_like(p)
     le = left_exponent
-    if not (type(le) is float and le == 0.0):
-        le = _left_exponent(le)
-    if not (type(x) is float and 0.0 < x < math.inf):
-        x = _upper_limits(x)
+    if not (
+        type(p) is float and 0.0 < p < 1.0 and type(x) is float and 0.0 < x < math.inf
+        and type(le) is float and le == 0.0 and callable(g)
+    ):
+        p, x, le = check_exponent(p), check_points(x), check_left_exponent(le)
+        if le != 0.0 and isinstance(g, TabulatedFunction):
+            raise DomainError("a left weight is not supported for tabulated input")
+        check_integrand(g)
+    return kernel_route(g, x, p, le, cfg)
+
+
+def kernel_route(g: Callable, x, p: float, le: float, cfg: QuadratureConfig):
+    """:func:`singular_integral` with its arguments checked: the one place
+    that picks the route of g's representation."""
     if isinstance(g, PowerSum):
         return _power_sum_integral(_plan(g, le, False).first, x, p, cfg)
     if le == 0.0 and isinstance(g, PiecewisePowerSum):
         return _piecewise_kernel(g, x, p, cfg)
     if isinstance(g, TabulatedFunction):
-        if le != 0.0:
-            raise DomainError("a left weight is not supported for tabulated input")
-        return singular_integral_tabulated(g, x, p)
+        return _tabulated_kernel(g, x, p)
     return _jacobi_integral(g, 0.0, x, p, le, cfg)
 
 
 def derivative_kernel(f, x, p, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """K[f'](x) = integral_0^x f'(t) (x - t)**(p - 1) dt at a float x or a
     1-d array of points >= 0, by the route of f's representation
-    (:func:`_piecewise_kernel` for power sums, and for a table
-    :func:`tabulated_derivative_kernel` at each point); x = 0 gives 0 and
-    a bare callable, having no derivative, is a DomainError.  p = 1 is
-    allowed: 1 - n rounds to it for orders n up to 2**-54."""
-    # loops over points call this: a float p and a finite x > 0 skip the checks
-    if not (type(p) is float and 0.0 < p <= 1.0):
-        p = 1.0 if p == 1.0 else _order_like(p)
-    if not (type(x) is float and 0.0 < x < math.inf):
-        x = _upper_limits(x)
-    if isinstance(f, TabulatedFunction):
-        if p == 1.0:
-            # K[f'] = f(x) - f(0), exact on the interpolant
-            return f(x) - f.values.item(0)
-        if not isinstance(x, float):
-            return np.array([derivative_kernel(f, a, p) for a in x.tolist()])
-        if x == 0.0:
-            return 0.0
-        if x > f.x_max * (1.0 + 1e-12):
-            raise DomainError(f"x = {x!r} outside tabulated range [0, {f.x_max!r}]")
-        # node k * h of a uniform table: its cached slope (k <= last, as x is in range)
-        h = f.x_max / (f.xs.size - 1)
-        k = round(x / h)
-        nodes = _node_derivatives(f, p) if abs(x - k * h) <= _NODE_RTOL * x else None
-        return _tabulated_slope(f, x, p) if nodes is None else nodes.item(k)
-    if isinstance(f, (PowerSum, PiecewisePowerSum)):
-        return _piecewise_kernel(f, x, p, cfg, derivative=True)
-    raise DomainError(
-        "derivative requires a power-sum, piecewise, or tabulated input "
-        f"(got {type(f).__name__}); bare callables carry no derivative"
-    )
+    (:func:`_piecewise_kernel` for power sums, and for a table the
+    three-point rule of :func:`tabulated_derivative_kernel` at each
+    point); x = 0 gives 0 and a bare callable, having no derivative, is a
+    DomainError.  p = 1 is allowed: 1 - n rounds to it for orders n up to
+    2**-54, and a table then gives f(x) - f(0)."""
+    if not (
+        type(p) is float and 0.0 < p < 1.0 and type(x) is float and 0.0 < x < math.inf
+        and type(f) in DIFFERENTIABLE
+    ):
+        p, x, f = check_exponent(p, True), check_points(x), check_integrand(f, True)
+    return derivative_route(f, x, p, cfg)
+
+
+def derivative_route(f, x, p: float, cfg: QuadratureConfig):
+    """:func:`derivative_kernel` with its arguments checked: the one place
+    that picks the route of f's representation."""
+    if not isinstance(f, TabulatedFunction):
+        return _piecewise_kernel(f, x, p, cfg, True)
+    if p == 1.0:
+        return f(x) - f.values.item(0)
+    if not isinstance(x, float):
+        return np.array([derivative_route(f, a, p, cfg) for a in x.tolist()])
+    if x == 0.0:
+        return 0.0
+    if x > f.x_max * (1.0 + 1e-12):
+        raise DomainError(f"x = {x!r} outside tabulated range [0, {f.x_max!r}]")
+    # node k * h of a uniform table: its cached slope (k <= last, as x is in range)
+    h = f.x_max / (f.xs.size - 1)
+    k = round(x / h)
+    nodes = _node_derivatives(f, p) if abs(x - k * h) <= _NODE_RTOL * x else None
+    return _tabulated_slope(f, x, p) if nodes is None else nodes.item(k)
 
 
 def smooth_integral(
@@ -679,7 +752,7 @@ def smooth_integral(
     returned, each value the one a scalar call gives; empty or reversed
     intervals give 0.
     """
-    return _jacobi_integral(g, _limits(a), _limits(b), 1.0, 0.0, cfg)
+    return _jacobi_integral(g, check_limits(a), check_limits(b), 1.0, 0.0, cfg)
 
 
 def _indexed_smooth_integral(g: Callable, a, b, cfg: QuadratureConfig = DEFAULT_CONFIG):
@@ -687,7 +760,7 @@ def _indexed_smooth_integral(g: Callable, a, b, cfg: QuadratureConfig = DEFAULT_
     that reads per-interval data: every row of t holds one interval's
     nodes and k, a (rows, 1) column, holds those intervals' positions in
     the broadcast limits."""
-    return _jacobi_integral(g, _limits(a), _limits(b), 1.0, 0.0, cfg, indexed=True)
+    return _jacobi_integral(g, check_limits(a), check_limits(b), 1.0, 0.0, cfg, indexed=True)
 
 
 def left_weighted_integral(
@@ -699,8 +772,8 @@ def left_weighted_integral(
     """integral_0^b g(t) * t**left_exponent dt, the algebraic endpoint
     factor absorbed into a Gauss-Jacobi weight (no singularity at b).
     b may also be a 1-d array of upper limits; b <= 0 gives 0."""
-    le = _left_exponent(left_exponent)
-    return _jacobi_integral(g, 0.0, _limits(b), 1.0, le, cfg)
+    le = check_left_exponent(left_exponent)
+    return _jacobi_integral(g, 0.0, check_limits(b), 1.0, le, cfg)
 
 
 def graded_mesh(
@@ -713,16 +786,16 @@ def graded_mesh(
     """Mesh on [0, x_max] clustered at 0: x_i = x_max * (i/(points-1))**q.
 
     With ``exponent=None`` the clustering strength defaults to 2/p for
-    kernel exponent p (if given), else 2.
+    kernel exponent p (if given), else 2.  x_max is a finite float > 0,
+    points an int >= 2 and the exponent finite and >= 1.
     """
-    if points < 2:
-        raise DomainError(f"need at least 2 mesh points, got {points!r}")
-    if x_max <= 0.0:
-        raise DomainError(f"x_max must be > 0, got {x_max!r}")
+    x_max = check_point(x_max, "x_max")
+    if not (isinstance(points, (int, np.integer)) and points >= 2):
+        raise DomainError(f"need an int of at least 2 mesh points, got {points!r}")
     if exponent is None:
-        exponent = 2.0 / _order_like(p) if p is not None else 2.0
-    if exponent < 1.0:
-        raise DomainError(f"mesh exponent must be >= 1, got {exponent!r}")
+        exponent = 2.0 / check_exponent(p) if p is not None else 2.0
+    if not 1.0 <= exponent < math.inf:
+        raise DomainError(f"mesh exponent must be finite and >= 1, got {exponent!r}")
     u = np.linspace(0.0, 1.0, points)
     return x_max * u**exponent
 
@@ -762,11 +835,14 @@ def singular_integral_tabulated(f: TabulatedFunction, x, p):
     in dense row blocks that span only the cells below each row's x
     (:func:`_tabulated_dense`).
     """
-    p = _order_like(p)
-    x = _limits(x, "upper limits must be a scalar or a 1-d array")
+    return _tabulated_kernel(f, check_points(x), check_exponent(p))
+
+
+def _tabulated_kernel(f: TabulatedFunction, x, p: float):
+    """:func:`singular_integral_tabulated` with x >= 0 and p checked."""
     if isinstance(x, float):
-        return float(singular_integral_tabulated(f, np.array([x]), p)[0])
-    bad = (x < 0.0) | (x > f.x_max * (1.0 + 1e-12))
+        return float(_tabulated_kernel(f, np.array([x]), p)[0])
+    bad = x > f.x_max * (1.0 + 1e-12)
     if bad.any():
         raise DomainError(
             f"x = {float(x[bad][0])!r} outside tabulated range [0, {f.x_max!r}]"
@@ -877,16 +953,15 @@ def tabulated_derivative_kernel(f: TabulatedFunction, x: float, p) -> float:
     x_max / 2), and c is x, moved one step inward where x -+ h would leave
     [0, x_max], then clipped to [h, x_max - h].  At the nodes of a uniform
     table that is np.gradient's rule, cached (:func:`_node_derivatives`).
-    p = 1 gives f(x) - f(0), as :func:`derivative_kernel` does.
+    p = 1 gives f(x) - f(0).  :func:`derivative_kernel` gives the same.
     """
-    x = float(x)
-    if not x > 0.0:
-        raise DomainError(f"upper limit must be > 0, got {x!r}")
-    return derivative_kernel(f, x, p)
+    f, x, p = check_integrand(f, True), check_point(x), check_exponent(p, True)
+    return derivative_route(f, x, p, DEFAULT_CONFIG)
 
 
 def _tabulated_slope(f: TabulatedFunction, x: float, p: float) -> float:
-    """:func:`tabulated_derivative_kernel` off the nodes, x and p checked."""
+    """The three-point rule of :func:`tabulated_derivative_kernel` at a
+    float x in (0, x_max] off the nodes of a uniform table, p in (0, 1)."""
     xs, x_max = f.xs, f.x_max
     top = x_max * (1.0 + 1e-12)
     j = min(max(int(np.searchsorted(xs, x)), 1), xs.size - 1)
@@ -895,7 +970,7 @@ def _tabulated_slope(f: TabulatedFunction, x: float, p: float) -> float:
     c = x + h if x < h else x - h if x + h > top else x
     c = min(max(c, h), x_max - h)
     y = np.array([c - h, c, c + h])
-    g = singular_integral_tabulated(f, y, p) - float(f.values[0]) * y**p / p
+    g = _tabulated_kernel(f, y, p) - float(f.values[0]) * y**p / p
     u = (x - c) / h
     return float((0.5 * (g[2] - g[0]) + u * (g[2] - 2.0 * g[1] + g[0])) / h)
 
@@ -1086,8 +1161,8 @@ def _interior_span(
     a_hi = (x - hi) ** p
     a_lo = (x - lo) ** p
     inv_p = 1.0 / p
-    return smooth_integral(
-        lambda A: _eval_terms(terms, x - A**inv_p) / p, a_hi, a_lo, cfg
+    return _jacobi_integral(
+        lambda A: _eval_terms(terms, x - A**inv_p) / p, a_hi, a_lo, 1.0, 0.0, cfg
     )
 
 
@@ -1110,16 +1185,16 @@ def _span_kernel(pieces, x: float, p: float, cfg: QuadratureConfig) -> float:
         shifted = tuple((c, e - le) for c, e in terms)
         if hi >= x:
             # the span carrying the kernel singularity at t = x
-            total += singular_integral(
-                lambda u: _eval_terms(terms, lo + u), x - lo, p, cfg
+            total += _jacobi_integral(
+                lambda u: _eval_terms(terms, lo + u), 0.0, x - lo, p, 0.0, cfg
             )
         elif not le.is_integer():
             # interior first span led by a fractional power of t: give
             # each end its matching weighted rule
             mid = 0.5 * hi
-            total += left_weighted_integral(
+            total += _jacobi_integral(
                 lambda t: _eval_terms(shifted, t) * (x - t) ** (p - 1.0),
-                mid, le, cfg,
+                0.0, mid, 1.0, le, cfg,
             )
             total += _interior_span(terms, mid, hi, x, p, cfg)
         else:
@@ -1133,6 +1208,4 @@ def kernel_integral(f, x, p, cfg: QuadratureConfig = DEFAULT_CONFIG):
     a 1-d array of them: :func:`singular_integral` with no left weight,
     which picks the route of f's representation.
     """
-    if not callable(f):
-        raise DomainError(f"unsupported integrand type {type(f).__name__}")
     return singular_integral(f, x, p, cfg)

@@ -28,6 +28,7 @@ from abelfrac import (
     SolutionBackend,
     TabulatedFunction,
     caputo_derivative,
+    composition_check,
     derivative_kernel,
     descent_time_integral,
     forward,
@@ -422,7 +423,8 @@ class TestOneDispatch:
 
 
 # name -> (call(f, n, x), the inputs it takes, whether x = 0 is allowed);
-# n is the kernel exponent p for derivative_kernel and singular_integral
+# n is the kernel exponent p for the kernels (derivative_kernel,
+# tabulated_derivative_kernel and singular_integral)
 FLOAT_ENTRIES = {
     "rl_exact": (lambda f, n, x: rl_integral(f, n, x, backend="exact"), POWER_SUMS, True),
     "rl_quadrature": (
@@ -446,7 +448,16 @@ FLOAT_ENTRIES = {
     "solve_piecewise": (
         lambda f, n, x: solve_piecewise(AbelProblem(f, n), x), DIFFERENTIABLE, True
     ),
+    "tabulated_derivative_kernel": (
+        lambda f, p, x: quadrature.tabulated_derivative_kernel(f, x, p), ("tabulated",), False
+    ),
+    # f(0) = 0, so only a bad order or point can make the call fail
+    "composition_check": (lambda f, n, x: composition_check(f, n, x), ("fractional",), False),
 }
+# the entries that take a float x and no array
+FLOAT_ONLY = ("tabulated_derivative_kernel", "composition_check")
+# the entries that take p = 1, the kernel of an order that rounds 1 - n to 1
+P_ONE = ("derivative_kernel", "tabulated_derivative_kernel")
 
 
 def _bad_float_calls():
@@ -461,8 +472,9 @@ def _bad_float_calls():
             ]
             if not zero:
                 cases.append(("zero", N, 0.0))
-            # derivative_kernel takes p = 1, the kernel of an order that rounds 1 - n to 1
-            orders = (0.0, math.nan) if entry == "derivative_kernel" else (0.0, 1.0, math.nan)
+            if entry in FLOAT_ONLY:
+                cases += [("array", N, np.array([0.5, 0.6])), ("one-point-array", N, np.array([0.5]))]
+            orders = (0.0, math.nan) if entry in P_ONE else (0.0, 1.0, math.nan)
             cases += [(f"order-{n}", n, 0.5) for n in orders]
             for bad, n, x in cases:
                 yield pytest.param(entry, name, n, x, id=f"{entry}-{name}-{bad}")
@@ -473,9 +485,67 @@ class TestFloatEntriesOnBadInput:
     each bad order or point is still a DomainError.  So is x = +-inf, as a
     float or inside an array, on every input: not a value read at
     scale = inf**0 = 1, an EvaluationError from the samples, or a bare
-    OverflowError from a table's node index."""
+    OverflowError from a table's node index.  An entry that takes no
+    array gives a DomainError for one, not numpy's TypeError from
+    float(x)."""
 
     @pytest.mark.parametrize("entry, name, n, x", list(_bad_float_calls()))
     def test_is_domain_error(self, entry, name, n, x):
         with pytest.raises(DomainError):
             FLOAT_ENTRIES[entry][0](INPUTS[name], n, x)
+
+
+def _message_cases():
+    f, t = INPUTS["power_sum"], INPUTS["tabulated"]
+    kernel_p = r"kernel exponent must satisfy 0 < p < 1, got 1\.5"
+    order_n = r"order must satisfy 0 < n < 1, got 1\.5"
+    cases = {
+        # a kernel names its exponent p, which derivative_kernel takes up to 1
+        "singular_integral-p": (lambda: singular_integral(f, 0.5, 1.5), kernel_p),
+        "kernel_integral-p": (lambda: kernel_integral(f, 0.5, 1.5), kernel_p),
+        "singular_integral_tabulated-p": (lambda: singular_integral_tabulated(t, 0.5, 1.5), kernel_p),
+        "derivative_kernel-p": (
+            lambda: derivative_kernel(f, 0.5, 1.5), r"kernel exponent must satisfy 0 < p <= 1"
+        ),
+        "tabulated_derivative_kernel-p": (
+            lambda: quadrature.tabulated_derivative_kernel(t, 0.5, 1.5), r"0 < p <= 1, got 1\.5"
+        ),
+        # an operator, forward and composition_check name the order n
+        "rl_integral-n": (lambda: rl_integral(f, 1.5, 0.5), order_n),
+        "caputo_derivative-n": (lambda: caputo_derivative(f, 1.5, 0.5), order_n),
+        "forward-n": (lambda: forward(f, 1.5, 0.5), order_n),
+        "composition_check-n": (lambda: composition_check(f, 1.5, 0.5), order_n),
+        # the points
+        "negative": (lambda: singular_integral(f, -0.5, N), r"x must be >= 0, got -0\.5"),
+        "zero": (lambda: caputo_derivative(f, N, 0.0), r"x must be > 0, got 0\.0"),
+        "nan": (lambda: rl_integral(f, N, np.array([0.5, math.nan])), "x must be finite, got nan"),
+        "2-d": (lambda: forward(f, N, np.ones((2, 2))), "x must be a float or a 1-d array, got 2-d"),
+        "array": (
+            lambda: quadrature.tabulated_derivative_kernel(t, np.array([0.5, 0.6]), N),
+            r"x must be a float, got an array of shape \(2,\)",
+        ),
+        "left_exponent": (
+            lambda: singular_integral(f, 0.5, N, left_exponent=-1.0), "left_exponent must be > -1"
+        ),
+        # the integrand
+        "non-callable": (lambda: singular_integral(3.0, 0.5, N), "unsupported integrand type float"),
+        "non-callable-grid": (
+            lambda: singular_integral(3.0, np.array([0.0, 0.5]), N), "unsupported integrand type"
+        ),
+        "non-callable-rl": (
+            lambda: rl_integral(3.0, N, 0.5, backend="quadrature"), "unsupported integrand type"
+        ),
+        "callable-derivative": (lambda: forward(np.exp, N, 0.5), "carry no derivative"),
+    }
+    return [pytest.param(call, match, id=name) for name, (call, match) in cases.items()]
+
+
+class TestCheckMessages:
+    """Each check names the argument the caller passed: a kernel's exponent
+    p, or the order n of an operator, of forward and of composition_check;
+    a non-callable integrand is a DomainError at singular_integral too."""
+
+    @pytest.mark.parametrize("call, match", _message_cases())
+    def test_message(self, call, match):
+        with pytest.raises(DomainError, match=match):
+            call()

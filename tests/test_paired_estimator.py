@@ -25,7 +25,7 @@ from abelfrac.quadrature import (
     MAX_NODES,
     _jacobi_integral,
     _jacobi_rule,
-    _order_like,
+    check_order,
     left_weighted_integral,
     singular_integral,
     smooth_integral,
@@ -190,11 +190,11 @@ class TestFloatLimits:
 
 class TestOrderLike:
     def test_float_in_range_passes_through(self):
-        assert _order_like(0.25) == 0.25
-        assert _order_like(Order(0.75)) == 0.75
-        assert _order_like(np.float64(0.5)) == 0.5
+        assert check_order(0.25) == 0.25
+        assert check_order(Order(0.75)) == 0.75
+        assert check_order(np.float64(0.5)) == 0.5
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, math.nan, math.inf, 1, "x"])
     def test_out_of_range_raises(self, bad):
         with pytest.raises((DomainError, ValueError)):
-            _order_like(bad)
+            check_order(bad)

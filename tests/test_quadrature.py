@@ -268,6 +268,25 @@ class TestGradedMesh:
         with pytest.raises(DomainError):
             graded_mesh(1.0, 5, exponent=0.5)
 
+    @pytest.mark.parametrize(
+        "x_max, points, exponent, p",
+        [
+            (math.nan, 5, None, None),
+            (math.inf, 5, None, None),
+            (np.array([1.0, 2.0]), 5, None, None),
+            (1.0, 2.5, None, None),
+            (1.0, 5, math.nan, None),
+            (1.0, 5, math.inf, None),
+            (1.0, 5, None, 1.5),
+        ],
+        ids=["x_max-nan", "x_max-inf", "x_max-array", "points-2.5", "exponent-nan",
+             "exponent-inf", "p-1.5"],
+    )
+    def test_bad_input_is_domain_error(self, x_max, points, exponent, p):
+        # no nan mesh, no mesh that fails to increase, no bare TypeError
+        with pytest.raises(DomainError):
+            graded_mesh(x_max, points, exponent, p=p)
+
 
 class TestTabulatedProductIntegration:
     def test_exact_for_piecewise_linear(self):
