@@ -25,7 +25,7 @@ on [0, x] is not sampled: the nodes are x * u_i with u = (1 + xi)/2, so
 the n-node estimate of sum(c t**d) is exactly
 (x/2)**(p + le) * sum(c x**d M_n(d)) with the rule moments
 M_n(d) = sum_i w_i u_i**d, doubled as the sampled route doubles
-(``_power_sum_integral``; its float branch runs its own loop).  A
+(``_power_sum_integral`` for an array of limits).  A
 piecewise power sum is its first segment on all of [0, x] plus, at each
 breakpoint lo below x, the jump to the next segment on [lo, x]; a
 polynomial jump, Taylor-shifted to t - lo, is a power sum on [0, x - lo]
@@ -36,10 +36,13 @@ depend on x, so bounded caches hold the rest: the moments of a whole
 sum per (n, alpha, le, exponents) (``_moments``); per (f, le,
 derivative) the plan of f (``_plan``): its first segment's terms less
 their leading power, their exponents, and the jumps at its breakpoints;
-and per (plan, alpha, n, 2n) the rows (c, d, M_n(d), M_2n(d)) of a
-sum's first two rules (``_first_rows``).  A float call then takes both
-first estimates in one pass over the terms, a few multiply-adds each,
-left to right, and only a point they leave unconverged doubles on.
+and per (f, le, derivative, p, config, MAX_NODES) the route of a float
+call (``_route``): the rows (c, d, M_n(d), M_2n(d)) of the first two
+rules of the first segment and of every polynomial jump, and p + le.
+A float call then makes one cache lookup and takes both first
+estimates of each part in one pass over its rows, a few multiply-adds
+each, left to right (``_rows_integral``); only a point they leave
+unconverged doubles on.
 Tabulated f is taken piecewise linear on its own grid and the kernel
 moments of every cell are integrated in closed form (product
 integration), which is exact for the interpolant.  Other callables and
@@ -147,6 +150,11 @@ class QuadratureConfig:
             )
         if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
             raise DomainError("tolerances must be positive and finite")
+        # the route cache of float calls hashes cfg at every call: hash once
+        object.__setattr__(self, "_hash", hash((n, self.abs_tol, self.rel_tol)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -353,9 +361,9 @@ def _doubling_grid(
     tolerance max(abs_tol, rel_tol * |value|); only unconverged points are
     estimated again.  At the MAX_NODES cap a mild shortfall returns the
     last estimate, and disagreement two orders beyond tolerance raises
-    ConvergenceError for the first stalled point in grid order.  The float
-    branch of :func:`_power_sum_integral` runs this loop for one point: its
-    first two rules in one pass over the terms, the rest in
+    ConvergenceError for the first stalled point in grid order.
+    :func:`_rows_integral` runs this loop for one float point of a power
+    sum: its first two rules in one pass over the rows, the rest in
     :func:`_doubled`.
     """
     n = cfg.node_count
@@ -549,30 +557,76 @@ def _sampled_terms(terms, x, p: float, le: float, cfg: QuadratureConfig):
     return _jacobi_integral(lambda t: _eval_terms(terms, t), 0.0, x, p, le, cfg)
 
 
-@lru_cache(maxsize=512)
-def _first_rows(plan: _Plan, alpha: float, n: int, m: int) -> tuple:
-    """(c, d, M_n(d), M_m(d)) for each term (c, d) of the plan: all but x
-    of a float call's first two estimates, at n and m = min(2n, MAX_NODES)
-    nodes."""
+class _Part(NamedTuple):
+    """All but x of a float call's moment estimates of one plan at order
+    p: the rows (c, d, M_n(d), M_m(d)) of its terms at the first two
+    rules, n = node_count and m = min(2n, MAX_NODES), the exponent
+    p + le of the scale (x/2)**(p + le), and whether a second rule
+    exists (n below the cap)."""
+
+    plan: _Plan
+    rows: tuple
+    p: float
+    expo: float
+    m: int
+    doubles: bool
+
+
+def _part(plan: _Plan, p: float, cfg: QuadratureConfig, cap: int) -> _Part:
+    """The _Part of a plan under the node cap ``cap``."""
     terms, exps, le = plan
-    return tuple(
+    n = cfg.node_count
+    m = min(2 * n, cap)
+    alpha = p - 1.0
+    rows = tuple(
         (c, d, mn, mm)
         for (c, d), mn, mm in zip(
             terms, _moments(n, alpha, le, exps), _moments(m, alpha, le, exps)
         )
     )
+    return _Part(plan, rows, p, p + le, m, n < cap)
+
+
+def _rows_integral(part: _Part, x: float, cfg: QuadratureConfig) -> float:
+    """A part's integral at a float x > 0: one pass over its rows gives
+    both first estimates and sum |c| x**d, and only a point they leave
+    unconverged doubles on (:func:`_doubled`).  Where some c x**d, that
+    sum or the estimate is not finite the nodes are sampled instead.
+    Every estimate adds its terms left to right, so a float call's bits
+    are the same on every Python version."""
+    first = second = size = 0.0
+    try:
+        for c, d, mn, mm in part.rows:
+            h = c * x**d
+            size += abs(h)
+            first += h * mn
+            second += h * mm
+    except OverflowError:
+        size = math.inf
+    if math.isfinite(size):
+        scale = (0.5 * x) ** part.expo
+        value = scale * first
+        if part.doubles and math.isfinite(value):
+            prev, value = value, scale * second
+            # most points stop here; the rest, and the cap, go on doubling
+            if not abs(value - prev) <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
+                value = _doubled(part, x, scale, prev, value, cfg)
+        if math.isfinite(value):
+            return value
+    terms, _, le = part.plan
+    return _sampled_terms(terms, x, part.p, le, cfg)
 
 
 def _doubled(
-    plan: _Plan, x: float, alpha: float, scale: float, n: int,
-    prev: float, value: float, cfg: QuadratureConfig,
+    part: _Part, x: float, scale: float, prev: float, value: float, cfg: QuadratureConfig
 ) -> float:
-    """_doubling_grid's loop for one float point, from its estimates prev
-    and value at the rule before n nodes and at n: the first estimate that
-    meets the tolerance, the last one at the MAX_NODES cap (or
+    """_doubling_grid's loop for one float point of a part, from its
+    estimates prev and value at its first two rules: the first estimate
+    that meets the tolerance, the last one at the MAX_NODES cap (or
     ConvergenceError), or the first that is not finite.  Each estimate sums
     its terms left to right, as the first two do."""
-    terms, exps, le = plan
+    terms, exps, le = part.plan
+    alpha, n = part.p - 1.0, part.m
     while True:
         err = abs(value - prev)
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
@@ -589,54 +643,22 @@ def _doubled(
         prev, value = value, scale * total
 
 
-def _power_sum_integral(plan: _Plan, x, p: float, cfg: QuadratureConfig):
+def _power_sum_integral(plan: _Plan, x: np.ndarray, p: float, cfg: QuadratureConfig):
     """integral_0^x sum(c * t**d) * t**le * (x - t)**(p - 1) dt for the
-    terms and le of ``plan``: _jacobi_integral's estimates on [0, x]
-    without sampling.
+    terms and le of ``plan`` at a 1-d array of points x >= 0:
+    _jacobi_integral's estimates on [0, x] without sampling.
 
     The nodes of [0, x] are x * u_i, u = (1 + xi)/2, so the n-node
     estimate is exactly (x/2)**(p + le) * sum(c * x**d * M_n(d)) with the
     rule moments M_n(d) = sum_i w_i u_i**d, cached per sum
-    (:func:`_moments`).  Same rules, doubling, tolerances and cap; x is a
-    float or a 1-d array (x >= 0).  Where some |c| x**d or an estimate is
-    not finite the nodes are sampled instead, so an integrand that
-    overflows at a node raises EvaluationError as the sampled route does.
-
-    A float x makes one pass over the rows (c, d, M_n(d), M_2n(d)) cached
-    per (plan, alpha, n, 2n) (:func:`_first_rows`; 2n is capped at
-    MAX_NODES, read at call time), which gives both first estimates and
-    sum |c| x**d; only a point they leave unconverged doubles on
-    (:func:`_doubled`).  Every estimate adds its terms left to right, so a
-    float call's bits are the same on every Python version.
+    (:func:`_moments`).  Same rules, doubling, tolerances and cap.  Where
+    some |c| x**d or an estimate is not finite the nodes are sampled
+    instead, so an integrand that overflows at a node raises
+    EvaluationError as the sampled route does.  A float x takes the
+    route of :func:`_rows_integral`.
     """
     terms, exps, le = plan
     alpha = p - 1.0
-    if isinstance(x, float):
-        if x <= 0.0:
-            return 0.0
-        n, cap = cfg.node_count, MAX_NODES
-        m = min(2 * n, cap)
-        # the first two estimates' sums and sum |c x**d|, left to right
-        first = second = size = 0.0
-        try:
-            for c, d, mn, mm in _first_rows(plan, alpha, n, m):
-                h = c * x**d
-                size += abs(h)
-                first += h * mn
-                second += h * mm
-        except OverflowError:
-            return _sampled_terms(terms, x, p, le, cfg)
-        if not math.isfinite(size):
-            return _sampled_terms(terms, x, p, le, cfg)
-        scale = (0.5 * x) ** (p + le)
-        value = scale * first
-        if n < cap and math.isfinite(value):
-            prev, value = value, scale * second
-            # most points stop here; the rest, and the cap, go on doubling
-            if not abs(value - prev) <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
-                value = _doubled(plan, x, alpha, scale, m, prev, value, cfg)
-        return value if math.isfinite(value) else _sampled_terms(terms, x, p, le, cfg)
-
     out = np.zeros(x.shape)
     pos = np.flatnonzero(x > 0.0)
     if pos.size == 0:
@@ -669,9 +691,10 @@ def singular_integral(
     ``left_exponent`` (> -1) factors a known algebraic behaviour of the
     integrand at t = 0 into the weight, so the remaining g should be
     smooth.  A PowerSum factors its own leading power in too and takes
-    rule moments (:func:`_power_sum_integral`).  With the default 0, a
-    PiecewisePowerSum is first segment plus jumps
-    (:func:`_piecewise_kernel`).  A TabulatedFunction goes through product
+    rule moments.  With the default 0, a PiecewisePowerSum is first
+    segment plus jumps.  Both take a float x by its cached route
+    (:func:`_float_kernel`) and an array by :func:`_power_sum_integral`
+    or :func:`_piecewise_kernel`.  A TabulatedFunction goes through product
     integration (:func:`singular_integral_tabulated`) and takes no left
     weight (DomainError).  Anything else is sampled at the nodes.
 
@@ -693,9 +716,11 @@ def singular_integral(
 def kernel_route(g: Callable, x, p: float, le: float, cfg: QuadratureConfig):
     """:func:`singular_integral` with its arguments checked: the one place
     that picks the route of g's representation."""
-    if isinstance(g, PowerSum):
-        return _power_sum_integral(_plan(g, le, False).first, x, p, cfg)
-    if le == 0.0 and isinstance(g, PiecewisePowerSum):
+    if isinstance(g, PowerSum) or le == 0.0 and isinstance(g, PiecewisePowerSum):
+        if isinstance(x, float):
+            return _float_kernel(g, x, p, le, False, cfg)
+        if isinstance(g, PowerSum):
+            return _power_sum_integral(_plan(g, le, False).first, x, p, cfg)
         return _piecewise_kernel(g, x, p, cfg)
     if isinstance(g, TabulatedFunction):
         return _tabulated_kernel(g, x, p)
@@ -705,7 +730,8 @@ def kernel_route(g: Callable, x, p: float, le: float, cfg: QuadratureConfig):
 def derivative_kernel(f, x, p, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """K[f'](x) = integral_0^x f'(t) (x - t)**(p - 1) dt at a float x or a
     1-d array of points >= 0, by the route of f's representation
-    (:func:`_piecewise_kernel` for power sums, and for a table the
+    (for power sums :func:`_float_kernel` at a float x and
+    :func:`_piecewise_kernel` on an array, and for a table the
     three-point rule of :func:`tabulated_derivative_kernel` at each
     point); x = 0 gives 0 and a bare callable, having no derivative, is a
     DomainError.  p = 1 is allowed: 1 - n rounds to it for orders n up to
@@ -722,6 +748,8 @@ def derivative_route(f, x, p: float, cfg: QuadratureConfig):
     """:func:`derivative_kernel` with its arguments checked: the one place
     that picks the route of f's representation."""
     if not isinstance(f, TabulatedFunction):
+        if isinstance(x, float):
+            return _float_kernel(f, x, p, 0.0, True, cfg)
         return _piecewise_kernel(f, x, p, cfg, True)
     if p == 1.0:
         return f(x) - f.values.item(0)
@@ -1024,7 +1052,8 @@ class _Piecewise(NamedTuple):
     los holds the breakpoints, and jumps[k] = (lo, polynomial, jump) the
     jump at los[k]: a _Plan in s = t - lo when polynomial, its terms in t
     when not, None when the segments agree; tops[k] is the largest
-    exponent of segments 0 .. k, or 0 if that is larger."""
+    exponent of segments 0 .. k, or 0 if that is larger.  In the route
+    of a float call (:func:`_route`) every _Plan is its _Part."""
 
     first: _Plan
     los: tuple
@@ -1069,20 +1098,22 @@ def _spans(f, upper: float, derivative: bool) -> tuple:
     )
 
 
-def _first_part(first: _Plan, x, p: float, cfg: QuadratureConfig):
+def _first_part(first: _Plan, x: np.ndarray, p: float, cfg: QuadratureConfig):
     """K of a plan's first segment over all of [0, x], its leading power
     in the weight, from rule moments: the route of a PowerSum."""
     if not first.terms:
-        return 0.0 if isinstance(x, float) else np.zeros(x.shape)
+        return np.zeros(x.shape)
     _leading_exponent(first.le, cfg)
     return _power_sum_integral(first, x, p, cfg)
 
 
-def _kernel_parts(plan: _Piecewise, k: int, x, p: float, cfg: QuadratureConfig) -> list:
+def _kernel_parts(
+    plan: _Piecewise, k: int, x: np.ndarray, p: float, cfg: QuadratureConfig
+) -> list:
     """The parts of K whose sum is K(x) when only the plan's first k
-    breakpoints lie below x: the first segment over all of [0, x], then
-    the jump at each of those breakpoints lo over [lo, x].  x is a float,
-    or a 1-d array (where x <= lo a jump's part is 0)."""
+    breakpoints lie below the largest point of the 1-d array x: the first
+    segment over all of [0, x], then the jump at each of those breakpoints
+    lo over [lo, x] (0 where x <= lo)."""
     parts = [_first_part(plan.first, x, p, cfg)]
     for lo, polynomial, jump in plan.jumps[:k]:
         if jump is None:
@@ -1112,9 +1143,11 @@ def _overflows(top: float, x: float) -> bool:
     return x > 1.0 and math.log(x) * top > _LOG_PART_MAX
 
 
-def _piecewise_kernel(f, x, p: float, cfg: QuadratureConfig, derivative: bool = False):
+def _piecewise_kernel(
+    f, x: np.ndarray, p: float, cfg: QuadratureConfig, derivative: bool = False
+):
     """K[f](x), or K[f'](x) with ``derivative``, for a PowerSum or
-    PiecewisePowerSum f; x is a float or a 1-d array of limits >= 0.
+    PiecewisePowerSum f at a 1-d array x of limits >= 0.
 
     f is its first segment on all of [0, x] plus, at each breakpoint lo
     below x, the jump to the next segment on [lo, x], so every part ends
@@ -1124,33 +1157,95 @@ def _piecewise_kernel(f, x, p: float, cfg: QuadratureConfig, derivative: bool = 
     polynomial jump is Taylor-shifted to t - lo and also comes from rule
     moments; a jump with a fractional (or negative) power is sampled on
     [lo, x], where it is smooth.  A point whose parts cancel
-    (:func:`_cancels`) or could overflow (:func:`_overflows`) is summed
-    span by span instead (:func:`_span_kernel`).  An array x takes every
-    part over the whole grid in one call; its values are those of scalar
-    calls up to rounding.  All but x comes from the cached :func:`_plan`.
+    (:func:`_cancels`) is summed span by span instead
+    (:func:`_span_kernel`), and a grid with a point whose parts could
+    overflow (:func:`_overflows`) takes the float route point by point.
+    Every part is taken over the whole grid in one call; the values are
+    those of float calls (:func:`_float_kernel`) up to rounding.  All but
+    x comes from the cached :func:`_plan`.
     """
     plan = _plan(f, 0.0, derivative)
     if not plan.los:
         return _first_part(plan.first, x, p, cfg)
-    top = x if isinstance(x, float) else float(np.max(x, initial=0.0))
+    top = float(np.max(x, initial=0.0))
     if top <= 0.0:
-        return 0.0 if isinstance(x, float) else np.zeros(x.shape)
+        return np.zeros(x.shape)
     k = bisect_left(plan.los, top)
     if k and _overflows(plan.tops[k], top):
-        if isinstance(x, float):
-            return _span_kernel(_spans(f, x, derivative), x, p, cfg)
-        return np.array([_piecewise_kernel(f, float(a), p, cfg, derivative) for a in x])
+        return np.array([_float_kernel(f, float(a), p, 0.0, derivative, cfg) for a in x])
     parts = _kernel_parts(plan, k, x, p, cfg)
     total = sum(parts[1:], parts[0])
     if len(parts) == 1:
         return total
-    guarded = _cancels(parts, total, cfg)
-    if isinstance(x, float):
-        return _span_kernel(_spans(f, x, derivative), x, p, cfg) if guarded else total
-    for i in np.flatnonzero(guarded):
+    for i in np.flatnonzero(_cancels(parts, total, cfg)):
         xi = float(x[i])
         total[i] = _span_kernel(_spans(f, xi, derivative), xi, p, cfg)
     return total
+
+
+@lru_cache(maxsize=512)
+def _route(
+    f, le: float, derivative: bool, p: float, cfg: QuadratureConfig, cap: int
+) -> _Piecewise:
+    """The route of a float call on f, built once per (f, le, derivative,
+    p, cfg, MAX_NODES): f's :func:`_plan` with the first segment's _Plan
+    and every polynomial jump's replaced by its :func:`_part`, the rows of
+    its first two rules.  A derivative whose leading exponent is too
+    close to -1 raises DomainError here, and as a cache keeps no
+    exception, at every call."""
+    plan = _plan(f, le, derivative)
+    if derivative and plan.first.terms:
+        _leading_exponent(plan.first.le, cfg)
+    return plan._replace(
+        first=_part(plan.first, p, cfg, cap),
+        jumps=tuple(
+            (lo, polynomial, _part(jump, p, cfg, cap) if polynomial and jump else jump)
+            for lo, polynomial, jump in plan.jumps
+        ),
+    )
+
+
+def _float_kernel(
+    f, x: float, p: float, le: float, derivative: bool, cfg: QuadratureConfig
+) -> float:
+    """K[f](x) (with weight t**le), or K[f'](x) with ``derivative``, for
+    a PowerSum or PiecewisePowerSum f at a float x >= 0: one lookup of its
+    cached :func:`_route`, then a pass over each part's rows.  A point
+    past a breakpoint whose parts could overflow (:func:`_overflows`,
+    tested before any part is taken) or cancel (:func:`_cancels`) is
+    summed span by span instead (:func:`_span_kernel`).  x = 0 gives 0
+    and builds no route."""
+    if x <= 0.0:
+        return 0.0
+    route = _route(f, le, derivative, p, cfg, MAX_NODES)
+    k = bisect_left(route.los, x)
+    if not k:
+        return _rows_integral(route.first, x, cfg)
+    if _overflows(route.tops[k], x):
+        return _span_kernel(_spans(f, x, derivative), x, p, cfg)
+    parts = _route_parts(route, k, x, p, cfg)
+    total = sum(parts[1:], parts[0])
+    if len(parts) > 1 and _cancels(parts, total, cfg):
+        return _span_kernel(_spans(f, x, derivative), x, p, cfg)
+    return total
+
+
+def _route_parts(
+    route: _Piecewise, k: int, x: float, p: float, cfg: QuadratureConfig
+) -> list:
+    """:func:`_kernel_parts` at a float x, from the route of the call:
+    each moment part is one pass over its rows."""
+    parts = [_rows_integral(route.first, x, cfg)]
+    for lo, polynomial, jump in route.jumps[:k]:
+        if jump is None:
+            continue
+        if polynomial:
+            parts.append(_rows_integral(jump, x - lo, cfg))
+        else:
+            parts.append(_jacobi_integral(
+                lambda u: _eval_terms(jump, lo + u), 0.0, x - lo, p, 0.0, cfg
+            ))
+    return parts
 
 
 def _interior_span(

@@ -413,8 +413,11 @@ class TestOneDispatch:
     @pytest.mark.parametrize("derivative", [False, True])
     @pytest.mark.parametrize("name", ["power_sum", "piecewise", "piecewise_fractional"])
     def test_piecewise_kernel_at_zero(self, name, derivative):
-        got = quadrature._piecewise_kernel(INPUTS[name], 0.0, N, DEFAULT_CONFIG, derivative)
+        f = INPUTS[name]
+        got = quadrature._float_kernel(f, 0.0, N, 0.0, derivative, DEFAULT_CONFIG)
         assert type(got) is float and got == 0.0
+        grid = quadrature._piecewise_kernel(f, np.zeros(2), N, DEFAULT_CONFIG, derivative)
+        assert np.array_equal(grid, np.zeros(2))
         assert singular_integral(INPUTS[name], 0.0, N) == 0.0
 
 

@@ -42,7 +42,9 @@ from abelfrac.quadrature import (
     MAX_NODES,
     _jacobi_rule,
     _moment_plan,
+    _part,
     _power_sum_integral,
+    _rows_integral,
     _rule_moment,
     derivative_kernel,
     singular_integral,
@@ -69,6 +71,13 @@ def signed_terms(max_exp=7.0):
 def sampled(terms, x, p, le, cfg=DEFAULT_CONFIG):
     """The same integral through the sampling estimator: a callable."""
     return singular_integral(lambda t: _eval_terms(terms, t), x, p, cfg, left_exponent=le)
+
+
+def moment_float(plan, x, p, cfg=DEFAULT_CONFIG):
+    """A float x > 0 on the moment route of a plan, as a float call takes
+    it: the plan's rows at cfg and the node cap read at call time, then one
+    pass over them."""
+    return _rows_integral(_part(plan, p, cfg, quadrature.MAX_NODES), x, cfg)
 
 
 def moment_scale(terms, x, p, le, n):
@@ -117,7 +126,7 @@ class TestEstimates:
         cfg = QuadratureConfig(node_count=n, abs_tol=1e300)
         m = min(2 * n, MAX_NODES)
         bound = 1e-13 * moment_scale(terms, x, p, le, m)
-        got = _power_sum_integral(_moment_plan(terms, le), x, p, cfg)
+        got = moment_float(_moment_plan(terms, le), x, p, cfg)
         assert abs(got - sampled(terms, x, p, le, cfg)) <= bound
         xs = np.array([0.0, x])
         grid = _power_sum_integral(_moment_plan(terms, le), xs, p, cfg)
@@ -275,7 +284,7 @@ class TestOutcomes:
         with pytest.raises(EvaluationError) as ref:
             sampled(terms, 1.2, 0.5, 0.0)
         with pytest.raises(EvaluationError) as got:
-            _power_sum_integral(_moment_plan(terms, 0.0), 1.2, 0.5, DEFAULT_CONFIG)
+            moment_float(_moment_plan(terms, 0.0), 1.2, 0.5)
         assert got.value.t == ref.value.t
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -286,7 +295,7 @@ class TestOutcomes:
         terms = ((1e308, 0.0),)
         ref = sampled(terms, 2.0, 0.5, 0.0)
         assert math.isinf(ref)
-        assert _power_sum_integral(_moment_plan(terms, 0.0), 2.0, 0.5, DEFAULT_CONFIG) == ref
+        assert moment_float(_moment_plan(terms, 0.0), 2.0, 0.5) == ref
         grid = _power_sum_integral(
             _moment_plan(terms, 0.0), np.array([0.0, 2.0]), 0.5, DEFAULT_CONFIG
         )
@@ -299,6 +308,24 @@ class TestOutcomes:
         f = PowerSum(((1.0, e),))
         with pytest.raises(DomainError, match="exact backend"):
             caputo_derivative(f, 0.5, 1.0, backend="quadrature")
+
+    @pytest.mark.parametrize("pair", ["power_sum", "piecewise"])
+    def test_leading_exponent_error_is_raised_at_every_call(self, pair):
+        # the check runs where a float call's route is built, and a cache
+        # keeps no exception: a second call raises again, and so does an
+        # array, which takes no route
+        g = PowerSum(((1.0, 1e-12), (1.0, 1.0)))
+        if pair == "piecewise":
+            g = PiecewisePowerSum([0.5], [g, PowerSum(g.terms + ((-0.5, 0.0), (1.0, 1.0)))])
+        before = quadrature._route.cache_info().currsize
+        for x in (1.0, 1.0, np.array([0.25, 1.0])):
+            with pytest.raises(DomainError, match="exact backend"):
+                caputo_derivative(g, 0.5, x, backend="quadrature")
+            with pytest.raises(DomainError, match="exact backend"):
+                forward(g, 0.5, x)
+        assert quadrature._route.cache_info().currsize == before
+        # x = 0 gives 0 before any route is built
+        assert forward(g, 0.5, 0.0) == 0.0
 
     @pytest.mark.parametrize("e", [1e-6, 1e-5])
     def test_derivative_exponent_clear_of_minus_one_meets_the_exact_backend(self, e):
@@ -390,7 +417,7 @@ class TestFloatPath:
     )
     def test_float_path_is_the_per_term_formula(self, terms, x, p, le):
         ref = raised(lambda: doubling(per_term_estimate(terms, x, p, le), DEFAULT_CONFIG))
-        got = raised(lambda: _power_sum_integral(_moment_plan(terms, le), x, p, DEFAULT_CONFIG))
+        got = raised(lambda: moment_float(_moment_plan(terms, le), x, p))
         assert got == ref
 
     @settings(max_examples=60, deadline=None)
@@ -440,7 +467,7 @@ class TestFloatPath:
                 mp.setattr(quadrature, "MAX_NODES", cap)
                 cfg = QuadratureConfig(node_count=n)
                 ref = raised(lambda: float_route(terms, x, p, le, cfg))
-                assert raised(lambda: _power_sum_integral(plan, x, p, cfg)) == ref
+                assert raised(lambda: moment_float(plan, x, p, cfg)) == ref
 
     @pytest.mark.parametrize("x", [2.0, 8.0])
     @np.errstate(over="ignore")
@@ -458,9 +485,28 @@ class TestFloatPath:
         with pytest.raises(EvaluationError) as ref:
             sampled(terms, x, 0.5, 0.0)
         with pytest.raises(EvaluationError) as got:
-            _power_sum_integral(_moment_plan(terms, 0.0), x, 0.5, DEFAULT_CONFIG)
+            moment_float(_moment_plan(terms, 0.0), x, 0.5)
         assert got.value.t == ref.value.t
         assert calls == [x]
+
+    def test_cap_patched_after_a_warm_call(self, monkeypatch):
+        # a float call's route is cached per node cap, read at call time:
+        # a cap changed after a warm call holds from the next call on
+        f = PowerSum(((1.0, 0.0), (-0.5, 300.0)))
+
+        def ref():
+            estimate = per_term_estimate(f.terms, 1.5, 0.25, 0.0)
+            return raised(lambda: doubling(estimate, DEFAULT_CONFIG))
+
+        warm = singular_integral(f, 1.5, 0.25)
+        assert warm == ref()
+        got = {}
+        for cap in (128, 64, MAX_NODES):
+            monkeypatch.setattr(quadrature, "MAX_NODES", cap)
+            got[cap] = raised(lambda: singular_integral(f, 1.5, 0.25))
+            assert got[cap] == ref()
+        # at the 64-node cap the first rule is the only one
+        assert got[MAX_NODES] == warm and got[64] != warm
 
     def test_capped_sum_still_raises(self, monkeypatch):
         # s' of the solution of psi = 1 + a^(1/2) at n = 1/4 (see
@@ -473,7 +519,49 @@ class TestFloatPath:
         ref = raised(lambda: doubling(per_term_estimate(shifted, 0.7, 0.75, le), DEFAULT_CONFIG))
         assert ref[0] is ConvergenceError and "128 nodes" in ref[1]
         plan = _moment_plan(shifted, le)
-        assert raised(lambda: _power_sum_integral(plan, 0.7, 0.75, DEFAULT_CONFIG)) == ref
+        assert raised(lambda: moment_float(plan, 0.7, 0.75)) == ref
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        base=BASES,
+        coefs=st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3),
+        jump=st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3),
+        n=st.floats(0.02, 0.98),
+        x=st.floats(1e-3, 5.0),
+    )
+    def test_public_float_entries_are_the_per_term_formula(self, base, coefs, jump, n, x):
+        # each operator and solver, called at a float, returns the per-term
+        # formula of its kernel integral over its Gamma or sin(n pi) / pi
+        f = TestOperators.lattice_sum(base, coefs)
+
+        def kernel(terms, y, p):
+            lead = min(e for _, e in terms)
+            shifted = tuple((c, e - lead) for c, e in terms)
+            return doubling(per_term_estimate(shifted, y, p, lead), DEFAULT_CONFIG)
+
+        assert rl_integral(f, n, x, backend="quadrature") == kernel(f.terms, x, n) / gamma(n)
+        slope = f.derivative_terms()
+        if slope:
+            got = caputo_derivative(f, n, x, backend="quadrature")
+            assert got == kernel(slope, x, 1.0 - n) / gamma(1.0 - n)
+        s = solve_series(AbelProblem(f, Order(n))).s
+        assert forward(s, n, x) == kernel(s.derivative_terms(), x, 1.0 - n)
+        # a jump sum c_k (t - b)**(k + 1) of positive coefficients at b:
+        # the parts add up with no cancellation, the jump's part taken in
+        # s = t - b
+        b = 0.5
+        expanded = tuple(
+            (c * math.comb(k, j) * (-b) ** (k - j), float(j))
+            for k, c in enumerate(jump, 1) for j in range(k + 1)
+        )
+        pw = PiecewisePowerSum([b], [f, PowerSum(f.terms + expanded)])
+        total = kernel(f.terms, x, n)
+        if x > b:
+            (_, polynomial, shifted), = quadrature._plan(pw, 0.0, False).jumps
+            assert polynomial
+            total += doubling(per_term_estimate(shifted.terms, x - b, n, 0.0), DEFAULT_CONFIG)
+        got = solve_piecewise(AbelProblem(pw, Order(n)), x)
+        assert got == math.sin(math.pi * n) / math.pi * total
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -494,7 +582,7 @@ class TestFloatPath:
             assert abs(got - grid[0]) <= 1e-13 * abs(got)
 
 
-MOMENT_CACHES = ("_moments", "_plan", "_first_rows")
+MOMENT_CACHES = ("_moments", "_plan", "_route")
 
 
 class TestMomentCaches:
@@ -510,8 +598,9 @@ class TestMomentCaches:
     def fill(name, k):
         if name == "_moments":
             quadrature._moments(8, -0.5, 0.0, (float(k),))
-        elif name == "_first_rows":
-            quadrature._first_rows(_moment_plan(((1.0, float(k)),), 0.0), -0.5, 8, 16)
+        elif name == "_route":
+            f = PowerSum.monomial(1.0, float(k))
+            quadrature._route(f, 0.0, False, 0.5, DEFAULT_CONFIG, MAX_NODES)
         else:
             quadrature._plan(PowerSum.monomial(1.0, float(k)), 0.0, False)
 
@@ -526,7 +615,8 @@ class TestMomentCaches:
 
     @pytest.mark.parametrize("pair", ["power_sum", "piecewise"])
     def test_equal_functions_share_one_plan(self, pair):
-        # equal but distinct instances hash equal, so the second builds no plan
+        # equal but distinct instances hash equal, so the second finds the
+        # first's route and never reaches the plan cache
         def build():
             if pair == "power_sum":
                 return PowerSum(((1.5, 0.0), (0.5, 1.0)))
@@ -538,8 +628,10 @@ class TestMomentCaches:
         f, g = build(), build()
         assert f is not g and f == g
         assert singular_integral(f, 0.7, 0.3) == singular_integral(g, 0.7, 0.3)
-        info = quadrature._plan.cache_info()
+        info = quadrature._route.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        info = quadrature._plan.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
 
     def test_warm_float_calls_build_nothing(self):
         # a second pass of float calls on the same functions misses no
@@ -573,3 +665,5 @@ class TestMomentCaches:
         piecewise()
         assert [c.cache_info().misses for c in caches] == [i.misses for i in before]
         assert quadrature._plan.cache_info().currsize == 4
+        # rl_integral and solve_convolution share psi's route at n = 0.3
+        assert quadrature._route.cache_info().currsize == 4

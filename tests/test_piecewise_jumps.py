@@ -35,7 +35,7 @@ from abelfrac import (
     solve_on_grid,
 )
 from abelfrac import quadrature
-from abelfrac.quadrature import _SHIFT_DEGREE, _cancels, _jump, _kernel_parts, _plan
+from abelfrac.quadrature import MAX_NODES, _SHIFT_DEGREE, _cancels, _jump, _route, _route_parts
 
 mp = pytest.importorskip("mpmath")
 
@@ -183,7 +183,8 @@ class TestCancellingParts:
     X, N = 3.0, 0.107
 
     def parts(self):
-        return _kernel_parts(_plan(self.F, 0.0, False), 1, self.X, self.N, DEFAULT_CONFIG)
+        route = _route(self.F, 0.0, False, self.N, DEFAULT_CONFIG, MAX_NODES)
+        return _route_parts(route, 1, self.X, self.N, DEFAULT_CONFIG)
 
     def test_guard_catches_the_cancellation(self):
         parts = self.parts()

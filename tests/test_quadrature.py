@@ -4,6 +4,7 @@ Expected values come from scipy.integrate.quad with weight="alg" or from
 mpmath.quad at 30 digits, computed offline and pasted as literals.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -59,6 +60,17 @@ class TestConfig:
                 QuadratureConfig(abs_tol=bad)
             with pytest.raises(DomainError):
                 QuadratureConfig(rel_tol=bad)
+
+    def test_equal_configs_hash_equal(self):
+        # the hash is taken once, at construction: equal, distinct configs
+        # (an int tolerance equals its float) still share one hash, and
+        # dataclasses.replace builds a config with its own
+        cfg = QuadratureConfig(node_count=32, abs_tol=1, rel_tol=1e-8)
+        same = QuadratureConfig(32, 1.0, 1e-8)
+        assert cfg == same and cfg is not same and hash(cfg) == hash(same)
+        assert repr(cfg) == "QuadratureConfig(node_count=32, abs_tol=1, rel_tol=1e-08)"
+        other = dataclasses.replace(cfg, node_count=64)
+        assert other != cfg and hash(other) == hash(QuadratureConfig(64, 1.0, 1e-8))
 
 
 class TestSingularIntegral:
