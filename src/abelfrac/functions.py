@@ -127,7 +127,7 @@ class PowerSum:
             if not math.isfinite(coef):
                 raise DomainError(f"non-finite coefficient {coef!r}")
         object.__setattr__(self, "terms", canon)
-        # quadrature's plan cache hashes f at every call: hash once
+        # quadrature's route cache hashes f at every call: hash once
         object.__setattr__(self, "_hash", hash(canon))
 
     def __hash__(self) -> int:

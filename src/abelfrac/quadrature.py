@@ -24,25 +24,26 @@ at MAX_NODES.
 on [0, x] is not sampled: the nodes are x * u_i with u = (1 + xi)/2, so
 the n-node estimate of sum(c t**d) is exactly
 (x/2)**(p + le) * sum(c x**d M_n(d)) with the rule moments
-M_n(d) = sum_i w_i u_i**d, doubled as the sampled route doubles
-(``_power_sum_integral`` for an array of limits).  A
+M_n(d) = sum_i w_i u_i**d, doubled as the sampled route doubles.  A
 piecewise power sum is its first segment on all of [0, x] plus, at each
 breakpoint lo below x, the jump to the next segment on [lo, x]; a
 polynomial jump, Taylor-shifted to t - lo, is a power sum on [0, x - lo]
 and comes from the moments too.  There only a jump with a fractional
 power is sampled (on [lo, x], where it is smooth), and a point whose
-parts cancel is summed span by span instead.  Only x**d and the scale
-depend on x, so bounded caches hold the rest: the moments of a whole
-sum per (n, alpha, le, exponents) (``_moments``); per (f, le,
-derivative) the plan of f (``_plan``): its first segment's terms less
-their leading power, their exponents, and the jumps at its breakpoints;
-and per (f, le, derivative, p, config, MAX_NODES) the route of a float
-call (``_route``): the rows (c, d, M_n(d), M_2n(d)) of the first two
-rules of the first segment and of every polynomial jump, and p + le.
-A float call then makes one cache lookup and takes both first
-estimates of each part in one pass over its rows, a few multiply-adds
-each, left to right (``_rows_integral``); only a point they leave
-unconverged doubles on.
+parts cancel is summed span by span instead.  One function,
+``_power_kernel``, does all of this for a float and for an array of
+limits.  Only x**d and the scale depend on x, so two bounded caches
+hold the rest: the moments of a whole sum per (n, alpha, le, exponents)
+(``_moments``), and per (f, le, derivative, p, config, MAX_NODES) the
+route of f (``_route``): its first segment's terms less their leading
+power and the jumps at its breakpoints, with the rows
+(c, d, M_n(d), M_2n(d)) of the first two rules of the first segment and
+of every polynomial jump, and p + le.  A call then makes one cache
+lookup.  A float takes both first estimates of each part in one pass
+over its rows, a few multiply-adds each, left to right
+(``_rows_integral``), and only a point they leave unconverged doubles
+on; an array takes each part in numpy passes over the grid
+(``_power_sum_integral``).
 Tabulated f is taken piecewise linear on its own grid and the kernel
 moments of every cell are integrated in closed form (product
 integration), which is exact for the interpolant.  Other callables and
@@ -362,8 +363,9 @@ def _doubling_grid(
     estimated again.  At the MAX_NODES cap a mild shortfall returns the
     last estimate, and disagreement two orders beyond tolerance raises
     ConvergenceError for the first stalled point in grid order.
-    :func:`_rows_integral` runs this loop for one float point of a power
-    sum: its first two rules in one pass over the rows, the rest in
+    :func:`_power_sum_integral` runs it on a grid of a power sum's
+    points, and :func:`_rows_integral` runs the same loop for one float
+    point: its first two rules in one pass over the rows, the rest in
     :func:`_doubled`.
     """
     n = cfg.node_count
@@ -539,32 +541,22 @@ def _jacobi_integral(
     return out
 
 
-class _Plan(NamedTuple):
-    """What the moment route needs of a power sum besides x: its raw
-    (c, d) pairs (every d >= 0), their exponents d, and the power le of t
-    that the weight carries."""
-
-    terms: tuple
-    exps: tuple
-    le: float
-
-
-def _moment_plan(terms, le: float) -> _Plan:
-    return _Plan(terms, tuple(d for _, d in terms), le)
-
-
 def _sampled_terms(terms, x, p: float, le: float, cfg: QuadratureConfig):
     return _jacobi_integral(lambda t: _eval_terms(terms, t), 0.0, x, p, le, cfg)
 
 
 class _Part(NamedTuple):
-    """All but x of a float call's moment estimates of one plan at order
-    p: the rows (c, d, M_n(d), M_m(d)) of its terms at the first two
-    rules, n = node_count and m = min(2n, MAX_NODES), the exponent
-    p + le of the scale (x/2)**(p + le), and whether a second rule
-    exists (n below the cap)."""
+    """All but x of the moment estimates of one power sum
+    sum(c t**d) t**le at order p: its raw (c, d) pairs (every d >= 0),
+    their exponents d and the power le of t that the weight carries; the
+    rows (c, d, M_n(d), M_m(d)) of its terms at the first two rules,
+    n = node_count and m = min(2n, MAX_NODES); the exponent p + le of the
+    scale (x/2)**(p + le), and whether a second rule exists (n below the
+    cap)."""
 
-    plan: _Plan
+    terms: tuple
+    exps: tuple
+    le: float
     rows: tuple
     p: float
     expo: float
@@ -572,9 +564,9 @@ class _Part(NamedTuple):
     doubles: bool
 
 
-def _part(plan: _Plan, p: float, cfg: QuadratureConfig, cap: int) -> _Part:
-    """The _Part of a plan under the node cap ``cap``."""
-    terms, exps, le = plan
+def _part(terms, le: float, p: float, cfg: QuadratureConfig, cap: int) -> _Part:
+    """The _Part of sum(c t**d) t**le under the node cap ``cap``."""
+    exps = tuple(d for _, d in terms)
     n = cfg.node_count
     m = min(2 * n, cap)
     alpha = p - 1.0
@@ -584,7 +576,7 @@ def _part(plan: _Plan, p: float, cfg: QuadratureConfig, cap: int) -> _Part:
             terms, _moments(n, alpha, le, exps), _moments(m, alpha, le, exps)
         )
     )
-    return _Part(plan, rows, p, p + le, m, n < cap)
+    return _Part(terms, exps, le, rows, p, p + le, m, n < cap)
 
 
 def _rows_integral(part: _Part, x: float, cfg: QuadratureConfig) -> float:
@@ -613,8 +605,7 @@ def _rows_integral(part: _Part, x: float, cfg: QuadratureConfig) -> float:
                 value = _doubled(part, x, scale, prev, value, cfg)
         if math.isfinite(value):
             return value
-    terms, _, le = part.plan
-    return _sampled_terms(terms, x, part.p, le, cfg)
+    return _sampled_terms(part.terms, x, part.p, part.le, cfg)
 
 
 def _doubled(
@@ -625,7 +616,7 @@ def _doubled(
     that meets the tolerance, the last one at the MAX_NODES cap (or
     ConvergenceError), or the first that is not finite.  Each estimate sums
     its terms left to right, as the first two do."""
-    terms, exps, le = part.plan
+    terms, exps, le = part.terms, part.exps, part.le
     alpha, n = part.p - 1.0, part.m
     while True:
         err = abs(value - prev)
@@ -643,9 +634,9 @@ def _doubled(
         prev, value = value, scale * total
 
 
-def _power_sum_integral(plan: _Plan, x: np.ndarray, p: float, cfg: QuadratureConfig):
+def _power_sum_integral(part: _Part, x: np.ndarray, cfg: QuadratureConfig):
     """integral_0^x sum(c * t**d) * t**le * (x - t)**(p - 1) dt for the
-    terms and le of ``plan`` at a 1-d array of points x >= 0:
+    terms, le and p of a _Part at a 1-d array of points x >= 0:
     _jacobi_integral's estimates on [0, x] without sampling.
 
     The nodes of [0, x] are x * u_i, u = (1 + xi)/2, so the n-node
@@ -654,10 +645,11 @@ def _power_sum_integral(plan: _Plan, x: np.ndarray, p: float, cfg: QuadratureCon
     (:func:`_moments`).  Same rules, doubling, tolerances and cap.  Where
     some |c| x**d or an estimate is not finite the nodes are sampled
     instead, so an integrand that overflows at a node raises
-    EvaluationError as the sampled route does.  A float x takes the
-    route of :func:`_rows_integral`.
+    EvaluationError as the sampled route does.  It is the grid's part
+    evaluator in :func:`_power_kernel`; a float x takes
+    :func:`_rows_integral`.
     """
-    terms, exps, le = plan
+    terms, exps, le, p = part.terms, part.exps, part.le, part.p
     alpha = p - 1.0
     out = np.zeros(x.shape)
     pos = np.flatnonzero(x > 0.0)
@@ -667,7 +659,7 @@ def _power_sum_integral(plan: _Plan, x: np.ndarray, p: float, cfg: QuadratureCon
         h = np.array([c for c, _ in terms]) * x[pos, None] ** np.array(exps)
     if not np.isfinite(np.abs(h).sum(axis=1)).all():
         return _sampled_terms(terms, x, p, le, cfg)
-    scale = (0.5 * x[pos]) ** (p + le)
+    scale = (0.5 * x[pos]) ** part.expo
 
     def estimates(n: int, idx: np.ndarray) -> np.ndarray:
         return scale[idx] * (h[idx] @ np.array(_moments(n, alpha, le, exps)))
@@ -692,11 +684,11 @@ def singular_integral(
     integrand at t = 0 into the weight, so the remaining g should be
     smooth.  A PowerSum factors its own leading power in too and takes
     rule moments.  With the default 0, a PiecewisePowerSum is first
-    segment plus jumps.  Both take a float x by its cached route
-    (:func:`_float_kernel`) and an array by :func:`_power_sum_integral`
-    or :func:`_piecewise_kernel`.  A TabulatedFunction goes through product
-    integration (:func:`singular_integral_tabulated`) and takes no left
-    weight (DomainError).  Anything else is sampled at the nodes.
+    segment plus jumps.  Both take a float x and an array alike, by
+    their cached route (:func:`_power_kernel`).  A TabulatedFunction goes
+    through product integration (:func:`singular_integral_tabulated`)
+    and takes no left weight (DomainError).  Anything else is sampled at
+    the nodes.
 
     x is a float, or a 1-d array of upper limits evaluated in one pass
     with each value the one a scalar call gives, up to rounding.
@@ -717,11 +709,7 @@ def kernel_route(g: Callable, x, p: float, le: float, cfg: QuadratureConfig):
     """:func:`singular_integral` with its arguments checked: the one place
     that picks the route of g's representation."""
     if isinstance(g, PowerSum) or le == 0.0 and isinstance(g, PiecewisePowerSum):
-        if isinstance(x, float):
-            return _float_kernel(g, x, p, le, False, cfg)
-        if isinstance(g, PowerSum):
-            return _power_sum_integral(_plan(g, le, False).first, x, p, cfg)
-        return _piecewise_kernel(g, x, p, cfg)
+        return _power_kernel(g, x, p, le, False, cfg)
     if isinstance(g, TabulatedFunction):
         return _tabulated_kernel(g, x, p)
     return _jacobi_integral(g, 0.0, x, p, le, cfg)
@@ -730,8 +718,7 @@ def kernel_route(g: Callable, x, p: float, le: float, cfg: QuadratureConfig):
 def derivative_kernel(f, x, p, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """K[f'](x) = integral_0^x f'(t) (x - t)**(p - 1) dt at a float x or a
     1-d array of points >= 0, by the route of f's representation
-    (for power sums :func:`_float_kernel` at a float x and
-    :func:`_piecewise_kernel` on an array, and for a table the
+    (for power sums :func:`_power_kernel`, and for a table the
     three-point rule of :func:`tabulated_derivative_kernel` at each
     point); x = 0 gives 0 and a bare callable, having no derivative, is a
     DomainError.  p = 1 is allowed: 1 - n rounds to it for orders n up to
@@ -748,9 +735,7 @@ def derivative_route(f, x, p: float, cfg: QuadratureConfig):
     """:func:`derivative_kernel` with its arguments checked: the one place
     that picks the route of f's representation."""
     if not isinstance(f, TabulatedFunction):
-        if isinstance(x, float):
-            return _float_kernel(f, x, p, 0.0, True, cfg)
-        return _piecewise_kernel(f, x, p, cfg, True)
+        return _power_kernel(f, x, p, 0.0, True, cfg)
     if p == 1.0:
         return f(x) - f.values.item(0)
     if not isinstance(x, float):
@@ -1046,28 +1031,34 @@ def _jump(prev, terms, lo: float):
 
 
 class _Piecewise(NamedTuple):
-    """What K[f] needs of a PowerSum or PiecewisePowerSum f besides x.
+    """The route of K[f] at order p for a PowerSum or PiecewisePowerSum f:
+    all of it but x.
 
-    first is the first segment's _Plan, its leading power in the weight;
-    los holds the breakpoints, and jumps[k] = (lo, polynomial, jump) the
-    jump at los[k]: a _Plan in s = t - lo when polynomial, its terms in t
-    when not, None when the segments agree; tops[k] is the largest
-    exponent of segments 0 .. k, or 0 if that is larger.  In the route
-    of a float call (:func:`_route`) every _Plan is its _Part."""
+    first is the _Part of the first segment, its leading power in the
+    weight; los holds the breakpoints, and jumps[k] = (lo, polynomial,
+    jump) the jump at los[k]: the _Part of its terms in s = t - lo when
+    polynomial, its terms in t when not, None when the segments agree;
+    tops[k] is the largest exponent of segments 0 .. k, or 0 if that is
+    larger."""
 
-    first: _Plan
+    first: _Part
     los: tuple
     jumps: tuple
     tops: tuple
 
 
-@lru_cache(maxsize=256)
-def _plan(f, le: float, derivative: bool) -> _Piecewise:
+@lru_cache(maxsize=512)
+def _route(
+    f, le: float, derivative: bool, p: float, cfg: QuadratureConfig, cap: int
+) -> _Piecewise:
     """The x-free data of integral_0^x f(t) t**le (x - t)**(p - 1) dt (of
     f' with ``derivative``) for a PowerSum or PiecewisePowerSum f, built
-    once per f and read by every call: the terms shifted by their leading
-    power, their exponents, and the jumps at the breakpoints
-    (:func:`_jump`)."""
+    once per (f, le, derivative, p, cfg, MAX_NODES) and read by every call,
+    a float or a grid: the first segment's terms shifted by their leading
+    power and the jumps at the breakpoints (:func:`_jump`), the first
+    segment and every polynomial jump as its :func:`_part`.  A derivative
+    whose leading exponent is too close to -1 raises DomainError here, and
+    as a cache keeps no exception, at every call."""
     if isinstance(f, PiecewisePowerSum):
         segments, los = f.segments, f.breakpoints
     else:
@@ -1075,14 +1066,17 @@ def _plan(f, le: float, derivative: bool) -> _Piecewise:
     segs = [seg.derivative_terms() if derivative else seg.terms for seg in segments]
     first = segs[0]
     lead = min((e for _, e in first), default=0.0)
+    if derivative and first:
+        _leading_exponent(le + lead, cfg)
+    first = _part(tuple((c, e - lead) for c, e in first), le + lead, p, cfg, cap)
     jumps = []
     for lo, prev, terms in zip(los, segs, segs[1:]):
         polynomial, jump = _jump(prev, terms, lo)
         if polynomial:
-            jump = _moment_plan(jump, 0.0) if jump else None
+            jump = _part(jump, 0.0, p, cfg, cap) if jump else None
         jumps.append((lo, polynomial, jump))
     return _Piecewise(
-        _moment_plan(tuple((c, e - lead) for c, e in first), le + lead),
+        first,
         los,
         tuple(jumps),
         tuple(accumulate((max((e for _, e in t), default=0.0) for t in segs), max)),
@@ -1098,29 +1092,22 @@ def _spans(f, upper: float, derivative: bool) -> tuple:
     )
 
 
-def _first_part(first: _Plan, x: np.ndarray, p: float, cfg: QuadratureConfig):
-    """K of a plan's first segment over all of [0, x], its leading power
-    in the weight, from rule moments: the route of a PowerSum."""
-    if not first.terms:
-        return np.zeros(x.shape)
-    _leading_exponent(first.le, cfg)
-    return _power_sum_integral(first, x, p, cfg)
-
-
 def _kernel_parts(
-    plan: _Piecewise, k: int, x: np.ndarray, p: float, cfg: QuadratureConfig
+    route: _Piecewise, k: int, x, p: float, cfg: QuadratureConfig, integral: Callable
 ) -> list:
-    """The parts of K whose sum is K(x) when only the plan's first k
-    breakpoints lie below the largest point of the 1-d array x: the first
-    segment over all of [0, x], then the jump at each of those breakpoints
-    lo over [lo, x] (0 where x <= lo)."""
-    parts = [_first_part(plan.first, x, p, cfg)]
-    for lo, polynomial, jump in plan.jumps[:k]:
+    """The parts of K whose sum is K(x) when only the route's first k
+    breakpoints lie below x (below the largest point of a 1-d array x):
+    the first segment over all of [0, x], then the jump at each of those
+    breakpoints lo over [lo, x] (0 where x <= lo).  ``integral`` takes
+    the first segment and each polynomial jump from its _Part, from rule
+    moments; a jump with a fractional power is sampled."""
+    parts = [integral(route.first, x, cfg)]
+    for lo, polynomial, jump in route.jumps[:k]:
         if jump is None:
             continue
         if polynomial:
             # from the rule moments of [0, x - lo]: nothing is sampled
-            parts.append(_power_sum_integral(jump, x - lo, p, cfg))
+            parts.append(integral(jump, x - lo, cfg))
         else:
             parts.append(_jacobi_integral(
                 lambda u: _eval_terms(jump, lo + u), 0.0, x - lo, p, 0.0, cfg
@@ -1143,109 +1130,54 @@ def _overflows(top: float, x: float) -> bool:
     return x > 1.0 and math.log(x) * top > _LOG_PART_MAX
 
 
-def _piecewise_kernel(
-    f, x: np.ndarray, p: float, cfg: QuadratureConfig, derivative: bool = False
-):
-    """K[f](x), or K[f'](x) with ``derivative``, for a PowerSum or
-    PiecewisePowerSum f at a 1-d array x of limits >= 0.
+def _power_kernel(f, x, p: float, le: float, derivative: bool, cfg: QuadratureConfig):
+    """K[f](x) (with weight t**le), or K[f'](x) with ``derivative``, for
+    a PowerSum or PiecewisePowerSum f at a float x >= 0 or a 1-d array of
+    them: one lookup of the cached :func:`_route`, then each part over
+    [0, x] or [lo, x] (:func:`_kernel_parts`).
 
     f is its first segment on all of [0, x] plus, at each breakpoint lo
     below x, the jump to the next segment on [lo, x], so every part ends
-    at x.  The first part factors its leading power into the weight and
-    takes its estimates from rule moments (the route of a PowerSum; a
-    negative leading exponent too close to -1 is a DomainError).  A
-    polynomial jump is Taylor-shifted to t - lo and also comes from rule
-    moments; a jump with a fractional (or negative) power is sampled on
-    [lo, x], where it is smooth.  A point whose parts cancel
-    (:func:`_cancels`) is summed span by span instead
-    (:func:`_span_kernel`), and a grid with a point whose parts could
-    overflow (:func:`_overflows`) takes the float route point by point.
-    Every part is taken over the whole grid in one call; the values are
-    those of float calls (:func:`_float_kernel`) up to rounding.  All but
-    x comes from the cached :func:`_plan`.
-    """
-    plan = _plan(f, 0.0, derivative)
-    if not plan.los:
-        return _first_part(plan.first, x, p, cfg)
-    top = float(np.max(x, initial=0.0))
-    if top <= 0.0:
-        return np.zeros(x.shape)
-    k = bisect_left(plan.los, top)
-    if k and _overflows(plan.tops[k], top):
-        return np.array([_float_kernel(f, float(a), p, 0.0, derivative, cfg) for a in x])
-    parts = _kernel_parts(plan, k, x, p, cfg)
+    at x.  A float takes each moment part in one pass over its rows
+    (:func:`_rows_integral`), an array in numpy passes over the grid
+    (:func:`_power_sum_integral`); the values agree up to rounding.  A
+    point past a breakpoint whose parts could overflow (:func:`_overflows`,
+    tested before any part is taken) or cancel (:func:`_cancels`) is
+    summed span by span instead (:func:`_span_kernel`); a grid whose
+    largest point could overflow is taken point by point.  x = 0, or a
+    grid of zeros, gives 0 and builds no route."""
+    point = isinstance(x, float)
+    if point:
+        if x <= 0.0:
+            return 0.0
+        top, integral = x, _rows_integral
+    else:
+        top = float(x.max(initial=0.0))
+        if top <= 0.0:
+            return np.zeros(x.shape)
+        integral = _power_sum_integral
+    route = _route(f, le, derivative, p, cfg, MAX_NODES)
+    k = bisect_left(route.los, top)
+    if not k:
+        return integral(route.first, x, cfg)
+    if _overflows(route.tops[k], top):
+        if point:
+            return _span_kernel(_spans(f, x, derivative), x, p, cfg)
+        out = np.empty(x.shape)
+        for i, a in enumerate(x.tolist()):
+            out[i] = _power_kernel(f, a, p, le, derivative, cfg)
+        return out
+    parts = _kernel_parts(route, k, x, p, cfg, integral)
     total = sum(parts[1:], parts[0])
     if len(parts) == 1:
         return total
-    for i in np.flatnonzero(_cancels(parts, total, cfg)):
-        xi = float(x[i])
-        total[i] = _span_kernel(_spans(f, xi, derivative), xi, p, cfg)
+    guarded = _cancels(parts, total, cfg)
+    if point:
+        return _span_kernel(_spans(f, x, derivative), x, p, cfg) if guarded else total
+    for i in np.flatnonzero(guarded):
+        a = float(x[i])
+        total[i] = _span_kernel(_spans(f, a, derivative), a, p, cfg)
     return total
-
-
-@lru_cache(maxsize=512)
-def _route(
-    f, le: float, derivative: bool, p: float, cfg: QuadratureConfig, cap: int
-) -> _Piecewise:
-    """The route of a float call on f, built once per (f, le, derivative,
-    p, cfg, MAX_NODES): f's :func:`_plan` with the first segment's _Plan
-    and every polynomial jump's replaced by its :func:`_part`, the rows of
-    its first two rules.  A derivative whose leading exponent is too
-    close to -1 raises DomainError here, and as a cache keeps no
-    exception, at every call."""
-    plan = _plan(f, le, derivative)
-    if derivative and plan.first.terms:
-        _leading_exponent(plan.first.le, cfg)
-    return plan._replace(
-        first=_part(plan.first, p, cfg, cap),
-        jumps=tuple(
-            (lo, polynomial, _part(jump, p, cfg, cap) if polynomial and jump else jump)
-            for lo, polynomial, jump in plan.jumps
-        ),
-    )
-
-
-def _float_kernel(
-    f, x: float, p: float, le: float, derivative: bool, cfg: QuadratureConfig
-) -> float:
-    """K[f](x) (with weight t**le), or K[f'](x) with ``derivative``, for
-    a PowerSum or PiecewisePowerSum f at a float x >= 0: one lookup of its
-    cached :func:`_route`, then a pass over each part's rows.  A point
-    past a breakpoint whose parts could overflow (:func:`_overflows`,
-    tested before any part is taken) or cancel (:func:`_cancels`) is
-    summed span by span instead (:func:`_span_kernel`).  x = 0 gives 0
-    and builds no route."""
-    if x <= 0.0:
-        return 0.0
-    route = _route(f, le, derivative, p, cfg, MAX_NODES)
-    k = bisect_left(route.los, x)
-    if not k:
-        return _rows_integral(route.first, x, cfg)
-    if _overflows(route.tops[k], x):
-        return _span_kernel(_spans(f, x, derivative), x, p, cfg)
-    parts = _route_parts(route, k, x, p, cfg)
-    total = sum(parts[1:], parts[0])
-    if len(parts) > 1 and _cancels(parts, total, cfg):
-        return _span_kernel(_spans(f, x, derivative), x, p, cfg)
-    return total
-
-
-def _route_parts(
-    route: _Piecewise, k: int, x: float, p: float, cfg: QuadratureConfig
-) -> list:
-    """:func:`_kernel_parts` at a float x, from the route of the call:
-    each moment part is one pass over its rows."""
-    parts = [_rows_integral(route.first, x, cfg)]
-    for lo, polynomial, jump in route.jumps[:k]:
-        if jump is None:
-            continue
-        if polynomial:
-            parts.append(_rows_integral(jump, x - lo, cfg))
-        else:
-            parts.append(_jacobi_integral(
-                lambda u: _eval_terms(jump, lo + u), 0.0, x - lo, p, 0.0, cfg
-            ))
-    return parts
 
 
 def _interior_span(

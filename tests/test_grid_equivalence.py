@@ -230,6 +230,16 @@ INPUTS = {
     "callable": np.exp,
 }
 POWER_SUMS = ("power_sum", "fractional")
+# a power sum whose derivative leads with t**(1e-12 - 1), too close to
+# t**-1 for the quadrature, and a two-segment sum led by it
+NEAR_MINUS_ONE = PowerSum([(1.0, 1e-12), (1.0, 1.0)])
+AT_ZERO = {
+    **{name: INPUTS[name] for name in ("power_sum", "piecewise", "piecewise_fractional")},
+    "near_minus_one": NEAR_MINUS_ONE,
+    "near_minus_one_piecewise": PiecewisePowerSum(
+        [0.5], [NEAR_MINUS_ONE, PowerSum(NEAR_MINUS_ONE.terms + ((-0.5, 0.0), (1.0, 1.0)))]
+    ),
+}
 DIFFERENTIABLE = tuple(k for k in INPUTS if k != "callable")
 
 # name -> (call(f, x), the inputs it takes, whether x = 0 is allowed)
@@ -411,14 +421,24 @@ class TestOneDispatch:
             singular_integral(f, x, N, left_exponent=0.25)
 
     @pytest.mark.parametrize("derivative", [False, True])
-    @pytest.mark.parametrize("name", ["power_sum", "piecewise", "piecewise_fractional"])
+    @pytest.mark.parametrize("name", list(AT_ZERO))
     def test_piecewise_kernel_at_zero(self, name, derivative):
-        f = INPUTS[name]
-        got = quadrature._float_kernel(f, 0.0, N, 0.0, derivative, DEFAULT_CONFIG)
-        assert type(got) is float and got == 0.0
-        grid = quadrature._piecewise_kernel(f, np.zeros(2), N, DEFAULT_CONFIG, derivative)
-        assert np.array_equal(grid, np.zeros(2))
-        assert singular_integral(INPUTS[name], 0.0, N) == 0.0
+        # x = 0 gives 0, and an array of zeros zeros, for a float and an
+        # array alike: also where the derivative's leading exponent is
+        # too close to -1, which any point x > 0 refuses
+        f = AT_ZERO[name]
+        if derivative:
+            calls = (lambda x: derivative_kernel(f, x, 1.0 - N), lambda x: forward(f, N, x))
+        else:
+            calls = (lambda x: singular_integral(f, x, N),)
+        for call in calls:
+            got = call(0.0)
+            assert type(got) is float and got == 0.0
+            assert np.array_equal(call(np.zeros(2)), np.zeros(2))
+            if derivative and name.startswith("near_minus_one"):
+                for x in (0.5, np.array([0.0, 0.5])):
+                    with pytest.raises(DomainError, match="exact backend"):
+                        call(x)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from abelfrac.quadrature import (
     DEFAULT_CONFIG,
     MAX_NODES,
     _jacobi_rule,
-    _moment_plan,
     _part,
     _power_sum_integral,
     _rows_integral,
@@ -73,11 +72,16 @@ def sampled(terms, x, p, le, cfg=DEFAULT_CONFIG):
     return singular_integral(lambda t: _eval_terms(terms, t), x, p, cfg, left_exponent=le)
 
 
-def moment_float(plan, x, p, cfg=DEFAULT_CONFIG):
-    """A float x > 0 on the moment route of a plan, as a float call takes
-    it: the plan's rows at cfg and the node cap read at call time, then one
-    pass over them."""
-    return _rows_integral(_part(plan, p, cfg, quadrature.MAX_NODES), x, cfg)
+def moment_part(terms, le, p, cfg=DEFAULT_CONFIG):
+    """The _Part of sum(c t**d) t**le at order p, at cfg and the node cap
+    read at call time, as a call's route holds it."""
+    return _part(terms, le, p, cfg, quadrature.MAX_NODES)
+
+
+def moment_float(terms, le, x, p, cfg=DEFAULT_CONFIG):
+    """A float x > 0 on the moment route of sum(c t**d) t**le, as a float
+    call takes it: one pass over the rows of its _Part."""
+    return _rows_integral(moment_part(terms, le, p, cfg), x, cfg)
 
 
 def moment_scale(terms, x, p, le, n):
@@ -126,10 +130,10 @@ class TestEstimates:
         cfg = QuadratureConfig(node_count=n, abs_tol=1e300)
         m = min(2 * n, MAX_NODES)
         bound = 1e-13 * moment_scale(terms, x, p, le, m)
-        got = moment_float(_moment_plan(terms, le), x, p, cfg)
+        got = moment_float(terms, le, x, p, cfg)
         assert abs(got - sampled(terms, x, p, le, cfg)) <= bound
         xs = np.array([0.0, x])
-        grid = _power_sum_integral(_moment_plan(terms, le), xs, p, cfg)
+        grid = _power_sum_integral(moment_part(terms, le, p, cfg), xs, cfg)
         assert grid[0] == 0.0
         assert abs(grid[1] - got) <= bound
 
@@ -284,7 +288,7 @@ class TestOutcomes:
         with pytest.raises(EvaluationError) as ref:
             sampled(terms, 1.2, 0.5, 0.0)
         with pytest.raises(EvaluationError) as got:
-            moment_float(_moment_plan(terms, 0.0), 1.2, 0.5)
+            moment_float(terms, 0.0, 1.2, 0.5)
         assert got.value.t == ref.value.t
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -295,9 +299,9 @@ class TestOutcomes:
         terms = ((1e308, 0.0),)
         ref = sampled(terms, 2.0, 0.5, 0.0)
         assert math.isinf(ref)
-        assert moment_float(_moment_plan(terms, 0.0), 2.0, 0.5) == ref
+        assert moment_float(terms, 0.0, 2.0, 0.5) == ref
         grid = _power_sum_integral(
-            _moment_plan(terms, 0.0), np.array([0.0, 2.0]), 0.5, DEFAULT_CONFIG
+            moment_part(terms, 0.0, 0.5), np.array([0.0, 2.0]), DEFAULT_CONFIG
         )
         assert grid[1] == ref
 
@@ -311,9 +315,9 @@ class TestOutcomes:
 
     @pytest.mark.parametrize("pair", ["power_sum", "piecewise"])
     def test_leading_exponent_error_is_raised_at_every_call(self, pair):
-        # the check runs where a float call's route is built, and a cache
-        # keeps no exception: a second call raises again, and so does an
-        # array, which takes no route
+        # the check runs where a call's route is built, a float's or an
+        # array's, and a cache keeps no exception: a second call raises
+        # again
         g = PowerSum(((1.0, 1e-12), (1.0, 1.0)))
         if pair == "piecewise":
             g = PiecewisePowerSum([0.5], [g, PowerSum(g.terms + ((-0.5, 0.0), (1.0, 1.0)))])
@@ -405,7 +409,7 @@ def raised(fn):
 
 class TestFloatPath:
     """A float limit reads its moments from the per-sum cache and its
-    shifted terms from the per-function plan; the values are those of the
+    shifted terms from the route of the call; the values are those of the
     per-term formula, bit for bit."""
 
     @settings(max_examples=80, deadline=None)
@@ -417,7 +421,7 @@ class TestFloatPath:
     )
     def test_float_path_is_the_per_term_formula(self, terms, x, p, le):
         ref = raised(lambda: doubling(per_term_estimate(terms, x, p, le), DEFAULT_CONFIG))
-        got = raised(lambda: moment_float(_moment_plan(terms, le), x, p))
+        got = raised(lambda: moment_float(terms, le, x, p))
         assert got == ref
 
     @settings(max_examples=60, deadline=None)
@@ -461,13 +465,12 @@ class TestFloatPath:
         # the first two estimates come from one pass over the cached rows:
         # with the cap at n there is one rule, at 2n the pass holds both;
         # the same sum under both caps reads no row of the other
-        plan = _moment_plan(terms, le)
         for cap in (n, 2 * n, n):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(quadrature, "MAX_NODES", cap)
                 cfg = QuadratureConfig(node_count=n)
                 ref = raised(lambda: float_route(terms, x, p, le, cfg))
-                assert raised(lambda: moment_float(plan, x, p, cfg)) == ref
+                assert raised(lambda: moment_float(terms, le, x, p, cfg)) == ref
 
     @pytest.mark.parametrize("x", [2.0, 8.0])
     @np.errstate(over="ignore")
@@ -485,7 +488,7 @@ class TestFloatPath:
         with pytest.raises(EvaluationError) as ref:
             sampled(terms, x, 0.5, 0.0)
         with pytest.raises(EvaluationError) as got:
-            moment_float(_moment_plan(terms, 0.0), x, 0.5)
+            moment_float(terms, 0.0, x, 0.5)
         assert got.value.t == ref.value.t
         assert calls == [x]
 
@@ -518,8 +521,7 @@ class TestFloatPath:
         shifted = tuple((c, e - le) for c, e in slope)
         ref = raised(lambda: doubling(per_term_estimate(shifted, 0.7, 0.75, le), DEFAULT_CONFIG))
         assert ref[0] is ConvergenceError and "128 nodes" in ref[1]
-        plan = _moment_plan(shifted, le)
-        assert raised(lambda: moment_float(plan, 0.7, 0.75)) == ref
+        assert raised(lambda: moment_float(shifted, le, 0.7, 0.75)) == ref
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -557,7 +559,8 @@ class TestFloatPath:
         pw = PiecewisePowerSum([b], [f, PowerSum(f.terms + expanded)])
         total = kernel(f.terms, x, n)
         if x > b:
-            (_, polynomial, shifted), = quadrature._plan(pw, 0.0, False).jumps
+            route = quadrature._route(pw, 0.0, False, n, DEFAULT_CONFIG, MAX_NODES)
+            (_, polynomial, shifted), = route.jumps
             assert polynomial
             total += doubling(per_term_estimate(shifted.terms, x - b, n, 0.0), DEFAULT_CONFIG)
         got = solve_piecewise(AbelProblem(pw, Order(n)), x)
@@ -569,9 +572,32 @@ class TestFloatPath:
         coefs=st.lists(st.floats(0.1, 2.0), min_size=1, max_size=4),
         p=st.floats(0.02, 0.98),
         x=st.floats(1e-3, 5.0),
+        jump=st.lists(st.floats(0.1, 2.0), max_size=3),
+        kind=st.sampled_from(("polynomial", "fractional")),
+        b=st.floats(0.05, 4.0),
     )
-    def test_float_call_is_the_one_point_grid(self, base, coefs, p, x):
+    # a polynomial jump, taken from rule moments, and a fractional one,
+    # sampled on [b, x]
+    @example(0.0, [1.0, 0.5], 0.3, 2.0, [0.5, 1.0], "polynomial", 1.0)
+    @example(0.5, [1.0, 0.5], 0.7, 2.0, [0.75], "fractional", 1.0)
+    def test_float_call_is_the_one_point_grid(self, base, coefs, p, x, jump, kind, b):
+        # with a jump, f is a two-segment sum: the lattice sum, then past b
+        # that sum plus c_k (t - b)**k or c_k (t**(k - 1/2) - b**(k - 1/2)),
+        # k = 1, 2, ...  The coefficients are positive, so the parts add
+        # up with no cancellation
         f = TestOperators.lattice_sum(base, coefs)
+        if kind == "polynomial":
+            added = tuple(
+                (c * math.comb(k, j) * (-b) ** (k - j), float(j))
+                for k, c in enumerate(jump, 1) for j in range(k + 1)
+            )
+        else:
+            added = tuple(
+                term for k, c in enumerate(jump, 1)
+                for term in ((c, k - 0.5), (-c * b ** (k - 0.5), 0.0))
+            )
+        if jump:
+            f = PiecewisePowerSum([b], [f, PowerSum(f.terms + added)])
         one = np.array([x])
         for route in (
             lambda y: singular_integral(f, y, p),
@@ -582,7 +608,7 @@ class TestFloatPath:
             assert abs(got - grid[0]) <= 1e-13 * abs(got)
 
 
-MOMENT_CACHES = ("_moments", "_plan", "_route")
+MOMENT_CACHES = ("_moments", "_route")
 
 
 class TestMomentCaches:
@@ -598,11 +624,9 @@ class TestMomentCaches:
     def fill(name, k):
         if name == "_moments":
             quadrature._moments(8, -0.5, 0.0, (float(k),))
-        elif name == "_route":
+        else:
             f = PowerSum.monomial(1.0, float(k))
             quadrature._route(f, 0.0, False, 0.5, DEFAULT_CONFIG, MAX_NODES)
-        else:
-            quadrature._plan(PowerSum.monomial(1.0, float(k)), 0.0, False)
 
     @pytest.mark.parametrize("name", MOMENT_CACHES)
     def test_never_grows_past_maxsize(self, name):
@@ -616,7 +640,7 @@ class TestMomentCaches:
     @pytest.mark.parametrize("pair", ["power_sum", "piecewise"])
     def test_equal_functions_share_one_plan(self, pair):
         # equal but distinct instances hash equal, so the second finds the
-        # first's route and never reaches the plan cache
+        # first's route
         def build():
             if pair == "power_sum":
                 return PowerSum(((1.5, 0.0), (0.5, 1.0)))
@@ -630,12 +654,12 @@ class TestMomentCaches:
         assert singular_integral(f, 0.7, 0.3) == singular_integral(g, 0.7, 0.3)
         info = quadrature._route.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        info = quadrature._plan.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
 
     def test_warm_float_calls_build_nothing(self):
-        # a second pass of float calls on the same functions misses no
-        # cache, and a power sum's moment route looks no rule up at all
+        # a second pass of float and grid calls on the same functions
+        # misses no cache, and a power sum's moment route looks no rule up
+        # at all; a grid call at the same (f, p) as a float call takes its
+        # route
         psi = PowerSum(((1.5, 0.0), (0.5, 1.0), (0.25, 2.0)))
         s = solve_series(AbelProblem(psi, Order(0.3))).s
         pw = PiecewisePowerSum([0.5], [
@@ -643,27 +667,33 @@ class TestMomentCaches:
             PowerSum(((1.25, 0.0), (1.0, 1.0), (1.0, 2.0))),
         ])
         pw_prob = AbelProblem(pw, Order(0.5))
-        xs = [float(x) for x in np.linspace(0.05, 1.0, 20)]
+        grid = np.linspace(0.05, 1.0, 20)
+        xs = [float(x) for x in grid]
 
-        def power_sums():
-            for x in xs:
+        def power_sums(points):
+            for x in points:
                 rl_integral(psi, 0.3, x, backend="quadrature")
                 caputo_derivative(psi, 0.3, x, backend="quadrature")
                 forward(s, 0.3, x)
                 solve_convolution(AbelProblem(psi, Order(0.3)), x)
 
-        def piecewise():
-            for x in xs:
+        def piecewise(points):
+            for x in points:
                 solve_piecewise(pw_prob, x)
 
         caches = [_jacobi_rule] + [getattr(quadrature, name) for name in MOMENT_CACHES]
-        power_sums()
-        piecewise()
-        before = [c.cache_info() for c in caches]
-        power_sums()
-        assert _jacobi_rule.cache_info().hits == before[0].hits
-        piecewise()
-        assert [c.cache_info().misses for c in caches] == [i.misses for i in before]
-        assert quadrature._plan.cache_info().currsize == 4
+        power_sums(xs)
+        piecewise(xs)
         # rl_integral and solve_convolution share psi's route at n = 0.3
+        routes = quadrature._route.cache_info()
+        assert routes.currsize == 4
+        power_sums([grid])
+        piecewise([grid])
+        info = quadrature._route.cache_info()
+        assert (info.misses, info.currsize) == (routes.misses, 4)
+        before = [c.cache_info() for c in caches]
+        power_sums(xs + [grid])
+        assert _jacobi_rule.cache_info().hits == before[0].hits
+        piecewise(xs + [grid])
+        assert [c.cache_info().misses for c in caches] == [i.misses for i in before]
         assert quadrature._route.cache_info().currsize == 4

@@ -35,7 +35,15 @@ from abelfrac import (
     solve_on_grid,
 )
 from abelfrac import quadrature
-from abelfrac.quadrature import MAX_NODES, _SHIFT_DEGREE, _cancels, _jump, _route, _route_parts
+from abelfrac.quadrature import (
+    MAX_NODES,
+    _SHIFT_DEGREE,
+    _cancels,
+    _jump,
+    _kernel_parts,
+    _route,
+    _rows_integral,
+)
 
 mp = pytest.importorskip("mpmath")
 
@@ -184,7 +192,7 @@ class TestCancellingParts:
 
     def parts(self):
         route = _route(self.F, 0.0, False, self.N, DEFAULT_CONFIG, MAX_NODES)
-        return _route_parts(route, 1, self.X, self.N, DEFAULT_CONFIG)
+        return _kernel_parts(route, 1, self.X, self.N, DEFAULT_CONFIG, _rows_integral)
 
     def test_guard_catches_the_cancellation(self):
         parts = self.parts()
