@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .functions import PiecewisePowerSum, PowerSum, TabulatedFunction, _eval_terms
+from .functions import PiecewisePowerSum, PowerSum, TabulatedFunction, eval_terms
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -144,7 +144,7 @@ def caputo_derivative(
     """
     n, x, exact = check_operator(f, n, x, False, True, backend)
     if exact:
-        return _eval_terms(_caputo_image_terms(f, n), x)
+        return eval_terms(_caputo_image_terms(f, n), x)
     return derivative_route(f, x, 1.0 - n, cfg) / math.gamma(1.0 - n)
 
 

@@ -54,7 +54,7 @@ def as_order(n: "Order | float") -> Order:
     return n if isinstance(n, Order) else Order(float(n))
 
 
-def _eval_terms(terms, x):
+def eval_terms(terms, x):
     """Evaluate sum(c * x**e) for raw (coef, exp) pairs.
 
     Exponent 0 contributes the coefficient everywhere (0**0 == 1 here, the
@@ -146,7 +146,7 @@ class PowerSum:
         return cls(((coef, exp),))
 
     def __call__(self, x):
-        return _eval_terms(self.terms, x)
+        return eval_terms(self.terms, x)
 
     def __add__(self, other: "PowerSum") -> "PowerSum":
         if not isinstance(other, PowerSum):
@@ -171,7 +171,7 @@ class PowerSum:
         Constants vanish, and so does a term whose coefficient c * e
         underflows to 0 (it would give 0 * inf at 0 for e < 1); fractional
         exponents below 1 produce negative derivative exponents, so the
-        result is *not* a PowerSum.  Evaluate with ``_eval_terms``.
+        result is *not* a PowerSum.  Evaluate with ``eval_terms``.
         """
         return tuple((c * e, e - 1.0) for c, e in self.terms if c * e != 0.0)
 

@@ -15,7 +15,7 @@ to the rule degree.  ``singular_integral`` is its case a = 0,
 ``left_weighted_integral`` the case p = 1, and ``smooth_integral`` the
 Gauss-Legendre case p = 1, le = 0.  Node counts double from
 ``node_count`` until two successive estimates agree to tolerance, capped
-at MAX_NODES.
+at MAX_NODES; an estimate that is not finite raises ConvergenceError.
 
 ``kernel_route`` picks the route of each representation of f, for
 ``singular_integral``, the solvers and ``rl_integral`` alike, and
@@ -35,15 +35,15 @@ parts cancel is summed span by span instead.  One function,
 limits.  Only x**d and the scale depend on x, so two bounded caches
 hold the rest: the moments of a whole sum per (n, alpha, le, exponents)
 (``_moments``), and per (f, le, derivative, p, config, MAX_NODES) the
-route of f (``_route``): its first segment's terms less their leading
-power and the jumps at its breakpoints, with the rows
+route of f (``_route``): its segments' terms, the first less its leading
+power, and the jumps at its breakpoints, with the rows
 (c, d, M_n(d), M_2n(d)) of the first two rules of the first segment and
 of every polynomial jump, and p + le.  A call then makes one cache
-lookup.  A float takes both first estimates of each part in one pass
-over its rows, a few multiply-adds each, left to right
-(``_rows_integral``), and only a point they leave unconverged doubles
-on; an array takes each part in numpy passes over the grid
-(``_power_sum_integral``).
+lookup, the span-by-span sum included.  A float takes both first
+estimates of each part in one pass over its rows, a few multiply-adds
+each, left to right, and doubles on from them in the same function
+(``_rows_integral``); an array takes each part in numpy passes over the
+grid (``_power_sum_integral``).
 Tabulated f is taken piecewise linear on its own grid and the kernel
 moments of every cell are integrated in closed form (product
 integration), which is exact for the interpolant.  Other callables and
@@ -90,8 +90,8 @@ from .functions import (
     PiecewisePowerSum,
     PowerSum,
     TabulatedFunction,
-    _eval_terms,
     as_order,
+    eval_terms,
 )
 
 __all__ = [
@@ -351,6 +351,17 @@ def _stalled(n: int, err: float, tol: float) -> ConvergenceError:
     )
 
 
+def _finite(val: np.ndarray, n: int) -> np.ndarray:
+    """val, the n-node estimates, if all are finite; else ConvergenceError,
+    as doubling cannot mend an integral or scale that overflows a float."""
+    if not np.isfinite(val).all():
+        raise ConvergenceError(
+            f"quadrature estimate at {n} nodes is not finite "
+            "(the integral or its scale overflows a float)"
+        )
+    return val
+
+
 def _doubling_grid(
     estimate: Callable[[int, np.ndarray], np.ndarray],
     size: int,
@@ -362,19 +373,19 @@ def _doubling_grid(
     tolerance max(abs_tol, rel_tol * |value|); only unconverged points are
     estimated again.  At the MAX_NODES cap a mild shortfall returns the
     last estimate, and disagreement two orders beyond tolerance raises
-    ConvergenceError for the first stalled point in grid order.
-    :func:`_power_sum_integral` runs it on a grid of a power sum's
-    points, and :func:`_rows_integral` runs the same loop for one float
-    point: its first two rules in one pass over the rows, the rest in
-    :func:`_doubled`.
+    ConvergenceError for the first stalled point in grid order.  An
+    estimate that is not finite raises ConvergenceError at once
+    (:func:`_finite`).  :func:`_power_sum_integral` runs it on a grid of
+    a power sum's points, and :func:`_rows_integral` runs the same loop
+    for one float point, its first two rules from one pass over the rows.
     """
     n = cfg.node_count
     idx = np.arange(size)
     out = np.empty(size)
-    val = estimate(n, idx)
+    val = _finite(estimate(n, idx), n)
     while n < MAX_NODES:
         n = min(2 * n, MAX_NODES)
-        prev, val = val, estimate(n, idx)
+        prev, val = val, _finite(estimate(n, idx), n)
         err = np.abs(val - prev)
         tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(val))
         if n >= MAX_NODES:
@@ -435,7 +446,7 @@ def check_limits(x, name: str = "limit"):
     return x
 
 
-def check_points(x, at_zero: bool = True, name: str = "x"):
+def check_points(x, name: str = "x", *, at_zero: bool = True):
     """x as :func:`check_limits` gives it, every point >= 0, or > 0
     unless ``at_zero``."""
     if type(x) is float and 0.0 < x < math.inf:
@@ -447,12 +458,20 @@ def check_points(x, at_zero: bool = True, name: str = "x"):
     return x
 
 
-def check_point(x, name: str = "x") -> float:
-    """x as a float > 0, for the entries that take no array."""
-    x = check_points(x, False, name)
+def check_point(x, name: str = "x", *, at_zero: bool = False) -> float:
+    """x as a float > 0, or >= 0 if ``at_zero``, for the entries that take
+    no array."""
+    x = check_points(x, name, at_zero=at_zero)
     if not isinstance(x, float):
         raise DomainError(f"{name} must be a float, got an array of shape {x.shape}")
     return x
+
+
+def check_count(n, name: str) -> int:
+    """A count of points, as an int >= 2."""
+    if not (isinstance(n, (int, np.integer)) and n >= 2):
+        raise DomainError(f"need an int of at least 2 {name}, got {n!r}")
+    return int(n)
 
 
 def check_left_exponent(le) -> float:
@@ -483,7 +502,7 @@ def check_operator(f, n, x, at_zero: bool, derivative: bool, backend: str = "qua
     a PowerSum has the exact one) and, for quadrature, the integrand
     (:func:`check_integrand`)."""
     if not (type(n) is float and 0.0 < n < 1.0 and type(x) is float and 0.0 < x < math.inf):
-        n, x = check_order(n), check_points(x, at_zero)
+        n, x = check_order(n), check_points(x, at_zero=at_zero)
     if backend == "auto":
         exact = isinstance(f, PowerSum)
     elif backend == "quadrature":
@@ -542,7 +561,7 @@ def _jacobi_integral(
 
 
 def _sampled_terms(terms, x, p: float, le: float, cfg: QuadratureConfig):
-    return _jacobi_integral(lambda t: _eval_terms(terms, t), 0.0, x, p, le, cfg)
+    return _jacobi_integral(lambda t: eval_terms(terms, t), 0.0, x, p, le, cfg)
 
 
 class _Part(NamedTuple):
@@ -550,9 +569,8 @@ class _Part(NamedTuple):
     sum(c t**d) t**le at order p: its raw (c, d) pairs (every d >= 0),
     their exponents d and the power le of t that the weight carries; the
     rows (c, d, M_n(d), M_m(d)) of its terms at the first two rules,
-    n = node_count and m = min(2n, MAX_NODES); the exponent p + le of the
-    scale (x/2)**(p + le), and whether a second rule exists (n below the
-    cap)."""
+    n = node_count and m = min(2n, MAX_NODES), or n at the cap; and the
+    exponent p + le of the scale (x/2)**(p + le)."""
 
     terms: tuple
     exps: tuple
@@ -561,14 +579,13 @@ class _Part(NamedTuple):
     p: float
     expo: float
     m: int
-    doubles: bool
 
 
 def _part(terms, le: float, p: float, cfg: QuadratureConfig, cap: int) -> _Part:
     """The _Part of sum(c t**d) t**le under the node cap ``cap``."""
     exps = tuple(d for _, d in terms)
     n = cfg.node_count
-    m = min(2 * n, cap)
+    m = min(2 * n, max(cap, n))
     alpha = p - 1.0
     rows = tuple(
         (c, d, mn, mm)
@@ -576,16 +593,18 @@ def _part(terms, le: float, p: float, cfg: QuadratureConfig, cap: int) -> _Part:
             terms, _moments(n, alpha, le, exps), _moments(m, alpha, le, exps)
         )
     )
-    return _Part(terms, exps, le, rows, p, p + le, m, n < cap)
+    return _Part(terms, exps, le, rows, p, p + le, m)
 
 
 def _rows_integral(part: _Part, x: float, cfg: QuadratureConfig) -> float:
     """A part's integral at a float x > 0: one pass over its rows gives
-    both first estimates and sum |c| x**d, and only a point they leave
-    unconverged doubles on (:func:`_doubled`).  Where some c x**d, that
-    sum or the estimate is not finite the nodes are sampled instead.
-    Every estimate adds its terms left to right, so a float call's bits
-    are the same on every Python version."""
+    both first estimates and sum |c| x**d, then _doubling_grid's loop runs
+    from that first pair, where most points stop.  Where some c x**d, that
+    sum, the scale or an estimate is not finite the nodes are sampled
+    instead, whose estimate raises ConvergenceError if it is not finite
+    either, as a one-point array's does.  Every estimate adds its terms
+    left to right, so a float call's bits are the same on every Python
+    version."""
     first = second = size = 0.0
     try:
         for c, d, mn, mm in part.rows:
@@ -593,45 +612,32 @@ def _rows_integral(part: _Part, x: float, cfg: QuadratureConfig) -> float:
             size += abs(h)
             first += h * mn
             second += h * mm
-    except OverflowError:
+        scale = (0.5 * x) ** part.expo
+    except ArithmeticError:  # an overflow, or 0.0 ** -e
         size = math.inf
     if math.isfinite(size):
-        scale = (0.5 * x) ** part.expo
-        value = scale * first
-        if part.doubles and math.isfinite(value):
-            prev, value = value, scale * second
-            # most points stop here; the rest, and the cap, go on doubling
-            if not abs(value - prev) <= max(cfg.abs_tol, cfg.rel_tol * abs(value)):
-                value = _doubled(part, x, scale, prev, value, cfg)
+        n, prev, value = part.m, scale * first, scale * second
+        while math.isfinite(prev):
+            err = abs(value - prev)
+            tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+            if err <= tol:
+                break
+            if n >= MAX_NODES:
+                if err > 100.0 * tol:
+                    raise _stalled(n, err, tol)
+                break
+            n = min(2 * n, MAX_NODES)
+            total = 0.0
+            for (c, d), mom in zip(
+                part.terms, _moments(n, part.p - 1.0, part.le, part.exps)
+            ):
+                total += c * x**d * mom
+            prev, value = value, scale * total
+        else:
+            value = prev  # not finite: sampled
         if math.isfinite(value):
             return value
     return _sampled_terms(part.terms, x, part.p, part.le, cfg)
-
-
-def _doubled(
-    part: _Part, x: float, scale: float, prev: float, value: float, cfg: QuadratureConfig
-) -> float:
-    """_doubling_grid's loop for one float point of a part, from its
-    estimates prev and value at its first two rules: the first estimate
-    that meets the tolerance, the last one at the MAX_NODES cap (or
-    ConvergenceError), or the first that is not finite.  Each estimate sums
-    its terms left to right, as the first two do."""
-    terms, exps, le = part.terms, part.exps, part.le
-    alpha, n = part.p - 1.0, part.m
-    while True:
-        err = abs(value - prev)
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
-        if err <= tol or not math.isfinite(value):
-            return value
-        if n >= MAX_NODES:
-            if err > 100.0 * tol:
-                raise _stalled(n, err, tol)
-            return value
-        n = min(2 * n, MAX_NODES)
-        total = 0.0
-        for (c, d), mom in zip(terms, _moments(n, alpha, le, exps)):
-            total += c * x**d * mom
-        prev, value = value, scale * total
 
 
 def _power_sum_integral(part: _Part, x: np.ndarray, cfg: QuadratureConfig):
@@ -642,12 +648,12 @@ def _power_sum_integral(part: _Part, x: np.ndarray, cfg: QuadratureConfig):
     The nodes of [0, x] are x * u_i, u = (1 + xi)/2, so the n-node
     estimate is exactly (x/2)**(p + le) * sum(c * x**d * M_n(d)) with the
     rule moments M_n(d) = sum_i w_i u_i**d, cached per sum
-    (:func:`_moments`).  Same rules, doubling, tolerances and cap.  Where
-    some |c| x**d or an estimate is not finite the nodes are sampled
-    instead, so an integrand that overflows at a node raises
-    EvaluationError as the sampled route does.  It is the grid's part
-    evaluator in :func:`_power_kernel`; a float x takes
-    :func:`_rows_integral`.
+    (:func:`_moments`).  Same rules, doubling, tolerances and cap, and an
+    estimate that is not finite raises ConvergenceError.  Where some
+    |c| x**d is not finite the nodes are sampled instead, so an integrand
+    that overflows at a node raises EvaluationError as the sampled route
+    does.  It is the grid's part evaluator in :func:`_power_kernel`; a
+    float x takes :func:`_rows_integral`.
     """
     terms, exps, le, p = part.terms, part.exps, part.le, part.p
     alpha = p - 1.0
@@ -666,7 +672,7 @@ def _power_sum_integral(part: _Part, x: np.ndarray, cfg: QuadratureConfig):
 
     with np.errstate(over="ignore", invalid="ignore"):
         out[pos] = _doubling_grid(estimates, pos.size, cfg)
-    return out if np.isfinite(out).all() else _sampled_terms(terms, x, p, le, cfg)
+    return out
 
 
 def singular_integral(
@@ -768,7 +774,7 @@ def smooth_integral(
     return _jacobi_integral(g, check_limits(a), check_limits(b), 1.0, 0.0, cfg)
 
 
-def _indexed_smooth_integral(g: Callable, a, b, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def indexed_smooth_integral(g: Callable, a, b, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """smooth_integral over 1-d arrays of limits for an integrand g(t, k)
     that reads per-interval data: every row of t holds one interval's
     nodes and k, a (rows, 1) column, holds those intervals' positions in
@@ -802,9 +808,7 @@ def graded_mesh(
     kernel exponent p (if given), else 2.  x_max is a finite float > 0,
     points an int >= 2 and the exponent finite and >= 1.
     """
-    x_max = check_point(x_max, "x_max")
-    if not (isinstance(points, (int, np.integer)) and points >= 2):
-        raise DomainError(f"need an int of at least 2 mesh points, got {points!r}")
+    x_max, points = check_point(x_max, "x_max"), check_count(points, "mesh points")
     if exponent is None:
         exponent = 2.0 / check_exponent(p) if p is not None else 2.0
     if not 1.0 <= exponent < math.inf:
@@ -1035,14 +1039,16 @@ class _Piecewise(NamedTuple):
     all of it but x.
 
     first is the _Part of the first segment, its leading power in the
-    weight; los holds the breakpoints, and jumps[k] = (lo, polynomial,
-    jump) the jump at los[k]: the _Part of its terms in s = t - lo when
+    weight; los holds the breakpoints and segs the raw terms of each
+    segment (of f' with ``derivative``); jumps[k] = (lo, polynomial,
+    jump) is the jump at los[k]: the _Part of its terms in s = t - lo when
     polynomial, its terms in t when not, None when the segments agree;
     tops[k] is the largest exponent of segments 0 .. k, or 0 if that is
     larger."""
 
     first: _Part
     los: tuple
+    segs: tuple
     jumps: tuple
     tops: tuple
 
@@ -1054,16 +1060,16 @@ def _route(
     """The x-free data of integral_0^x f(t) t**le (x - t)**(p - 1) dt (of
     f' with ``derivative``) for a PowerSum or PiecewisePowerSum f, built
     once per (f, le, derivative, p, cfg, MAX_NODES) and read by every call,
-    a float or a grid: the first segment's terms shifted by their leading
-    power and the jumps at the breakpoints (:func:`_jump`), the first
-    segment and every polynomial jump as its :func:`_part`.  A derivative
-    whose leading exponent is too close to -1 raises DomainError here, and
-    as a cache keeps no exception, at every call."""
+    a float or a grid: every segment's terms, the jumps at the
+    breakpoints (:func:`_jump`), and the first segment, shifted by its
+    leading power, and every polynomial jump as its :func:`_part`.  A
+    derivative whose leading exponent is too close to -1 raises
+    DomainError here, and as a cache keeps no exception, at every call."""
     if isinstance(f, PiecewisePowerSum):
         segments, los = f.segments, f.breakpoints
     else:
         segments, los = (f,), ()
-    segs = [seg.derivative_terms() if derivative else seg.terms for seg in segments]
+    segs = tuple(seg.derivative_terms() if derivative else seg.terms for seg in segments)
     first = segs[0]
     lead = min((e for _, e in first), default=0.0)
     if derivative and first:
@@ -1078,17 +1084,9 @@ def _route(
     return _Piecewise(
         first,
         los,
+        segs,
         tuple(jumps),
         tuple(accumulate((max((e for _, e in t), default=0.0) for t in segs), max)),
-    )
-
-
-def _spans(f, upper: float, derivative: bool) -> tuple:
-    """(lo, hi, terms) of the spans of f covering [0, upper]; the terms
-    are those of f' with ``derivative``."""
-    return tuple(
-        (lo, hi, seg.derivative_terms() if derivative else seg.terms)
-        for lo, hi, seg in f.pieces(upper)
     )
 
 
@@ -1110,7 +1108,7 @@ def _kernel_parts(
             parts.append(integral(jump, x - lo, cfg))
         else:
             parts.append(_jacobi_integral(
-                lambda u: _eval_terms(jump, lo + u), 0.0, x - lo, p, 0.0, cfg
+                lambda u: eval_terms(jump, lo + u), 0.0, x - lo, p, 0.0, cfg
             ))
     return parts
 
@@ -1143,7 +1141,8 @@ def _power_kernel(f, x, p: float, le: float, derivative: bool, cfg: QuadratureCo
     (:func:`_power_sum_integral`); the values agree up to rounding.  A
     point past a breakpoint whose parts could overflow (:func:`_overflows`,
     tested before any part is taken) or cancel (:func:`_cancels`) is
-    summed span by span instead (:func:`_span_kernel`); a grid whose
+    summed span by span instead, from the same route
+    (:func:`_span_kernel`); a grid whose
     largest point could overflow is taken point by point.  x = 0, or a
     grid of zeros, gives 0 and builds no route."""
     point = isinstance(x, float)
@@ -1162,7 +1161,7 @@ def _power_kernel(f, x, p: float, le: float, derivative: bool, cfg: QuadratureCo
         return integral(route.first, x, cfg)
     if _overflows(route.tops[k], top):
         if point:
-            return _span_kernel(_spans(f, x, derivative), x, p, cfg)
+            return _span_kernel(route, x, p, cfg)
         out = np.empty(x.shape)
         for i, a in enumerate(x.tolist()):
             out[i] = _power_kernel(f, a, p, le, derivative, cfg)
@@ -1173,10 +1172,10 @@ def _power_kernel(f, x, p: float, le: float, derivative: bool, cfg: QuadratureCo
         return total
     guarded = _cancels(parts, total, cfg)
     if point:
-        return _span_kernel(_spans(f, x, derivative), x, p, cfg) if guarded else total
+        return _span_kernel(route, x, p, cfg) if guarded else total
     for i in np.flatnonzero(guarded):
         a = float(x[i])
-        total[i] = _span_kernel(_spans(f, a, derivative), a, p, cfg)
+        total[i] = _span_kernel(route, a, p, cfg)
     return total
 
 
@@ -1189,39 +1188,39 @@ def _interior_span(
     a_lo = (x - lo) ** p
     inv_p = 1.0 / p
     return _jacobi_integral(
-        lambda A: _eval_terms(terms, x - A**inv_p) / p, a_hi, a_lo, 1.0, 0.0, cfg
+        lambda A: eval_terms(terms, x - A**inv_p) / p, a_hi, a_lo, 1.0, 0.0, cfg
     )
 
 
-def _span_kernel(pieces, x: float, p: float, cfg: QuadratureConfig) -> float:
-    """K(x) over two or more spans (lo, hi, terms) covering [0, x], each
-    span integrated on its own: the route of points whose jump parts
-    cancel.
+def _span_kernel(route: _Piecewise, x: float, p: float, cfg: QuadratureConfig) -> float:
+    """K(x) over the two or more spans of a route of left exponent 0 that
+    cover [0, x], each span integrated on its own: the route of points
+    whose jump parts cancel or could overflow.
 
     The first span ends below x.  Led by a fractional power t**le it
-    takes the weight t**le on its half at 0 and the substitution
-    A = (x - t)**p on the other half; otherwise the substitution covers
-    it, as it does every interior span.  The last span carries the kernel
-    singularity at t = x and is sampled on [lo, x].
+    takes the weight t**le (route.first) on its half at 0 and the
+    substitution A = (x - t)**p on the other half; otherwise the
+    substitution covers it, as it does every interior span.  The last
+    span carries the kernel singularity at t = x and is sampled on [lo, x].
     """
+    edges = (0.0,) + route.los[: bisect_left(route.los, x)] + (x,)
+    first = route.first
     total = 0.0
-    for lo, hi, terms in pieces:
+    for lo, hi, terms in zip(edges, edges[1:], route.segs):
         if not terms:
             continue
-        le = _leading_exponent(min(e for _, e in terms), cfg) if lo == 0.0 else 0.0
-        shifted = tuple((c, e - le) for c, e in terms)
         if hi >= x:
             # the span carrying the kernel singularity at t = x
             total += _jacobi_integral(
-                lambda u: _eval_terms(terms, lo + u), 0.0, x - lo, p, 0.0, cfg
+                lambda u: eval_terms(terms, lo + u), 0.0, x - lo, p, 0.0, cfg
             )
-        elif not le.is_integer():
+        elif lo == 0.0 and not first.le.is_integer():
             # interior first span led by a fractional power of t: give
             # each end its matching weighted rule
             mid = 0.5 * hi
             total += _jacobi_integral(
-                lambda t: _eval_terms(shifted, t) * (x - t) ** (p - 1.0),
-                0.0, mid, 1.0, le, cfg,
+                lambda t: eval_terms(first.terms, t) * (x - t) ** (p - 1.0),
+                0.0, mid, 1.0, first.le, cfg,
             )
             total += _interior_span(terms, mid, hi, x, p, cfg)
         else:

@@ -34,12 +34,14 @@ from .functions import (
     PiecewisePowerSum,
     PowerSum,
     TabulatedFunction,
-    _eval_terms,
+    eval_terms,
 )
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
-    _indexed_smooth_integral,
+    check_count,
+    check_point,
+    indexed_smooth_integral,
     left_weighted_integral,
     smooth_integral,
 )
@@ -181,7 +183,7 @@ def _slope_samples(spans, ts: np.ndarray) -> np.ndarray:
     for lo, hi, terms in spans:
         mask = (ts >= lo) & (ts < hi) if hi != math.inf else ts >= lo
         if mask.any():
-            out[mask] = _eval_terms(terms, ts[mask]) if terms else 0.0
+            out[mask] = eval_terms(terms, ts[mask]) if terms else 0.0
     return out
 
 
@@ -222,7 +224,7 @@ def _arc_slope(terms):
     """t -> sqrt(s'(t)^2 - 1) for one span's derivative terms."""
 
     def w(t):
-        v = _eval_terms(terms, t)
+        v = eval_terms(terms, t)
         return np.sqrt(np.maximum(v * v - 1.0, 0.0))
 
     return w
@@ -292,16 +294,13 @@ def reconstruct_curve(
     samples, with no finite differences.  Raises InfeasibleCurveError
     where s' (a tabulated s: a secant) < 1 - 1e-9.
     """
-    x_max = float(x_max)
-    if not (math.isfinite(x_max) and x_max > 0.0):
-        raise DomainError(f"x_max must be finite and > 0, got {x_max!r}")
-    if grid_points < 2:
-        raise DomainError(f"need at least 2 grid points, got {grid_points!r}")
+    x_max = check_point(x_max, "x_max")
+    grid_points = check_count(grid_points, "grid points")
     s0 = float(s(0.0))
     if abs(s0) > 1e-12:
         raise DomainError(f"arc length must vanish at 0, got s(0) = {s0!r}")
 
-    xs = np.linspace(0.0, x_max, int(grid_points))
+    xs = np.linspace(0.0, x_max, grid_points)
 
     if isinstance(s, TabulatedFunction):
         return _reconstruct_tabulated(s, xs, g)
@@ -399,9 +398,7 @@ def simulate_descent(
     T is integrated in gravity-free units (speed sqrt(a - x)) and divided
     by sqrt(2g) once at the end, so rescaling g rescales T exactly.
     """
-    a = float(a)
-    if not (math.isfinite(a) and a >= 0.0):
-        raise DomainError(f"release height must be >= 0, got {a!r}")
+    a = check_point(a, "release height", at_zero=True)
     if a > curve.x_max * (1.0 + 1e-12):
         raise DomainError(
             f"release height {a!r} outside sampled range [0, {curve.x_max!r}]"
@@ -435,7 +432,7 @@ def simulate_descent(
         u = r * r - rho[k]
         return 2.0 * r / np.sqrt(drop[k] + u * (d[k + 1] - u * (c2[k] + u * c3[k])))
 
-    tau = _indexed_smooth_integral(integrand, np.sqrt(rho), np.sqrt(L - s_nodes[:-1]), cfg)
+    tau = indexed_smooth_integral(integrand, np.sqrt(rho), np.sqrt(L - s_nodes[:-1]), cfg)
     # cubic against linear arc at each cell's midpoint: h |d_k - d_k+1| / 8
     h = np.diff(s_nodes)
     max_residual = float(np.max(h * np.abs(np.diff(d))) / (8.0 * a))

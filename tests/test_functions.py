@@ -17,7 +17,7 @@ from abelfrac import (
     PowerSum,
     TabulatedFunction,
 )
-from abelfrac.functions import _eval_terms, as_order
+from abelfrac.functions import as_order, eval_terms
 
 
 class TestOrder:
@@ -108,7 +108,7 @@ class TestPowerSum:
         # 0.5 * 5e-324 rounds to 0: the term would give 0 * inf at x = 0
         p = PowerSum([(5e-324, 0.5), (2.0, 1.0)])
         assert p.derivative_terms() == ((2.0, 0.0),)
-        assert _eval_terms(p.derivative_terms(), 0.0) == 2.0
+        assert eval_terms(p.derivative_terms(), 0.0) == 2.0
 
     def test_antiderivative_vanishes_at_zero(self):
         p = PowerSum([(2.0, 0.0), (1.0, 1.0)])
@@ -255,18 +255,18 @@ class TestEvalTerms:
 
     @pytest.mark.parametrize("x", [2.0, 0.0])
     def test_empty_terms_scalar(self, x):
-        out = _eval_terms((), x)
+        out = eval_terms((), x)
         assert type(out) is float and out == 0.0
 
     @pytest.mark.parametrize("shape", [(0,), (3,), (2, 3)])
     def test_empty_terms_array(self, shape):
-        out = _eval_terms((), np.ones(shape))
+        out = eval_terms((), np.ones(shape))
         assert isinstance(out, np.ndarray) and out.shape == shape
         assert not out.any()
 
     @pytest.mark.parametrize("x", [2.0, 2, np.float64(2.0)])
     def test_scalar_gives_python_float(self, x):
-        out = _eval_terms(self.TERMS, x)
+        out = eval_terms(self.TERMS, x)
         assert type(out) is float
         assert out == 1.5 - 2.0 * math.sqrt(2.0) + 1.0
 
@@ -281,7 +281,7 @@ class TestEvalTerms:
         ],
     )
     def test_array_like_gives_float_array_of_its_shape(self, x):
-        out = _eval_terms(self.TERMS, x)
+        out = eval_terms(self.TERMS, x)
         xs = np.asarray(x, dtype=float)
         assert isinstance(out, np.ndarray)
         assert out.shape == xs.shape and out.dtype == np.float64
@@ -289,35 +289,35 @@ class TestEvalTerms:
 
     def test_float_array_is_not_written(self):
         x = np.array([0.5, 1.0, 2.0])
-        out = _eval_terms(self.TERMS, x)
+        out = eval_terms(self.TERMS, x)
         assert out is not x
         assert np.array_equal(x, [0.5, 1.0, 2.0])
 
     def test_constant_only_fills_the_shape(self):
-        out = _eval_terms(((3.0, 0.0),), np.zeros((2, 2)))
+        out = eval_terms(((3.0, 0.0),), np.zeros((2, 2)))
         assert np.array_equal(out, np.full((2, 2), 3.0))
-        assert _eval_terms(((3, 0),), 0.0) == 3.0
+        assert eval_terms(((3, 0),), 0.0) == 3.0
 
     def test_zero_keeps_the_sign_of_a_sum_from_zero(self):
         # every term -0.0: a sum started at 0.0 gives 0.0, so s(0) of an
         # all-negative power sum prints as 0.0
         terms = ((-1.0, 0.5), (-2.0, 1.0))
-        assert math.copysign(1.0, _eval_terms(terms, 0.0)) == 1.0
-        assert math.copysign(1.0, _eval_terms(terms, np.zeros(3))[0]) == 1.0
-        assert math.copysign(1.0, _eval_terms(((-0.0, 0.0),), 1.0)) == 1.0
+        assert math.copysign(1.0, eval_terms(terms, 0.0)) == 1.0
+        assert math.copysign(1.0, eval_terms(terms, np.zeros(3))[0]) == 1.0
+        assert math.copysign(1.0, eval_terms(((-0.0, 0.0),), 1.0)) == 1.0
 
     def test_negative_exponent_at_zero_is_inf_without_warning(self):
         terms = ((2.0, -0.5), (1.0, 0.5))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = _eval_terms(terms, np.array([0.0, 1.0]))
-            assert _eval_terms(terms, 0.0) == math.inf
+            out = eval_terms(terms, np.array([0.0, 1.0]))
+            assert eval_terms(terms, 0.0) == math.inf
         assert out[0] == math.inf and out[1] == 3.0
 
     def test_non_negative_exponents_leave_error_state_alone(self):
         # 0 ** 0.5 is no division, so nothing is silenced or raised
         with np.errstate(all="raise"):
-            assert _eval_terms(self.TERMS, 0.0) == 1.5
+            assert eval_terms(self.TERMS, 0.0) == 1.5
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -331,9 +331,9 @@ class TestEvalTerms:
     def test_equals_naive_left_to_right_sum(self, terms, x):
         with np.errstate(divide="ignore", invalid="ignore"):
             want = _naive_sum(terms, x)
-            scalar = _eval_terms(terms, float(x[0]))
+            scalar = eval_terms(terms, float(x[0]))
         # inf - inf on a negative exponent at 0 may warn; the sum is the same
         with np.errstate(invalid="ignore"):
-            got = _eval_terms(terms, x)
+            got = eval_terms(terms, x)
         assert got.tobytes() == want.tobytes()
         assert np.float64(scalar).tobytes() == want[:1].tobytes()

@@ -36,7 +36,7 @@ from abelfrac import (
     solve_theorem,
 )
 from abelfrac import quadrature
-from abelfrac.functions import _eval_terms
+from abelfrac.functions import eval_terms
 from abelfrac.quadrature import (
     DEFAULT_CONFIG,
     MAX_NODES,
@@ -69,7 +69,7 @@ def signed_terms(max_exp=7.0):
 
 def sampled(terms, x, p, le, cfg=DEFAULT_CONFIG):
     """The same integral through the sampling estimator: a callable."""
-    return singular_integral(lambda t: _eval_terms(terms, t), x, p, cfg, left_exponent=le)
+    return singular_integral(lambda t: eval_terms(terms, t), x, p, cfg, left_exponent=le)
 
 
 def moment_part(terms, le, p, cfg=DEFAULT_CONFIG):
@@ -113,7 +113,7 @@ class TestEstimates:
         got = half ** (p + le) * sum(
             c * x**d * _rule_moment(n, p - 1.0, le, d) for c, d in terms
         )
-        ref = half ** (p + le) * float(np.dot(w, _eval_terms(terms, half * (1.0 + xi))))
+        ref = half ** (p + le) * float(np.dot(w, eval_terms(terms, half * (1.0 + xi))))
         assert abs(got - ref) <= 1e-13 * moment_scale(terms, x, p, le, n)
 
     @settings(max_examples=60, deadline=None)
@@ -293,17 +293,52 @@ class TestOutcomes:
 
     @np.errstate(over="ignore", invalid="ignore")
     def test_overflowing_estimate_takes_the_sampled_route(self, monkeypatch):
-        # the samples are finite but their weighted sum is not: both routes
-        # give the sampled route's value
+        # the samples are finite but their weighted sum is not: the sampled
+        # route raises at its first estimate, a float takes that route, and
+        # a grid raises the same at its own first estimate
         monkeypatch.setattr(quadrature, "MAX_NODES", 128)
         terms = ((1e308, 0.0),)
-        ref = sampled(terms, 2.0, 0.5, 0.0)
-        assert math.isinf(ref)
-        assert moment_float(terms, 0.0, 2.0, 0.5) == ref
-        grid = _power_sum_integral(
+        ref = raised(lambda: sampled(terms, 2.0, 0.5, 0.0))
+        assert ref[0] is ConvergenceError and "at 64 nodes is not finite" in ref[1]
+        assert raised(lambda: moment_float(terms, 0.0, 2.0, 0.5)) == ref
+        assert raised(lambda: _power_sum_integral(
             moment_part(terms, 0.0, 0.5), np.array([0.0, 2.0]), DEFAULT_CONFIG
+        )) == ref
+
+    @pytest.mark.parametrize(
+        "call, x",
+        [
+            # t**300 at x = 100 and t**40 at x = 1e9: the leading power goes
+            # into the weight, whose scale (x/2)**(e + 1/2) overflows a float
+            (lambda x: singular_integral(PowerSum(((1.0, 300.0),)), x, 0.5), 100.0),
+            (
+                lambda x: rl_integral(PowerSum(((1.0, 300.0),)), 0.5, x, backend="quadrature"),
+                100.0,
+            ),
+            (lambda x: singular_integral(PowerSum(((1.0, 40.0),)), x, 0.5), 1e9),
+            # x/2 rounds to 0.0, and the scale 0.0**-0.85 is a float
+            # ZeroDivisionError, an array inf
+            (
+                lambda x: caputo_derivative(
+                    PowerSum(((1.0, 0.1),)), 0.95, x, backend="quadrature"
+                ),
+                5e-324,
+            ),
+        ],
+        ids=["t300", "t300-rl", "t40", "subnormal-x"],
+    )
+    @np.errstate(over="ignore", divide="ignore", invalid="ignore")
+    def test_non_finite_scale_raises_at_the_first_rule(self, call, x):
+        # a float call takes the sampled route, a one-point grid the moment
+        # route; both raise at the first rule, not after doubling to the
+        # cap (where t**40 at 1e9 once took 44 s and returned inf)
+        grid = raised(lambda: call(np.array([x])))
+        assert grid == (
+            ConvergenceError,
+            f"quadrature estimate at {DEFAULT_CONFIG.node_count} nodes is not "
+            "finite (the integral or its scale overflows a float)",
         )
-        assert grid[1] == ref
+        assert raised(lambda: call(x)) == grid
 
     @pytest.mark.parametrize("e", [2.220446049250313e-16, 1e-12, 1e-9])
     def test_derivative_exponent_near_minus_one_is_a_domain_error(self, e):
@@ -419,6 +454,11 @@ class TestFloatPath:
         p=st.sampled_from(ORDERS),
         le=st.sampled_from(LEFT),
     )
+    # psi = c1 a^(1/2) + c2 a^2 differentiates to a sum whose part 1 +
+    # t**(3/2) at le = -1/2 converges only algebraically: at x = 0.7 the
+    # first pair meets the tolerance, at x = 2 the loop doubles once more
+    @example(terms=((1.0, 0.0), (1.0, 1.5)), x=0.7, p=0.5, le=-0.5)
+    @example(terms=((1.0, 0.0), (1.0, 1.5)), x=2.0, p=0.5, le=-0.5)
     def test_float_path_is_the_per_term_formula(self, terms, x, p, le):
         ref = raised(lambda: doubling(per_term_estimate(terms, x, p, le), DEFAULT_CONFIG))
         got = raised(lambda: moment_float(terms, le, x, p))

@@ -29,6 +29,7 @@ from abelfrac import (
     PowerSum,
     SolutionBackend,
     caputo_derivative,
+    derivative_kernel,
     kernel_integral,
     reflection_factor,
     solve_convolution,
@@ -217,6 +218,20 @@ class TestCancellingParts:
         # a guarded point's grid value is its scalar span route, bit for bit
         assert np.array_equal(grid[guarded], scalar[guarded])
         assert np.max(np.abs(grid[1:] - scalar[1:]) / scalar[1:]) <= 1e-13
+
+    @pytest.mark.parametrize("p", [0.107, 0.5, 0.893])
+    def test_derivative_takes_the_span_route(self, p, monkeypatch):
+        # F' is 10 t**9, then 0: the parts of K[F'] cancel as those of K[F]
+        # do, and the spans give integral_0^0.287 10 t**9 (3 - t)**(p - 1) dt
+        calls = []
+        span = quadrature._span_kernel
+        monkeypatch.setattr(
+            quadrature, "_span_kernel", lambda *a: calls.append(a[1]) or span(*a)
+        )
+        ref = closed_form(self.F, self.X, p, derivative=True)
+        got = derivative_kernel(self.F, self.X, p)
+        assert calls == [self.X]
+        assert abs(got - ref) <= tolerance(ref)
 
 
 def outcome(fn, *args, **kwargs):

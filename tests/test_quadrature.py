@@ -23,9 +23,9 @@ from abelfrac import (
 )
 from abelfrac.quadrature import (
     MAX_NODES,
-    _indexed_smooth_integral,
     derivative_kernel,
     graded_mesh,
+    indexed_smooth_integral,
     left_weighted_integral,
     singular_integral_tabulated,
     smooth_integral,
@@ -242,7 +242,7 @@ class TestOneEstimator:
             seen.update(k.ravel().tolist())
             return coef[k] * t
 
-        got = _indexed_smooth_integral(g, a, b, QuadratureConfig(node_count=4))
+        got = indexed_smooth_integral(g, a, b, QuadratureConfig(node_count=4))
         want = np.where(b > a, coef * 0.5 * (b * b - a * a), 0.0)
         np.testing.assert_allclose(got, want, rtol=1e-14)
         assert seen == {0, 2, 3}
@@ -255,9 +255,9 @@ class TestOneEstimator:
             raise ValueError("broadcast")
 
         with pytest.raises(ValueError, match="broadcast"):
-            _indexed_smooth_integral(broken, a, b, cfg)
+            indexed_smooth_integral(broken, a, b, cfg)
         with pytest.raises(ValueError, match="shape"):
-            _indexed_smooth_integral(lambda t, k: k * 1.0, a, b, cfg)
+            indexed_smooth_integral(lambda t, k: k * 1.0, a, b, cfg)
 
 
 class TestGradedMesh:

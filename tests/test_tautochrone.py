@@ -67,6 +67,36 @@ class TestCurveSamplesValidation:
             CurveSamples(curve.xs, curve.s, curve.y, g=0.0)
 
 
+class TestEntryChecks:
+    """reconstruct_curve and simulate_descent check their arguments as the
+    operators do: a wrong type or a value out of range is a DomainError."""
+
+    S = PowerSum.monomial(2.0, 1.0)
+
+    @pytest.mark.parametrize("points", [2.5, 3.7, "5", None, 1, np.array([5])])
+    def test_grid_points_is_an_int_of_at_least_two(self, points):
+        with pytest.raises(DomainError, match="grid points"):
+            reconstruct_curve(self.S, 1.0, points)
+
+    def test_numpy_int_grid_points(self):
+        assert reconstruct_curve(self.S, 1.0, np.int64(11)).xs.size == 11
+
+    @pytest.mark.parametrize(
+        "x_max", [np.array([1.0]), np.array([0.5, 1.0]), math.inf, math.nan, 0.0, -1.0]
+    )
+    def test_x_max_is_a_finite_float_above_zero(self, x_max):
+        with pytest.raises(DomainError, match="x_max"):
+            reconstruct_curve(self.S, x_max, 5)
+
+    @pytest.mark.parametrize(
+        "a", [np.array([0.5]), np.array([0.2, 0.5]), -0.5, math.nan, math.inf]
+    )
+    def test_release_height_is_a_finite_float_at_least_zero(self, a):
+        curve = reconstruct_curve(self.S, 1.0, 11)
+        with pytest.raises(DomainError, match="release height"):
+            simulate_descent(curve, a)
+
+
 class TestReconstruction:
     def test_straight_line_constant_slope(self):
         # s = 2x forces y' = sqrt(3) everywhere
