@@ -34,6 +34,7 @@ from .quadrature import (
     check_point,
     derivative_route,
     kernel_route,
+    tabulated_derivative_route,
 )
 from .special_functions import log_gamma, reflection_factor
 
@@ -140,8 +141,16 @@ def caputo_derivative(
     Same backend choices as :func:`rl_integral`; the exact path evaluates
     the monomial rule term by term and tolerates image exponents in
     (-1, 0), where the derivative diverges as x -> 0 but is finite for
-    x > 0.
+    x > 0.  A table at a float x > 0 skips the checks once its one test
+    passes and goes straight to quadrature's table route, where a node of
+    a uniform table is one cache lookup and one index.
     """
+    if (
+        type(f) is TabulatedFunction and backend in ("auto", "quadrature")
+        and type(n) is float and 0.0 < n < 1.0 and type(x) is float and 0.0 < x < math.inf
+    ):
+        p = 1.0 - n
+        return tabulated_derivative_route(f, x, p) / math.gamma(p)
     n, x, exact = check_operator(f, n, x, False, True, backend)
     if exact:
         return eval_terms(_caputo_image_terms(f, n), x)

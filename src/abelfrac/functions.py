@@ -269,7 +269,8 @@ class TabulatedFunction:
 
     Calls interpolate linearly; evaluation outside [0, xs[-1]] is a
     DomainError rather than a silent clamp.  ``x_max`` is xs[-1] as a
-    float, read-only like the samples.
+    float, and ``step`` is x_max / (size - 1), the node spacing of a
+    uniform table; both are read-only like the samples.
     """
 
     xs: np.ndarray
@@ -291,6 +292,7 @@ class TabulatedFunction:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "x_max", float(xs[-1]))
+        object.__setattr__(self, "step", self.x_max / (xs.size - 1))
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)

@@ -46,8 +46,11 @@ each, left to right, and doubles on from them in the same function
 grid (``_power_sum_integral``).
 Tabulated f is taken piecewise linear on its own grid and the kernel
 moments of every cell are integrated in closed form (product
-integration), which is exact for the interpolant.  Other callables and
-the mechanics layer are sampled.
+integration), which is exact for the interpolant.  On a uniform table
+K[f] and K[f'] at every node are cached per (table, p), and a float or
+a grid at the nodes reads them with one lookup and one index
+(``_node_values``).  Other callables and the mechanics layer are
+sampled.
 
 Every route also takes 1-d arrays of limits and evaluates the whole grid
 in one vectorised pass; the sampled and tabulated routes take a float as
@@ -194,15 +197,18 @@ def _gauss_jacobi(n: int, alpha: float, beta: float):
     rho = n + 0.5 * (a1 + b1 - 1.0)
     right = _start_angles(n, rho, alpha, beta)
     m = int(np.count_nonzero(right <= 0.5 * math.pi))
-    rule = _halley(n, a1, b1, right[:m], _start_angles(n - m, rho, beta, alpha))
-    if rule is None:
-        # Golub & Welsch: the nodes are the eigenvalues of the Jacobi matrix,
-        # kept off +-1 (angle 0 or nan), where alpha or beta near -1 puts one
-        edge = np.nextafter(1.0, 0.0)
-        x0 = np.clip(np.linalg.eigvalsh(_jacobi_matrix(n, alpha, beta)), -edge, edge)
-        rule = _halley(
-            n, a1, b1, np.arccos(x0[x0 >= 0.0][::-1]), np.arccos(-x0[x0 < 0.0])
-        )
+    # a pass that goes astray makes nan or inf, which _halley answers with
+    # None, so numpy's warnings would only precede the ConvergenceError
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rule = _halley(n, a1, b1, right[:m], _start_angles(n - m, rho, beta, alpha))
+        if rule is None:
+            # Golub & Welsch: the nodes are the eigenvalues of the Jacobi matrix,
+            # kept off +-1 (angle 0 or nan), where alpha or beta near -1 puts one
+            edge = np.nextafter(1.0, 0.0)
+            x0 = np.clip(np.linalg.eigvalsh(_jacobi_matrix(n, alpha, beta)), -edge, edge)
+            rule = _halley(
+                n, a1, b1, np.arccos(x0[x0 >= 0.0][::-1]), np.arccos(-x0[x0 < 0.0])
+            )
     if rule is None:
         raise ConvergenceError(
             f"Gauss-Jacobi rule ({n}, {alpha!r}, {beta!r}) did not converge"
@@ -724,11 +730,14 @@ def kernel_route(g: Callable, x, p: float, le: float, cfg: QuadratureConfig):
 def derivative_kernel(f, x, p, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """K[f'](x) = integral_0^x f'(t) (x - t)**(p - 1) dt at a float x or a
     1-d array of points >= 0, by the route of f's representation
-    (for power sums :func:`_power_kernel`, and for a table the
-    three-point rule of :func:`tabulated_derivative_kernel` at each
-    point); x = 0 gives 0 and a bare callable, having no derivative, is a
-    DomainError.  p = 1 is allowed: 1 - n rounds to it for orders n up to
-    2**-54, and a table then gives f(x) - f(0)."""
+    (for power sums :func:`_power_kernel`, and for a table
+    :func:`tabulated_derivative_route`: at the nodes of a uniform table one
+    cache lookup and one index, for a float and for a whole grid alike,
+    and elsewhere the three-point rule of
+    :func:`tabulated_derivative_kernel` at each point); x = 0 gives 0 and
+    a bare callable, having no derivative, is a DomainError.  p = 1 is
+    allowed: 1 - n rounds to it for orders n up to 2**-54, and a table
+    then gives f(x) - f(0)."""
     if not (
         type(p) is float and 0.0 < p < 1.0 and type(x) is float and 0.0 < x < math.inf
         and type(f) in DIFFERENTIABLE
@@ -739,22 +748,38 @@ def derivative_kernel(f, x, p, cfg: QuadratureConfig = DEFAULT_CONFIG):
 
 def derivative_route(f, x, p: float, cfg: QuadratureConfig):
     """:func:`derivative_kernel` with its arguments checked: the one place
-    that picks the route of f's representation."""
-    if not isinstance(f, TabulatedFunction):
-        return _power_kernel(f, x, p, 0.0, True, cfg)
+    that picks the route of f's representation; a table takes
+    :func:`tabulated_derivative_route`."""
+    if isinstance(f, TabulatedFunction):
+        return tabulated_derivative_route(f, x, p)
+    return _power_kernel(f, x, p, 0.0, True, cfg)
+
+
+def tabulated_derivative_route(f: TabulatedFunction, x, p: float):
+    """K[f'] of a table at a float x or a 1-d array of points >= 0, p in
+    (0, 1] checked: the table branch of :func:`derivative_route`, which
+    caputo_derivative also calls directly.  p = 1 gives f(x) - f(0), and
+    x = 0 gives 0.  At the nodes of a uniform table a float, or a grid
+    whose points all lie there, is one lookup of
+    :func:`_node_derivatives` and one index (:func:`_node_values`); a
+    float off the nodes takes the three-point rule, and a grid with such
+    a point is mapped point by point, so each value is its float call's,
+    bit for bit."""
     if p == 1.0:
         return f(x) - f.values.item(0)
-    if not isinstance(x, float):
-        return np.array([derivative_route(f, a, p, cfg) for a in x.tolist()])
-    if x == 0.0:
-        return 0.0
-    if x > f.x_max * (1.0 + 1e-12):
-        raise DomainError(f"x = {x!r} outside tabulated range [0, {f.x_max!r}]")
-    # node k * h of a uniform table: its cached slope (k <= last, as x is in range)
-    h = f.x_max / (f.xs.size - 1)
-    k = round(x / h)
-    nodes = _node_derivatives(f, p) if abs(x - k * h) <= _NODE_RTOL * x else None
-    return _tabulated_slope(f, x, p) if nodes is None else nodes.item(k)
+    if isinstance(x, float):
+        if x == 0.0:
+            return 0.0
+        if x > f.x_max * (1.0 + 1e-12):
+            raise _outside(f, x)
+        value = _node_values(_node_derivatives, f, x, p)
+        return _tabulated_slope(f, x, p) if value is None else value
+    _check_range(f, x)
+    values = _node_values(_node_derivatives, f, x, p)
+    if values is None:
+        return np.array([tabulated_derivative_route(f, a, p) for a in x.tolist()])
+    values[x == 0.0] = 0.0
+    return values
 
 
 def smooth_integral(
@@ -844,13 +869,14 @@ def singular_integral_tabulated(f: TabulatedFunction, x, p):
     kernel moments are integrated in closed form, so the only error is the
     linear interpolation of f itself.
 
-    x is a float or a 1-d array of upper limits in [0, x_max]; a float is
-    the one-point grid.  When every point of the grid is a node of a
-    uniform table (:func:`_node_indices`) the values are read from the
-    table's node integrals, one Toeplitz convolution cached per (table,
-    order) (:func:`_node_integrals`).  Any other grid gets the cell weights
-    in dense row blocks that span only the cells below each row's x
-    (:func:`_tabulated_dense`).
+    x is a float or a 1-d array of upper limits in [0, x_max]; points
+    past x_max by rounding alone are clipped to it.  At the nodes of a
+    uniform table a float, or a grid whose points all lie there, is one
+    lookup of the table's node integrals, one Toeplitz convolution cached
+    per (table, order) (:func:`_node_integrals`), and one index
+    (:func:`_node_values`).  A float off the nodes is the one-point grid,
+    and every such grid gets the cell weights in dense row blocks that
+    span only the cells below each row's x (:func:`_tabulated_dense`).
     """
     return _tabulated_kernel(f, check_points(x), check_exponent(p))
 
@@ -858,26 +884,59 @@ def singular_integral_tabulated(f: TabulatedFunction, x, p):
 def _tabulated_kernel(f: TabulatedFunction, x, p: float):
     """:func:`singular_integral_tabulated` with x >= 0 and p checked."""
     if isinstance(x, float):
-        return float(_tabulated_kernel(f, np.array([x]), p)[0])
-    bad = x > f.x_max * (1.0 + 1e-12)
-    if bad.any():
-        raise DomainError(
-            f"x = {float(x[bad][0])!r} outside tabulated range [0, {f.x_max!r}]"
-        )
+        if x > f.x_max * (1.0 + 1e-12):
+            raise _outside(f, x)
+        x = min(x, f.x_max)
+        value = _node_values(_node_integrals, f, x, p)
+        if value is None:  # off the nodes: the one-point grid
+            value = float(_tabulated_dense(f, np.array([x]), p)[0])
+        return value
+    _check_range(f, x)
     x = np.minimum(x, f.x_max)
-    k = _node_indices(f.xs, x) if x.size else None
-    if k is not None:
-        nodes = _node_integrals(f, p)
-        if nodes is not None:
-            return nodes[k]
-    return _tabulated_dense(f, x, p)
+    values = _node_values(_node_integrals, f, x, p)
+    return _tabulated_dense(f, x, p) if values is None else values
 
 
-def _node_indices(t: np.ndarray, x: np.ndarray) -> np.ndarray | None:
-    """k with every x = k * h, h = t[-1] / (t.size - 1), to within a few
-    ulps of x (_NODE_RTOL; np.linspace grids meet it at every node), or
-    None if some point is off those nodes.  x <= t[-1], so k < t.size."""
-    h = t[-1] / (t.size - 1)
+def _check_range(f: TabulatedFunction, x: np.ndarray) -> None:
+    """A float's range test, x <= x_max * (1 + 1e-12), at every point of a
+    1-d array: points past x_max by rounding alone pass."""
+    bad = x[x > f.x_max * (1.0 + 1e-12)]
+    if bad.size:
+        raise _outside(f, float(bad[0]))
+
+
+def _outside(f: TabulatedFunction, x: float) -> DomainError:
+    return DomainError(f"x = {x!r} outside tabulated range [0, {f.x_max!r}]")
+
+
+def _node_values(cache, f: TabulatedFunction, x, p: float):
+    """cache(f, p), :func:`_node_integrals` or :func:`_node_derivatives`,
+    read at x in range: a float gives the value at its node, a non-empty
+    1-d array a copy of the values at its nodes, when every point is a
+    node (:func:`_node_indices`' test).  None if a point is off the
+    nodes, x is empty or the table is not uniform; the cache is read only
+    once every point has passed the test."""
+    if isinstance(x, float):
+        h = f.step
+        k = round(x / h)
+        if abs(x - k * h) <= _NODE_RTOL * x:
+            nodes = cache(f, p)
+            if nodes is not None:
+                return nodes.item(k)
+        return None
+    k = _node_indices(f, x) if x.size else None
+    if k is None:
+        return None
+    nodes = cache(f, p)
+    return None if nodes is None else nodes[k]
+
+
+def _node_indices(f: TabulatedFunction, x: np.ndarray) -> np.ndarray | None:
+    """k with every x = k * h, h = f.step, to within a few ulps of x
+    (_NODE_RTOL; np.linspace grids meet it at every node), or None if
+    some point is off those nodes.  x is in range (at most 1e-12 past
+    x_max), so k < f.xs.size."""
+    h = f.step
     k = np.rint(x / h)
     if np.all(np.abs(x - k * h) <= _NODE_RTOL * x):
         return k.astype(np.intp)
@@ -891,10 +950,10 @@ def _node_indices(t: np.ndarray, x: np.ndarray) -> np.ndarray | None:
 # cache's own reference keeps the id from being reused while it lives.
 @lru_cache(maxsize=8)
 def _node_integrals(f: TabulatedFunction, p: float) -> np.ndarray | None:
-    k = _node_indices(f.xs, f.xs)
+    k = _node_indices(f, f.xs)
     if k is None or np.any(np.diff(k) != 1):  # two samples at one node
         return None
-    nodes = _tabulated_toeplitz(f.xs, f.values, p)
+    nodes = _tabulated_toeplitz(f, p)
     nodes.setflags(write=False)
     return nodes
 
@@ -905,15 +964,16 @@ def _node_derivatives(f: TabulatedFunction, p: float) -> np.ndarray | None:
     if nodes is None:
         return None
     g = nodes - float(f.values[0]) * f.xs**p / p
-    slopes = np.gradient(g, f.x_max / (f.xs.size - 1), edge_order=2)
+    slopes = np.gradient(g, f.step, edge_order=2)
     slopes.setflags(write=False)
     return slopes
 
 
-def _tabulated_toeplitz(t, v, p: float) -> np.ndarray:
+def _tabulated_toeplitz(f: TabulatedFunction, p: float) -> np.ndarray:
     # cell k seen from node i > k spans lags (i-k-1)h .. (i-k)h; lag 0
     # (the cells at and above node i) gets zero moments
-    lag = np.arange(t.size) * (t[-1] / (t.size - 1))
+    t, v = f.xs, f.values
+    lag = np.arange(t.size) * f.step
     m0, m1 = _cell_moments(lag, np.concatenate(([0.0], lag[:-1])), p)
     slope = np.diff(v) / np.diff(t)
     return (np.convolve(v[:-1], m0) + np.convolve(slope, m1))[: t.size]
@@ -969,8 +1029,10 @@ def tabulated_derivative_kernel(f: TabulatedFunction, x: float, p) -> float:
     at c - h, c, c + h: h is the width of the cell holding x (at most
     x_max / 2), and c is x, moved one step inward where x -+ h would leave
     [0, x_max], then clipped to [h, x_max - h].  At the nodes of a uniform
-    table that is np.gradient's rule, cached (:func:`_node_derivatives`).
-    p = 1 gives f(x) - f(0).  :func:`derivative_kernel` gives the same.
+    table that is np.gradient's rule, cached (:func:`_node_derivatives`),
+    so a node read is one lookup and one index.  p = 1 gives
+    f(x) - f(0).  :func:`derivative_kernel` gives the same, at a float or
+    a grid (:func:`tabulated_derivative_route`).
     """
     f, x, p = check_integrand(f, True), check_point(x), check_exponent(p, True)
     return derivative_route(f, x, p, DEFAULT_CONFIG)

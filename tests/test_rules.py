@@ -8,10 +8,12 @@ node oracle here; nothing at run time imports scipy.
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from abelfrac import ConvergenceError, PowerSum, QuadratureConfig, singular_integral
 from abelfrac.quadrature import MAX_NODES, _jacobi_rule
 
 mpmath = pytest.importorskip("mpmath")
@@ -138,6 +140,18 @@ def test_exponent_at_the_minus_one_edge_builds_without_warnings(beta):
     x, w = _jacobi_rule(128, -0.5, beta)
     assert np.all(np.diff(x) > 0.0) and x[0] >= -1.0 and x[-1] < 1.0
     assert np.all(np.isfinite(w))
+
+
+def test_a_rule_that_does_not_converge_raises_convergence_error_alone():
+    # t**300 puts beta = 300 into the weight; at 1024 nodes both starts
+    # give Halley passes that go astray through nan, which the builder
+    # answers with ConvergenceError, and no RuntimeWarning comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConvergenceError, match=r"rule \(1024, -0.75, 300.0\)"):
+            singular_integral(
+                PowerSum([(1.0, 300.0)]), 0.5, 0.25, QuadratureConfig(node_count=1024)
+            )
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 64, 1024])

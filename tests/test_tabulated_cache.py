@@ -7,7 +7,9 @@ one-point grid) whose points are all nodes of a uniform table reads it;
 everything else takes the dense cell sum ``quadrature._tabulated_dense``,
 which is the reference here.  The derivative kernel at a node reads
 ``quadrature._node_derivatives``, the three-point rule on the node
-integrals of K[f - f(0)].
+integrals of K[f - f(0)].  A float at a node, or a grid of nodes, reads
+either cache with one lookup and one index; a grid of K[f'] with a point
+off the nodes is mapped point by point.
 """
 
 import math
@@ -15,7 +17,17 @@ import math
 import numpy as np
 import pytest
 
-from abelfrac import DomainError, TabulatedFunction, caputo_derivative
+from abelfrac import (
+    AbelProblem,
+    DomainError,
+    Order,
+    TabulatedFunction,
+    caputo_derivative,
+    derivative_kernel,
+    forward,
+    rl_integral,
+    solve_convolution,
+)
 from abelfrac import quadrature
 from abelfrac.quadrature import singular_integral_tabulated, tabulated_derivative_kernel
 
@@ -58,6 +70,19 @@ def _forbid(monkeypatch, name):
         raise AssertionError(f"{name} must not run here")
 
     monkeypatch.setattr(quadrature, name, fail)
+
+
+def _counted(monkeypatch, name):
+    """Record the arguments of every call of quadrature.<name>."""
+    calls = []
+    real = getattr(quadrature, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(quadrature, name, counted)
+    return calls
 
 
 def _forbid_toeplitz(monkeypatch):
@@ -143,6 +168,68 @@ class TestOnNodeValues:
                 assert tabulated_derivative_kernel(f, float(x), 0.5) == on_node[k - 1]
         info = quadrature._node_derivatives.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
+
+
+#: every public float read of a table at order n, as read(f, x, n)
+NODE_READS = {
+    "caputo_derivative": lambda f, x, n: caputo_derivative(f, n, x),
+    "forward": lambda f, x, n: forward(f, n, x),
+    "derivative_kernel": lambda f, x, n: derivative_kernel(f, x, 1.0 - n),
+    "rl_integral": lambda f, x, n: rl_integral(f, n, x),
+    "solve_convolution": lambda f, x, n: solve_convolution(AbelProblem(f, Order(n)), x),
+    "singular_integral_tabulated": lambda f, x, n: singular_integral_tabulated(f, x, n),
+}
+
+
+class TestNodeReads:
+    """A float at a node, and a grid of nodes, is one cache lookup and one
+    index: no cell sum, no three-point rule, no one-point array."""
+
+    @pytest.mark.parametrize("name", sorted(NODE_READS))
+    @pytest.mark.parametrize("n", ORDERS)
+    def test_float_node_reads_are_lookups_equal_to_one_array_call(self, name, n, monkeypatch):
+        f = _uniform(size=1001, x_max=1.7, seed=8)
+        read = NODE_READS[name]
+        grid = read(f, f.xs[1:], n)  # builds the entry
+        for route in ("_tabulated_dense", "_tabulated_slope", "_tabulated_toeplitz",
+                      "_node_indices"):
+            _forbid(monkeypatch, route)
+        floats = [read(f, float(x), n) for x in f.xs[1:]]
+        assert all(type(v) is float for v in floats)
+        assert np.array_equal(floats, grid)
+
+    @pytest.mark.parametrize("p", ORDERS)
+    def test_node_grid_is_one_lookup_equal_to_the_float_calls(self, p, monkeypatch):
+        # x = 0 gives 0, as a float 0 does; a point 2 ulps past x_max is
+        # the last node; the grid need not be sorted
+        f = _uniform(size=1001, x_max=1.7, seed=9)
+        past = np.nextafter(np.nextafter(f.x_max, 2.0), 2.0)
+        grid = np.concatenate((f.xs, [past], f.xs[::-7]))
+        _forbid(monkeypatch, "_tabulated_slope")
+        floats = [derivative_kernel(f, float(x), p) for x in grid]
+        lookups = _counted(monkeypatch, "_node_derivatives")
+        got = derivative_kernel(f, grid, p)
+        assert np.array_equal(got, floats)
+        assert got[0] == 0.0 and got[f.xs.size] == got[f.xs.size - 1]
+        assert len(lookups) == 1
+
+    def test_one_off_node_point_takes_the_per_point_rule(self, monkeypatch):
+        f = _uniform(size=1001, x_max=1.7, seed=10)
+        grid = f.xs[::50].copy()
+        grid[7] = 0.5 * float(f.xs[350] + f.xs[351])
+        floats = [derivative_kernel(f, float(x), 0.5) for x in grid]
+        slopes = _counted(monkeypatch, "_tabulated_slope")
+        got = derivative_kernel(f, grid, 0.5)
+        assert np.array_equal(got, floats)
+        assert [x for _, x, _ in slopes] == [grid[7]]
+
+    def test_node_grid_on_a_narrow_table_is_mapped(self):
+        # two rows hold no derivative cache: every point takes the rule
+        f = TabulatedFunction([0.0, 1.0], [0.0, 1.0])
+        grid = np.array([0.0, 1.0, 1.0])
+        floats = [derivative_kernel(f, float(x), 0.5) for x in grid]
+        assert np.array_equal(derivative_kernel(f, grid, 0.5), floats)
+        assert quadrature._node_derivatives(f, 0.5) is None
 
 
 class TestBypass:
