@@ -54,7 +54,7 @@ from .quadrature import (
     singular_integral_tabulated,
     smooth_integral,
 )
-from .special_functions import PositiveReal, beta, gamma, log_gamma, reflection_factor
+from .special_functions import beta, gamma, log_gamma, reflection_factor
 from .tautochrone import (
     CurveSamples,
     DescentResult,
@@ -101,7 +101,6 @@ __all__ = [
     "singular_integral",
     "singular_integral_tabulated",
     "smooth_integral",
-    "PositiveReal",
     "beta",
     "gamma",
     "log_gamma",

@@ -46,11 +46,13 @@ each, left to right, and doubles on from them in the same function
 grid (``_power_sum_integral``).
 Tabulated f is taken piecewise linear on its own grid and the kernel
 moments of every cell are integrated in closed form (product
-integration), which is exact for the interpolant.  On a uniform table
-K[f] and K[f'] at every node are cached per (table, p), and a float or
-a grid at the nodes reads them with one lookup and one index
-(``_node_values``).  Other callables and the mechanics layer are
-sampled.
+integration), which is exact for the interpolant; each point's cell sum
+is its own, whatever grid it is in.  On a uniform table K[f] and K[f']
+at every node are cached per (table, p), and a float at a node reads
+them with one lookup and one index (``_node_values``), as does a K[f]
+grid of nodes and the node points of a K[f'] grid, whose other points
+take the three-point rule in one call.  Other callables and the
+mechanics layer are sampled.
 
 Every route also takes 1-d arrays of limits and evaluates the whole grid
 in one vectorised pass; the sampled and tabulated routes take a float as
@@ -117,6 +119,9 @@ MAX_NODES = 4096
 #: elements per row block of the grid routines (128 KiB of float64), which
 #: keeps their live temporaries near 1 MiB whatever the grid size
 _BLOCK = 1 << 14
+
+#: cells per pairwise partial sum of a row of _tabulated_dense
+_CHUNK = 256
 
 #: highest degree of a polynomial jump that is Taylor-shifted to its
 #: breakpoint; a jump of higher degree is sampled
@@ -729,15 +734,14 @@ def kernel_route(g: Callable, x, p: float, le: float, cfg: QuadratureConfig):
 
 def derivative_kernel(f, x, p, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """K[f'](x) = integral_0^x f'(t) (x - t)**(p - 1) dt at a float x or a
-    1-d array of points >= 0, by the route of f's representation
-    (for power sums :func:`_power_kernel`, and for a table
-    :func:`tabulated_derivative_route`: at the nodes of a uniform table one
-    cache lookup and one index, for a float and for a whole grid alike,
-    and elsewhere the three-point rule of
-    :func:`tabulated_derivative_kernel` at each point); x = 0 gives 0 and
-    a bare callable, having no derivative, is a DomainError.  p = 1 is
-    allowed: 1 - n rounds to it for orders n up to 2**-54, and a table
-    then gives f(x) - f(0)."""
+    1-d array of points >= 0, by the route of f's representation (for
+    power sums :func:`_power_kernel`; for a table
+    :func:`tabulated_derivative_route`, which reads a uniform table's node
+    cache at its nodes and takes the three-point rule at a grid's other
+    points in one call, a float off the nodes being the one-point grid);
+    x = 0 gives 0 and a bare callable, having no derivative, is a
+    DomainError.  p = 1 is allowed: 1 - n rounds to it for orders n up to
+    2**-54, and a table then gives f(x) - f(0)."""
     if not (
         type(p) is float and 0.0 < p < 1.0 and type(x) is float and 0.0 < x < math.inf
         and type(f) in DIFFERENTIABLE
@@ -759,12 +763,12 @@ def tabulated_derivative_route(f: TabulatedFunction, x, p: float):
     """K[f'] of a table at a float x or a 1-d array of points >= 0, p in
     (0, 1] checked: the table branch of :func:`derivative_route`, which
     caputo_derivative also calls directly.  p = 1 gives f(x) - f(0), and
-    x = 0 gives 0.  At the nodes of a uniform table a float, or a grid
-    whose points all lie there, is one lookup of
-    :func:`_node_derivatives` and one index (:func:`_node_values`); a
-    float off the nodes takes the three-point rule, and a grid with such
-    a point is mapped point by point, so each value is its float call's,
-    bit for bit."""
+    x = 0 gives 0.  Points at the nodes of a uniform table read
+    :func:`_node_derivatives`: a float with one lookup and one index
+    (:func:`_node_values`), a grid through :func:`_node_indices`' mask.
+    The other points of a grid take the three-point rule in one
+    :func:`_tabulated_slope` call, and a float off the nodes is its
+    one-point grid, so each value is its float call's, bit for bit."""
     if p == 1.0:
         return f(x) - f.values.item(0)
     if isinstance(x, float):
@@ -773,13 +777,19 @@ def tabulated_derivative_route(f: TabulatedFunction, x, p: float):
         if x > f.x_max * (1.0 + 1e-12):
             raise _outside(f, x)
         value = _node_values(_node_derivatives, f, x, p)
-        return _tabulated_slope(f, x, p) if value is None else value
+        return float(_tabulated_slope(f, np.array([x]), p)[0]) if value is None else value
     _check_range(f, x)
-    values = _node_values(_node_derivatives, f, x, p)
-    if values is None:
-        return np.array([tabulated_derivative_route(f, a, p) for a in x.tolist()])
-    values[x == 0.0] = 0.0
-    return values
+    k, node = _node_indices(f, x)
+    rule = x > 0.0
+    node &= rule
+    nodes = _node_derivatives(f, p) if node.any() else None
+    out = np.zeros(x.shape)
+    if nodes is not None:
+        out[node] = nodes[k[node]]
+        rule &= ~node
+    if rule.any():
+        out[rule] = _tabulated_slope(f, x[rule], p)
+    return out
 
 
 def smooth_integral(
@@ -870,13 +880,15 @@ def singular_integral_tabulated(f: TabulatedFunction, x, p):
     linear interpolation of f itself.
 
     x is a float or a 1-d array of upper limits in [0, x_max]; points
-    past x_max by rounding alone are clipped to it.  At the nodes of a
-    uniform table a float, or a grid whose points all lie there, is one
-    lookup of the table's node integrals, one Toeplitz convolution cached
-    per (table, order) (:func:`_node_integrals`), and one index
-    (:func:`_node_values`).  A float off the nodes is the one-point grid,
-    and every such grid gets the cell weights in dense row blocks that
-    span only the cells below each row's x (:func:`_tabulated_dense`).
+    past x_max by rounding alone are clipped to it, and x = 0 gives 0
+    before any cache is read.  At the nodes of a uniform table a float,
+    or a grid whose points all lie there, is one lookup of the table's
+    node integrals, one Toeplitz convolution cached per (table, order)
+    (:func:`_node_integrals`), and one index.  A float off the nodes is
+    the one-point grid, and every such grid gets the cell weights in
+    dense row blocks that span only the cells below each row's x
+    (:func:`_tabulated_dense`); each row is summed on its own, so a grid
+    with no node point gives its float calls' values.
     """
     return _tabulated_kernel(f, check_points(x), check_exponent(p))
 
@@ -884,6 +896,8 @@ def singular_integral_tabulated(f: TabulatedFunction, x, p):
 def _tabulated_kernel(f: TabulatedFunction, x, p: float):
     """:func:`singular_integral_tabulated` with x >= 0 and p checked."""
     if isinstance(x, float):
+        if x == 0.0:
+            return 0.0
         if x > f.x_max * (1.0 + 1e-12):
             raise _outside(f, x)
         x = min(x, f.x_max)
@@ -893,8 +907,9 @@ def _tabulated_kernel(f: TabulatedFunction, x, p: float):
         return value
     _check_range(f, x)
     x = np.minimum(x, f.x_max)
-    values = _node_values(_node_integrals, f, x, p)
-    return _tabulated_dense(f, x, p) if values is None else values
+    k, node = _node_indices(f, x)
+    nodes = _node_integrals(f, p) if x.any() and node.all() else None
+    return _tabulated_dense(f, x, p) if nodes is None else nodes[k]
 
 
 def _check_range(f: TabulatedFunction, x: np.ndarray) -> None:
@@ -909,38 +924,27 @@ def _outside(f: TabulatedFunction, x: float) -> DomainError:
     return DomainError(f"x = {x!r} outside tabulated range [0, {f.x_max!r}]")
 
 
-def _node_values(cache, f: TabulatedFunction, x, p: float):
+def _node_values(cache, f: TabulatedFunction, x: float, p: float):
     """cache(f, p), :func:`_node_integrals` or :func:`_node_derivatives`,
-    read at x in range: a float gives the value at its node, a non-empty
-    1-d array a copy of the values at its nodes, when every point is a
-    node (:func:`_node_indices`' test).  None if a point is off the
-    nodes, x is empty or the table is not uniform; the cache is read only
-    once every point has passed the test."""
-    if isinstance(x, float):
-        h = f.step
-        k = round(x / h)
-        if abs(x - k * h) <= _NODE_RTOL * x:
-            nodes = cache(f, p)
-            if nodes is not None:
-                return nodes.item(k)
-        return None
-    k = _node_indices(f, x) if x.size else None
-    if k is None:
-        return None
-    nodes = cache(f, p)
-    return None if nodes is None else nodes[k]
+    read at a float x in range: the value at its node, by
+    :func:`_node_indices`' test, or None if x is off the nodes or the
+    table is not uniform; the cache is read only at a node."""
+    h = f.step
+    k = round(x / h)
+    if abs(x - k * h) <= _NODE_RTOL * x:
+        nodes = cache(f, p)
+        if nodes is not None:
+            return nodes.item(k)
+    return None
 
 
-def _node_indices(f: TabulatedFunction, x: np.ndarray) -> np.ndarray | None:
-    """k with every x = k * h, h = f.step, to within a few ulps of x
-    (_NODE_RTOL; np.linspace grids meet it at every node), or None if
-    some point is off those nodes.  x is in range (at most 1e-12 past
-    x_max), so k < f.xs.size."""
+def _node_indices(f: TabulatedFunction, x: np.ndarray):
+    """k = rint(x / h), h = f.step, and the mask of the points x within a
+    few ulps of k * h (_NODE_RTOL; np.linspace grids meet it at every
+    node).  x is in range (at most 1e-12 past x_max), so k < f.xs.size."""
     h = f.step
     k = np.rint(x / h)
-    if np.all(np.abs(x - k * h) <= _NODE_RTOL * x):
-        return k.astype(np.intp)
-    return None
+    return k.astype(np.intp), np.abs(x - k * h) <= _NODE_RTOL * x
 
 
 # Hold K[f], and K[f'] (_node_derivatives), at every node of the last few
@@ -950,8 +954,8 @@ def _node_indices(f: TabulatedFunction, x: np.ndarray) -> np.ndarray | None:
 # cache's own reference keeps the id from being reused while it lives.
 @lru_cache(maxsize=8)
 def _node_integrals(f: TabulatedFunction, p: float) -> np.ndarray | None:
-    k = _node_indices(f, f.xs)
-    if k is None or np.any(np.diff(k) != 1):  # two samples at one node
+    k, node = _node_indices(f, f.xs)
+    if not node.all() or np.any(np.diff(k) != 1):  # two samples at one node
         return None
     nodes = _tabulated_toeplitz(f, p)
     nodes.setflags(write=False)
@@ -993,10 +997,14 @@ def _tabulated_dense(f: TabulatedFunction, xs, p: float) -> np.ndarray:
     fa = v[j - 1]
     B = x - a
     last0, last1 = _cell_moments(B, np.zeros_like(B), p)
-    sums = fa * last0 + (f(x) - fa) / B * last1
-    # whole table cells [t[k], t[k+1]] with t[k+1] < x
+    sums = fa * last0 + (np.interp(x, t, v) - fa) / B * last1
+    # whole table cells [t[k], t[k+1]] with t[k+1] < x.  A row sums its
+    # cell terms pairwise in chunks of `width` cells, then the chunks in
+    # order: the zero cells above x that its block adds change no bit, so
+    # a row's value does not depend on the rows beside it
     order = np.argsort(x, kind="stable")
     rows = max(1, _BLOCK // t.size)
+    width = min(_CHUNK, t.size - 1)
     for r in range(0, order.size, rows):
         blk = order[r : r + rows]
         cells = int(j[blk].max()) - 1
@@ -1008,7 +1016,12 @@ def _tabulated_dense(f: TabulatedFunction, xs, p: float) -> np.ndarray:
         A = np.where(full, A, 0.0)
         Bm = np.where(full, xb - t[:cells], 0.0)
         m0, m1 = _cell_moments(Bm, A, p)
-        sums[blk] += m0 @ v[:cells] + m1 @ slope[:cells]
+        terms = np.zeros((blk.size, -(-cells // width) * width))
+        np.multiply(m0, v[:cells], out=terms[:, :cells])
+        m1 *= slope[:cells]
+        terms[:, :cells] += m1
+        chunks = terms.reshape(blk.size, -1, width).sum(axis=2)
+        sums[blk] += np.add.accumulate(chunks, axis=1)[:, -1]
     out[pos] = sums
     return out
 
@@ -1032,26 +1045,29 @@ def tabulated_derivative_kernel(f: TabulatedFunction, x: float, p) -> float:
     table that is np.gradient's rule, cached (:func:`_node_derivatives`),
     so a node read is one lookup and one index.  p = 1 gives
     f(x) - f(0).  :func:`derivative_kernel` gives the same, at a float or
-    a grid (:func:`tabulated_derivative_route`).
+    a grid (:func:`tabulated_derivative_route`): a grid's points off the
+    nodes take the rule in one product integration of their three points
+    each, and a float is the one-point grid, bit for bit.
     """
     f, x, p = check_integrand(f, True), check_point(x), check_exponent(p, True)
     return derivative_route(f, x, p, DEFAULT_CONFIG)
 
 
-def _tabulated_slope(f: TabulatedFunction, x: float, p: float) -> float:
-    """The three-point rule of :func:`tabulated_derivative_kernel` at a
-    float x in (0, x_max] off the nodes of a uniform table, p in (0, 1)."""
+def _tabulated_slope(f: TabulatedFunction, x: np.ndarray, p: float) -> np.ndarray:
+    """The three-point rule of :func:`tabulated_derivative_kernel` at every
+    point of a 1-d array x in (0, x_max * (1 + 1e-12)], p in (0, 1): the
+    3 * x.size points of G in one :func:`_tabulated_dense` call, never the
+    node cache."""
     xs, x_max = f.xs, f.x_max
-    top = x_max * (1.0 + 1e-12)
-    j = min(max(int(np.searchsorted(xs, x)), 1), xs.size - 1)
-    h = min(float(xs[j]) - float(xs[j - 1]), 0.5 * x_max)
+    j = np.clip(np.searchsorted(xs, x), 1, xs.size - 1)
+    h = np.minimum(xs[j] - xs[j - 1], 0.5 * x_max)
     # past x_max by rounding alone, x + h is left to the clip
-    c = x + h if x < h else x - h if x + h > top else x
-    c = min(max(c, h), x_max - h)
-    y = np.array([c - h, c, c + h])
-    g = _tabulated_kernel(f, y, p) - float(f.values[0]) * y**p / p
+    c = np.where(x < h, x + h, np.where(x + h > x_max * (1.0 + 1e-12), x - h, x))
+    c = np.minimum(np.maximum(c, h), x_max - h)
+    y = np.minimum(np.concatenate((c - h, c, c + h)), x_max)
+    g = (_tabulated_dense(f, y, p) - float(f.values[0]) * y**p / p).reshape(3, -1)
     u = (x - c) / h
-    return float((0.5 * (g[2] - g[0]) + u * (g[2] - 2.0 * g[1] + g[0])) / h)
+    return (0.5 * (g[2] - g[0]) + u * (g[2] - 2.0 * g[1] + g[0])) / h
 
 
 def _leading_exponent(le: float, cfg: QuadratureConfig) -> float:

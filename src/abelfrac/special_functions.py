@@ -6,26 +6,10 @@ converts between the forward and inverse Abel kernels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
-__all__ = ["PositiveReal", "gamma", "log_gamma", "beta", "reflection_factor"]
-
-
-@dataclass(frozen=True)
-class PositiveReal:
-    """A finite real constrained to be > 0."""
-
-    value: float
-
-    def __post_init__(self):
-        v = self.value
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-            raise DomainError(f"expected a finite positive real, got {v!r}")
-
-    def __float__(self) -> float:
-        return float(self.value)
+__all__ = ["gamma", "log_gamma", "beta", "reflection_factor"]
 
 
 def gamma(z: float) -> float:
@@ -53,7 +37,7 @@ def log_gamma(z: float) -> float:
         return math.inf
 
 
-def beta(a: float | PositiveReal, b: float | PositiveReal) -> float:
+def beta(a: float, b: float) -> float:
     """Euler beta B(a, b) = Gamma(a) Gamma(b) / Gamma(a+b), a, b > 0.
 
     Evaluated in log space: B shows up here as the exact value of the

@@ -200,6 +200,29 @@ class TestTabulatedGrid:
         got = singular_integral_tabulated(f, xs, p)
         assert_close(got, _per_point(f, xs, p))
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        p=st.floats(0.05, 0.95),
+        x=st.floats(0.0, 1.0),
+        size=st.sampled_from([11, 201, 1001]),
+        perturbed=st.booleans(),
+        points=st.integers(0, 600),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dense_row_is_independent_of_its_grid(self, p, x, size, perturbed, points, seed):
+        # each row sums its own cells in fixed chunks, so a point's bits do
+        # not depend on the points that share its row block
+        rng = np.random.default_rng(seed)
+        t = np.linspace(0.0, 1.0, size)
+        if perturbed:
+            t[1:-1] += 1e-9 * rng.uniform(-1.0, 1.0, size - 2)
+        f = _table(t, seed % 100)
+        others = np.concatenate((rng.uniform(0.0, 1.0, points), rng.choice(t, points // 4)))
+        grid = np.insert(rng.permutation(others), rng.integers(0, others.size + 1), x)
+        where = int(np.flatnonzero(grid == x)[0])
+        own = quadrature._tabulated_dense(f, np.array([x]), p)[0]
+        assert quadrature._tabulated_dense(f, grid, p)[where] == own
+
     def test_grid_solvers_route_tabulated_psi_through_it(self):
         f = _table(np.linspace(0.0, 1.0, 101), 0)
         prob = AbelProblem(f, Order(0.3))
@@ -271,6 +294,11 @@ OPERATORS = {
         lambda f, x: solve_piecewise(AbelProblem(f, Order(0.5)), x), DIFFERENTIABLE, True
     ),
 }
+# the K[f] entries that take a table
+TABULATED_KERNELS = (
+    "kernel_integral", "singular_integral", "rl_quadrature",
+    "solve_convolution", "solve_theorem", "solve_piecewise",
+)
 CASES = [
     pytest.param(op, name, id=f"{op}-{name}")
     for op, (_, names, _) in OPERATORS.items()
@@ -280,7 +308,11 @@ CASES = [
 
 def _exact(op: str, name: str) -> bool:
     """Array calls that must give the scalar calls' bits: the closed
-    forms, and tabulated derivatives (one scalar call per point)."""
+    forms, and tabulated derivatives (a float off the nodes is the
+    one-point grid of the rule, and a node point reads the node cache
+    alike).  K[f] on a table reads its node integrals only where every
+    point is a node, so a grid that mixes nodes with other points is
+    held to 1e-13."""
     return op.endswith("_exact") or (
         name == "tabulated"
         and op in ("caputo_quadrature", "derivative_kernel", "forward")
@@ -309,6 +341,23 @@ class TestOperatorsOnArrays:
             assert np.array_equal(got, ref)
         else:
             assert_close(got, ref)
+
+    @pytest.mark.parametrize("op", TABULATED_KERNELS)
+    @pytest.mark.parametrize("table", ["uniform", "graded"])
+    def test_tabulated_kernel_off_the_nodes_is_bit_for_bit(self, op, table):
+        # no node read on either side: a float off the nodes is the
+        # one-point grid of the cell sum, whose rows do not depend on
+        # their block
+        call = OPERATORS[op][0]
+        xs = np.random.default_rng(11).uniform(0.0, 1.0, 300)
+        if table == "uniform":
+            f = INPUTS["tabulated"]
+            xs = np.concatenate(([0.0], xs))
+        else:
+            f = _table(graded_mesh(1.0, 201, exponent=2.0), 5)
+            xs = np.concatenate((f.xs, xs))
+        got = call(f, xs)
+        assert np.array_equal(got, [call(f, float(x)) for x in xs])
 
     @pytest.mark.parametrize("op, name", CASES)
     def test_empty_array_gives_empty_array(self, op, name):

@@ -10,7 +10,6 @@ import math
 import pytest
 
 from abelfrac import DomainError, beta, gamma, log_gamma, reflection_factor
-from abelfrac.special_functions import PositiveReal
 
 
 # (z, mpmath.gamma(z))
@@ -124,12 +123,3 @@ def test_reflection_factor_order_bounds():
     for bad in (0.0, 1.0, -0.2, 1.3):
         with pytest.raises(DomainError):
             reflection_factor(bad)
-
-
-def test_positive_real_wrapper():
-    v = PositiveReal(2.5)
-    assert float(v) == 2.5
-    with pytest.raises(DomainError):
-        PositiveReal(0.0)
-    with pytest.raises(DomainError):
-        PositiveReal(float("nan"))

@@ -8,8 +8,9 @@ everything else takes the dense cell sum ``quadrature._tabulated_dense``,
 which is the reference here.  The derivative kernel at a node reads
 ``quadrature._node_derivatives``, the three-point rule on the node
 integrals of K[f - f(0)].  A float at a node, or a grid of nodes, reads
-either cache with one lookup and one index; a grid of K[f'] with a point
-off the nodes is mapped point by point.
+either cache with one lookup and one index; the points of a K[f'] grid
+off the nodes take the rule in one array call, a float off the nodes
+being its one-point grid.  x = 0 gives 0 before any cache is read.
 """
 
 import math
@@ -213,22 +214,32 @@ class TestNodeReads:
         assert got[0] == 0.0 and got[f.xs.size] == got[f.xs.size - 1]
         assert len(lookups) == 1
 
-    def test_one_off_node_point_takes_the_per_point_rule(self, monkeypatch):
+    def test_off_node_points_take_one_call_of_the_rule(self, monkeypatch):
+        # the node points read the cache; the off-node points, and only
+        # they, take one array call of the rule and one cell sum
         f = _uniform(size=1001, x_max=1.7, seed=10)
         grid = f.xs[::50].copy()
-        grid[7] = 0.5 * float(f.xs[350] + f.xs[351])
+        off = [3, 7, 12]
+        grid[off] = 0.5 * (f.xs[[150, 350, 600]] + f.xs[[151, 351, 601]])
         floats = [derivative_kernel(f, float(x), 0.5) for x in grid]
+        lookups = _counted(monkeypatch, "_node_derivatives")
         slopes = _counted(monkeypatch, "_tabulated_slope")
+        cells = _counted(monkeypatch, "_tabulated_dense")
         got = derivative_kernel(f, grid, 0.5)
         assert np.array_equal(got, floats)
-        assert [x for _, x, _ in slopes] == [grid[7]]
+        assert len(lookups) == 1
+        assert len(slopes) == 1 and np.array_equal(slopes[0][1], grid[off])
+        assert len(cells) == 1 and cells[0][1].size == 3 * len(off)
 
-    def test_node_grid_on_a_narrow_table_is_mapped(self):
-        # two rows hold no derivative cache: every point takes the rule
+    def test_node_grid_on_a_narrow_table_takes_the_rule(self, monkeypatch):
+        # two rows hold no derivative cache: every point x > 0 takes the
+        # rule, in one array call
         f = TabulatedFunction([0.0, 1.0], [0.0, 1.0])
-        grid = np.array([0.0, 1.0, 1.0])
+        grid = np.array([0.0, 1.0, 0.5, 1.0])
         floats = [derivative_kernel(f, float(x), 0.5) for x in grid]
+        slopes = _counted(monkeypatch, "_tabulated_slope")
         assert np.array_equal(derivative_kernel(f, grid, 0.5), floats)
+        assert len(slopes) == 1 and np.array_equal(slopes[0][1], grid[1:])
         assert quadrature._node_derivatives(f, 0.5) is None
 
 
@@ -287,6 +298,20 @@ class TestGridRouting:
         _forbid_toeplitz(monkeypatch)
         got = singular_integral_tabulated(_uniform(), np.array([]), 0.5)
         assert got.shape == (0,)
+
+    @pytest.mark.parametrize("name", [
+        "singular_integral_tabulated", "rl_integral", "solve_convolution",
+    ])
+    def test_zero_builds_nothing(self, name, monkeypatch):
+        # node 0's value is 0: a float 0, or a grid of zeros, reads no cache
+        f = _uniform(size=1001)
+        read = NODE_READS[name]
+        _forbid_toeplitz(monkeypatch)
+        got = read(f, 0.0, 0.5)
+        assert type(got) is float and got == 0.0
+        assert np.array_equal(read(f, np.zeros(3), 0.5), np.zeros(3))
+        info = quadrature._node_integrals.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
     def test_points_past_x_max_by_rounding_read_the_last_node(self):
         f = _uniform(size=101, x_max=1.7)
