@@ -34,7 +34,7 @@ from .quadrature import (
     check_point,
     derivative_route,
     kernel_route,
-    tabulated_derivative_route,
+    table_route,
 )
 from .special_functions import log_gamma, reflection_factor
 
@@ -150,7 +150,7 @@ def caputo_derivative(
         and type(n) is float and 0.0 < n < 1.0 and type(x) is float and 0.0 < x < math.inf
     ):
         p = 1.0 - n
-        return tabulated_derivative_route(f, x, p) / math.gamma(p)
+        return table_route(f, x, p, True) / math.gamma(p)
     n, x, exact = check_operator(f, n, x, False, True, backend)
     if exact:
         return eval_terms(_caputo_image_terms(f, n), x)

@@ -269,8 +269,9 @@ class TabulatedFunction:
 
     Calls interpolate linearly; evaluation outside [0, xs[-1]] is a
     DomainError rather than a silent clamp.  ``x_max`` is xs[-1] as a
-    float, and ``step`` is x_max / (size - 1), the node spacing of a
-    uniform table; both are read-only like the samples.
+    float, ``step`` is x_max / (size - 1), the node spacing of a
+    uniform table, and ``slopes`` is diff(values) / diff(xs), the slope
+    of each cell; all are read-only like the samples.
     """
 
     xs: np.ndarray
@@ -285,7 +286,8 @@ class TabulatedFunction:
             raise DomainError("need at least two samples")
         if xs[0] != 0.0:
             raise DomainError(f"grid must start at 0, got xs[0] = {float(xs[0])!r}")
-        if not np.all(np.diff(xs) > 0.0):
+        dx = np.diff(xs)
+        if not np.all(dx > 0.0):
             raise DomainError("grid must be strictly increasing")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(values))):
             raise DomainError("samples must be finite")
@@ -293,6 +295,7 @@ class TabulatedFunction:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "x_max", float(xs[-1]))
         object.__setattr__(self, "step", self.x_max / (xs.size - 1))
+        object.__setattr__(self, "slopes", _readonly(np.diff(values) / dx))
 
     def __call__(self, x):
         xs = np.asarray(x, dtype=float)

@@ -47,12 +47,14 @@ grid (``_power_sum_integral``).
 Tabulated f is taken piecewise linear on its own grid and the kernel
 moments of every cell are integrated in closed form (product
 integration), which is exact for the interpolant; each point's cell sum
-is its own, whatever grid it is in.  On a uniform table K[f] and K[f']
-at every node are cached per (table, p), and a float at a node reads
-them with one lookup and one index (``_node_values``), as does a K[f]
-grid of nodes and the node points of a K[f'] grid, whose other points
-take the three-point rule in one call.  Other callables and the
-mechanics layer are sampled.
+is its own, whatever grid it is in.  One function, ``table_route``, takes
+K[f] and K[f'] of a table alike: on a uniform table the pair of both at
+every node is cached per (table, p) (``_table_nodes``), a float at a
+node reads it with one lookup and one index, the node points of a grid
+read it through one mask, and a grid's other points take the cell sum
+(K[f]) or the three-point rule (K[f']) in one call, a float off the
+nodes being its one-point grid.  Other callables and the mechanics layer
+are sampled.
 
 Every route also takes 1-d arrays of limits and evaluates the whole grid
 in one vectorised pass; the sampled and tabulated routes take a float as
@@ -728,20 +730,20 @@ def kernel_route(g: Callable, x, p: float, le: float, cfg: QuadratureConfig):
     if isinstance(g, PowerSum) or le == 0.0 and isinstance(g, PiecewisePowerSum):
         return _power_kernel(g, x, p, le, False, cfg)
     if isinstance(g, TabulatedFunction):
-        return _tabulated_kernel(g, x, p)
+        return table_route(g, x, p, False)
     return _jacobi_integral(g, 0.0, x, p, le, cfg)
 
 
 def derivative_kernel(f, x, p, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """K[f'](x) = integral_0^x f'(t) (x - t)**(p - 1) dt at a float x or a
     1-d array of points >= 0, by the route of f's representation (for
-    power sums :func:`_power_kernel`; for a table
-    :func:`tabulated_derivative_route`, which reads a uniform table's node
-    cache at its nodes and takes the three-point rule at a grid's other
-    points in one call, a float off the nodes being the one-point grid);
-    x = 0 gives 0 and a bare callable, having no derivative, is a
-    DomainError.  p = 1 is allowed: 1 - n rounds to it for orders n up to
-    2**-54, and a table then gives f(x) - f(0)."""
+    power sums :func:`_power_kernel`; for a table :func:`table_route`,
+    which reads a uniform table's node cache at its nodes and takes the
+    three-point rule at a grid's other points in one call, a float off
+    the nodes being the one-point grid); x = 0 gives 0 and a bare
+    callable, having no derivative, is a DomainError.  p = 1 is allowed:
+    1 - n rounds to it for orders n up to 2**-54, and a table then gives
+    f(x) - f(0)."""
     if not (
         type(p) is float and 0.0 < p < 1.0 and type(x) is float and 0.0 < x < math.inf
         and type(f) in DIFFERENTIABLE
@@ -753,43 +755,10 @@ def derivative_kernel(f, x, p, cfg: QuadratureConfig = DEFAULT_CONFIG):
 def derivative_route(f, x, p: float, cfg: QuadratureConfig):
     """:func:`derivative_kernel` with its arguments checked: the one place
     that picks the route of f's representation; a table takes
-    :func:`tabulated_derivative_route`."""
+    :func:`table_route`."""
     if isinstance(f, TabulatedFunction):
-        return tabulated_derivative_route(f, x, p)
+        return table_route(f, x, p, True)
     return _power_kernel(f, x, p, 0.0, True, cfg)
-
-
-def tabulated_derivative_route(f: TabulatedFunction, x, p: float):
-    """K[f'] of a table at a float x or a 1-d array of points >= 0, p in
-    (0, 1] checked: the table branch of :func:`derivative_route`, which
-    caputo_derivative also calls directly.  p = 1 gives f(x) - f(0), and
-    x = 0 gives 0.  Points at the nodes of a uniform table read
-    :func:`_node_derivatives`: a float with one lookup and one index
-    (:func:`_node_values`), a grid through :func:`_node_indices`' mask.
-    The other points of a grid take the three-point rule in one
-    :func:`_tabulated_slope` call, and a float off the nodes is its
-    one-point grid, so each value is its float call's, bit for bit."""
-    if p == 1.0:
-        return f(x) - f.values.item(0)
-    if isinstance(x, float):
-        if x == 0.0:
-            return 0.0
-        if x > f.x_max * (1.0 + 1e-12):
-            raise _outside(f, x)
-        value = _node_values(_node_derivatives, f, x, p)
-        return float(_tabulated_slope(f, np.array([x]), p)[0]) if value is None else value
-    _check_range(f, x)
-    k, node = _node_indices(f, x)
-    rule = x > 0.0
-    node &= rule
-    nodes = _node_derivatives(f, p) if node.any() else None
-    out = np.zeros(x.shape)
-    if nodes is not None:
-        out[node] = nodes[k[node]]
-        rule &= ~node
-    if rule.any():
-        out[rule] = _tabulated_slope(f, x[rule], p)
-    return out
 
 
 def smooth_integral(
@@ -879,98 +848,99 @@ def singular_integral_tabulated(f: TabulatedFunction, x, p):
     kernel moments are integrated in closed form, so the only error is the
     linear interpolation of f itself.
 
-    x is a float or a 1-d array of upper limits in [0, x_max]; points
-    past x_max by rounding alone are clipped to it, and x = 0 gives 0
-    before any cache is read.  At the nodes of a uniform table a float,
-    or a grid whose points all lie there, is one lookup of the table's
-    node integrals, one Toeplitz convolution cached per (table, order)
-    (:func:`_node_integrals`), and one index.  A float off the nodes is
-    the one-point grid, and every such grid gets the cell weights in
-    dense row blocks that span only the cells below each row's x
-    (:func:`_tabulated_dense`); each row is summed on its own, so a grid
-    with no node point gives its float calls' values.
+    x is a float or a 1-d array of upper limits in [0, x_max], taken by
+    :func:`table_route`: points past x_max by rounding alone are x_max,
+    x = 0 gives 0 before any cache is read, and points at the nodes of a
+    uniform table read the table's node integrals, one Toeplitz
+    convolution cached per (table, order) (:func:`_table_nodes`).  The
+    other points of a grid get the cell weights in one call, in dense row
+    blocks that span only the cells below each row's x
+    (:func:`_tabulated_dense`), and a float off the nodes is the one-point
+    grid.  Each row is summed on its own, so every grid gives its float
+    calls' values, bit for bit.
     """
-    return _tabulated_kernel(f, check_points(x), check_exponent(p))
+    return table_route(f, check_points(x), check_exponent(p), False)
 
 
-def _tabulated_kernel(f: TabulatedFunction, x, p: float):
-    """:func:`singular_integral_tabulated` with x >= 0 and p checked."""
+def table_route(f: TabulatedFunction, x, p: float, derivative: bool):
+    """K[f] of a table, or K[f'] if ``derivative``, at a float x or a 1-d
+    array of points >= 0, p checked: the table branch of
+    :func:`kernel_route` and :func:`derivative_route`, which
+    caputo_derivative also calls directly.  p = 1 (K[f'] only) gives
+    f(x) - f(0), x = 0 gives 0, and a point past x_max by rounding alone
+    (at most 1e-12 relative) is x_max.  Points within _NODE_RTOL of a
+    node of a uniform table read :func:`_table_nodes`: a float with one
+    round and one index, a grid through :func:`_node_indices`' mask.  The
+    other points of a grid take the rule in one call
+    (:func:`_tabulated_dense` for K[f], :func:`_tabulated_slope` for
+    K[f']), and a float off the nodes is its one-point grid, so each
+    value is its float call's, bit for bit."""
+    if p == 1.0:
+        return f(x) - f.values.item(0)
     if isinstance(x, float):
         if x == 0.0:
             return 0.0
-        if x > f.x_max * (1.0 + 1e-12):
-            raise _outside(f, x)
-        x = min(x, f.x_max)
-        value = _node_values(_node_integrals, f, x, p)
-        if value is None:  # off the nodes: the one-point grid
-            value = float(_tabulated_dense(f, np.array([x]), p)[0])
-        return value
-    _check_range(f, x)
-    x = np.minimum(x, f.x_max)
-    k, node = _node_indices(f, x)
-    nodes = _node_integrals(f, p) if x.any() and node.all() else None
-    return _tabulated_dense(f, x, p) if nodes is None else nodes[k]
-
-
-def _check_range(f: TabulatedFunction, x: np.ndarray) -> None:
-    """A float's range test, x <= x_max * (1 + 1e-12), at every point of a
-    1-d array: points past x_max by rounding alone pass."""
+        if x > f.x_max:
+            if x > f.x_max * (1.0 + 1e-12):
+                raise _outside(f, x)
+            x = f.x_max
+        h = f.step
+        k = round(x / h)
+        if abs(x - k * h) <= _NODE_RTOL * x:
+            nodes = _table_nodes(f, p)
+            if nodes is not None and (nodes := nodes[derivative]) is not None:
+                return nodes.item(k)
+        return float((_tabulated_slope if derivative else _tabulated_dense)(f, np.array([x]), p)[0])
     bad = x[x > f.x_max * (1.0 + 1e-12)]
     if bad.size:
         raise _outside(f, float(bad[0]))
+    x = np.minimum(x, f.x_max)
+    k, node = _node_indices(f, x)
+    rule = x > 0.0
+    node &= rule
+    nodes = _table_nodes(f, p) if node.any() else None
+    if nodes is not None and (nodes := nodes[derivative]) is not None:
+        out = np.where(node, nodes[k], 0.0)
+        rule &= ~node
+    else:
+        out = np.zeros(x.shape)
+    if rule.any():
+        out[rule] = (_tabulated_slope if derivative else _tabulated_dense)(f, x[rule], p)
+    return out
 
 
 def _outside(f: TabulatedFunction, x: float) -> DomainError:
     return DomainError(f"x = {x!r} outside tabulated range [0, {f.x_max!r}]")
 
 
-def _node_values(cache, f: TabulatedFunction, x: float, p: float):
-    """cache(f, p), :func:`_node_integrals` or :func:`_node_derivatives`,
-    read at a float x in range: the value at its node, by
-    :func:`_node_indices`' test, or None if x is off the nodes or the
-    table is not uniform; the cache is read only at a node."""
-    h = f.step
-    k = round(x / h)
-    if abs(x - k * h) <= _NODE_RTOL * x:
-        nodes = cache(f, p)
-        if nodes is not None:
-            return nodes.item(k)
-    return None
-
-
 def _node_indices(f: TabulatedFunction, x: np.ndarray):
     """k = rint(x / h), h = f.step, and the mask of the points x within a
     few ulps of k * h (_NODE_RTOL; np.linspace grids meet it at every
-    node).  x is in range (at most 1e-12 past x_max), so k < f.xs.size."""
+    node).  x is in [0, x_max], so k < f.xs.size."""
     h = f.step
     k = np.rint(x / h)
     return k.astype(np.intp), np.abs(x - k * h) <= _NODE_RTOL * x
 
 
-# Hold K[f], and K[f'] (_node_derivatives), at every node of the last few
-# (table, order) pairs as read-only arrays; non-uniform tables map to None.
-# The key is the table's identity (TabulatedFunction compares by identity)
-# and its samples are read-only, so an entry cannot go stale, and the
-# cache's own reference keeps the id from being reused while it lives.
+# Hold the pair (K[f], K[f']) at every node of the last few (table, order)
+# pairs as read-only arrays, K[f'] being None below 3 rows; non-uniform
+# tables map to None.  The key is the table's identity (TabulatedFunction
+# compares by identity) and its samples are read-only, so an entry cannot
+# go stale, and the cache's own reference keeps the id from being reused
+# while it lives.
 @lru_cache(maxsize=8)
-def _node_integrals(f: TabulatedFunction, p: float) -> np.ndarray | None:
+def _table_nodes(f: TabulatedFunction, p: float):
     k, node = _node_indices(f, f.xs)
     if not node.all() or np.any(np.diff(k) != 1):  # two samples at one node
         return None
     nodes = _tabulated_toeplitz(f, p)
     nodes.setflags(write=False)
-    return nodes
-
-
-@lru_cache(maxsize=8)
-def _node_derivatives(f: TabulatedFunction, p: float) -> np.ndarray | None:
-    nodes = _node_integrals(f, p) if f.xs.size >= 3 else None
-    if nodes is None:
-        return None
+    if f.xs.size < 3:
+        return nodes, None
     g = nodes - float(f.values[0]) * f.xs**p / p
     slopes = np.gradient(g, f.step, edge_order=2)
     slopes.setflags(write=False)
-    return slopes
+    return nodes, slopes
 
 
 def _tabulated_toeplitz(f: TabulatedFunction, p: float) -> np.ndarray:
@@ -979,13 +949,11 @@ def _tabulated_toeplitz(f: TabulatedFunction, p: float) -> np.ndarray:
     t, v = f.xs, f.values
     lag = np.arange(t.size) * f.step
     m0, m1 = _cell_moments(lag, np.concatenate(([0.0], lag[:-1])), p)
-    slope = np.diff(v) / np.diff(t)
-    return (np.convolve(v[:-1], m0) + np.convolve(slope, m1))[: t.size]
+    return (np.convolve(v[:-1], m0) + np.convolve(f.slopes, m1))[: t.size]
 
 
 def _tabulated_dense(f: TabulatedFunction, xs, p: float) -> np.ndarray:
-    t, v = f.xs, f.values
-    slope = np.diff(v) / np.diff(t)
+    t, v, slope = f.xs, f.values, f.slopes
     out = np.zeros(xs.shape)
     pos = np.flatnonzero(xs > 0.0)
     if pos.size == 0:
@@ -1041,13 +1009,15 @@ def tabulated_derivative_kernel(f: TabulatedFunction, x: float, p) -> float:
     smooth in x.  The value is the slope at x of the quadratic through G
     at c - h, c, c + h: h is the width of the cell holding x (at most
     x_max / 2), and c is x, moved one step inward where x -+ h would leave
-    [0, x_max], then clipped to [h, x_max - h].  At the nodes of a uniform
-    table that is np.gradient's rule, cached (:func:`_node_derivatives`),
-    so a node read is one lookup and one index.  p = 1 gives
-    f(x) - f(0).  :func:`derivative_kernel` gives the same, at a float or
-    a grid (:func:`tabulated_derivative_route`): a grid's points off the
-    nodes take the rule in one product integration of their three points
-    each, and a float is the one-point grid, bit for bit.
+    [0, x_max], then clipped to [h, x_max - h]; a point past x_max by
+    rounding alone is x_max.  At the nodes of a uniform table that is
+    np.gradient's rule, cached beside K[f] (:func:`_table_nodes`), so a
+    node read is one lookup and one index.  p = 1 gives f(x) - f(0).
+    :func:`derivative_kernel` gives the same, at a float or a grid, by the
+    one table route of K[f] and K[f'] (:func:`table_route`): a grid's
+    points off the nodes take the rule in one product integration of
+    their three points each, and a float is the one-point grid, bit for
+    bit.
     """
     f, x, p = check_integrand(f, True), check_point(x), check_exponent(p, True)
     return derivative_route(f, x, p, DEFAULT_CONFIG)
@@ -1055,7 +1025,7 @@ def tabulated_derivative_kernel(f: TabulatedFunction, x: float, p) -> float:
 
 def _tabulated_slope(f: TabulatedFunction, x: np.ndarray, p: float) -> np.ndarray:
     """The three-point rule of :func:`tabulated_derivative_kernel` at every
-    point of a 1-d array x in (0, x_max * (1 + 1e-12)], p in (0, 1): the
+    point of a 1-d array x in (0, x_max], p in (0, 1): the
     3 * x.size points of G in one :func:`_tabulated_dense` call, never the
     node cache."""
     xs, x_max = f.xs, f.x_max

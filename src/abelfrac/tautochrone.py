@@ -321,7 +321,7 @@ def _reconstruct_tabulated(s: TabulatedFunction, xs: np.ndarray, g: float) -> Cu
     n = int(np.searchsorted(s.xs, xs[-1])) + 1  # through the first node >= xs[-1]
     x_data = s.xs[:n]
     dx, ds = np.diff(x_data), np.diff(s.values[:n])
-    secant = ds / dx
+    secant = s.slopes[: n - 1]
     bad = secant < 1.0 - FEASIBILITY_SLACK
     if bad.any():
         i = int(np.argmax(bad))

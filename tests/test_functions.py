@@ -208,6 +208,7 @@ class TestTabulatedFunction:
         assert f(0.5) == pytest.approx(1.0)
         assert f(1.5) == pytest.approx(2.5)
         assert f.x_max == 2.0 and type(f.x_max) is float
+        assert np.array_equal(f.slopes, [2.0, 1.0])
         np.testing.assert_allclose(f(np.array([0.0, 2.0])), [0.0, 3.0])
 
     def test_x_max_is_read_only(self):
@@ -215,6 +216,8 @@ class TestTabulatedFunction:
         with pytest.raises(AttributeError):
             f.x_max = 3.0
         assert f.x_max == 2.0
+        with pytest.raises(ValueError):
+            f.slopes[0] = 0.0
         assert repr(f).startswith("TabulatedFunction(xs=array(")
 
     def test_domain_enforced(self):

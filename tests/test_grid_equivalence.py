@@ -308,15 +308,11 @@ CASES = [
 
 def _exact(op: str, name: str) -> bool:
     """Array calls that must give the scalar calls' bits: the closed
-    forms, and tabulated derivatives (a float off the nodes is the
-    one-point grid of the rule, and a node point reads the node cache
-    alike).  K[f] on a table reads its node integrals only where every
-    point is a node, so a grid that mixes nodes with other points is
-    held to 1e-13."""
-    return op.endswith("_exact") or (
-        name == "tabulated"
-        and op in ("caputo_quadrature", "derivative_kernel", "forward")
-    )
+    forms, and every operator on a table, K[f] and K[f'] alike (a node
+    point reads the node cache point by point, as a float at a node does,
+    and a float off the nodes is the one-point grid of the cell sum or
+    the rule), on grids that mix nodes with other points too."""
+    return op.endswith("_exact") or name == "tabulated"
 
 
 def _points(zero: bool) -> np.ndarray:

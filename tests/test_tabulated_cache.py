@@ -1,16 +1,15 @@
-"""The node caches of uniform tables.
+"""The node cache of uniform tables.
 
 On a uniform table the product-integration integral J = K[f] at every
-node comes from one lag-only (Toeplitz) convolution, kept per (table,
-order) by ``quadrature._node_integrals``.  A grid (a float is the
-one-point grid) whose points are all nodes of a uniform table reads it;
-everything else takes the dense cell sum ``quadrature._tabulated_dense``,
-which is the reference here.  The derivative kernel at a node reads
-``quadrature._node_derivatives``, the three-point rule on the node
-integrals of K[f - f(0)].  A float at a node, or a grid of nodes, reads
-either cache with one lookup and one index; the points of a K[f'] grid
-off the nodes take the rule in one array call, a float off the nodes
-being its one-point grid.  x = 0 gives 0 before any cache is read.
+node comes from one lag-only (Toeplitz) convolution, and the derivative
+kernel K[f'] at every node is the three-point rule on the node integrals
+of K[f - f(0)]; ``quadrature._table_nodes`` keeps the pair per (table,
+order).  A float at a node reads it with one lookup and one index, and
+the node points of a grid read it through one mask.  The other points of
+a grid take the dense cell sum ``quadrature._tabulated_dense`` (K[f]),
+which is the reference here, or the rule (K[f']) in one array call, a
+float off the nodes being its one-point grid.  x = 0 gives 0 before the
+cache is read.
 """
 
 import math
@@ -30,7 +29,11 @@ from abelfrac import (
     solve_convolution,
 )
 from abelfrac import quadrature
-from abelfrac.quadrature import singular_integral_tabulated, tabulated_derivative_kernel
+from abelfrac.quadrature import (
+    graded_mesh,
+    singular_integral_tabulated,
+    tabulated_derivative_kernel,
+)
 
 ORDERS = (0.25, 0.5, 0.75)
 
@@ -49,16 +52,16 @@ def _rel(got, want):
     return float(np.max(np.abs(got - want) / np.abs(want)))
 
 
-CACHES = ("_node_integrals", "_node_derivatives")
-
-
 @pytest.fixture(autouse=True)
 def empty_cache():
-    for name in CACHES:
-        getattr(quadrature, name).cache_clear()
+    quadrature._table_nodes.cache_clear()
     yield
-    for name in CACHES:
-        getattr(quadrature, name).cache_clear()
+    quadrature._table_nodes.cache_clear()
+
+
+def _cache_info():
+    info = quadrature._table_nodes.cache_info()
+    return info.hits, info.misses, info.currsize
 
 
 def _cell_sum(f, x, p):
@@ -134,8 +137,7 @@ class TestOnNodeValues:
         xs = [float(x) for x in f.xs[1:]]
         got = [tabulated_derivative_kernel(f, x, 1.0 - n) for x in xs]
         caputo = [caputo_derivative(f, n, x) for x in xs]
-        for name in CACHES:
-            monkeypatch.setattr(quadrature, name, lambda f, p: None)
+        monkeypatch.setattr(quadrature, "_table_nodes", lambda f, p: None)
         want = [tabulated_derivative_kernel(f, x, 1.0 - n) for x in xs]
         want_caputo = [caputo_derivative(f, n, x) for x in xs]
         assert _rel(got, want) <= 1e-11
@@ -144,7 +146,7 @@ class TestOnNodeValues:
     @pytest.mark.parametrize("p", ORDERS)
     def test_derivative_on_node_is_the_three_point_rule_on_the_node_integrals(self, p):
         f = _uniform(seed=2)
-        nodes = quadrature._node_integrals(f, p)
+        nodes = quadrature._table_nodes(f, p)[0]
         G = nodes - float(f.values[0]) * f.xs**p / p
         h = f.x_max / (f.xs.size - 1)
         last = f.xs.size - 1
@@ -167,8 +169,7 @@ class TestOnNodeValues:
             down = np.nextafter(node, 0.0)
             for x in (up, np.nextafter(up, 2.0), down, np.nextafter(down, 0.0)):
                 assert tabulated_derivative_kernel(f, float(x), 0.5) == on_node[k - 1]
-        info = quadrature._node_derivatives.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
+        assert _cache_info()[1:] == (1, 1)
 
 
 #: every public float read of a table at order n, as read(f, x, n)
@@ -208,7 +209,7 @@ class TestNodeReads:
         grid = np.concatenate((f.xs, [past], f.xs[::-7]))
         _forbid(monkeypatch, "_tabulated_slope")
         floats = [derivative_kernel(f, float(x), p) for x in grid]
-        lookups = _counted(monkeypatch, "_node_derivatives")
+        lookups = _counted(monkeypatch, "_table_nodes")
         got = derivative_kernel(f, grid, p)
         assert np.array_equal(got, floats)
         assert got[0] == 0.0 and got[f.xs.size] == got[f.xs.size - 1]
@@ -222,7 +223,7 @@ class TestNodeReads:
         off = [3, 7, 12]
         grid[off] = 0.5 * (f.xs[[150, 350, 600]] + f.xs[[151, 351, 601]])
         floats = [derivative_kernel(f, float(x), 0.5) for x in grid]
-        lookups = _counted(monkeypatch, "_node_derivatives")
+        lookups = _counted(monkeypatch, "_table_nodes")
         slopes = _counted(monkeypatch, "_tabulated_slope")
         cells = _counted(monkeypatch, "_tabulated_dense")
         got = derivative_kernel(f, grid, 0.5)
@@ -240,7 +241,7 @@ class TestNodeReads:
         slopes = _counted(monkeypatch, "_tabulated_slope")
         assert np.array_equal(derivative_kernel(f, grid, 0.5), floats)
         assert len(slopes) == 1 and np.array_equal(slopes[0][1], grid[1:])
-        assert quadrature._node_derivatives(f, 0.5) is None
+        assert quadrature._table_nodes(f, 0.5)[1] is None
 
 
 class TestBypass:
@@ -250,9 +251,7 @@ class TestBypass:
         for x in xs:
             singular_integral_tabulated(f, float(x), 0.5)
             tabulated_derivative_kernel(f, float(x), 0.5)
-        for name in CACHES:
-            info = getattr(quadrature, name).cache_info()
-            assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        assert _cache_info() == (0, 0, 0)
 
     def test_off_node_value_is_the_cell_sum(self):
         f = _uniform()
@@ -269,8 +268,7 @@ class TestBypass:
             got = singular_integral_tabulated(f, x, 0.5)
             assert got == _cell_sum(f, x, 0.5)
             tabulated_derivative_kernel(f, x, 0.5)
-        assert quadrature._node_integrals(f, 0.5) is None
-        assert quadrature._node_derivatives(f, 0.5) is None
+        assert quadrature._table_nodes(f, 0.5) is None
 
 
 class TestGridRouting:
@@ -285,14 +283,18 @@ class TestGridRouting:
         assert np.array_equal(singular_integral_tabulated(f, x21, p), own[::50])
 
     def test_one_point_off_the_nodes_takes_the_dense_sum(self, monkeypatch):
+        # the node points read the cache; the off-node point, and only it,
+        # takes one call of the dense sum
         f = _uniform(size=1001, x_max=1.0, seed=7)
         xs = f.xs[::50].copy()
         xs[7] = 0.5 * float(f.xs[350] + f.xs[351])
-        _forbid_toeplitz(monkeypatch)
+        floats = [singular_integral_tabulated(f, float(x), 0.5) for x in xs]
+        lookups = _counted(monkeypatch, "_table_nodes")
+        cells = _counted(monkeypatch, "_tabulated_dense")
         got = singular_integral_tabulated(f, xs, 0.5)
-        assert np.array_equal(got, quadrature._tabulated_dense(f, xs, 0.5))
-        info = quadrature._node_integrals.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        assert np.array_equal(got, floats)
+        assert len(lookups) == 1
+        assert len(cells) == 1 and np.array_equal(cells[0][1], xs[[7]])
 
     def test_empty_grid_builds_nothing(self, monkeypatch):
         _forbid_toeplitz(monkeypatch)
@@ -310,37 +312,42 @@ class TestGridRouting:
         got = read(f, 0.0, 0.5)
         assert type(got) is float and got == 0.0
         assert np.array_equal(read(f, np.zeros(3), 0.5), np.zeros(3))
-        info = quadrature._node_integrals.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        assert _cache_info() == (0, 0, 0)
 
     def test_points_past_x_max_by_rounding_read_the_last_node(self):
         f = _uniform(size=101, x_max=1.7)
         own = singular_integral_tabulated(f, f.xs, 0.5)
         past = 1.7 * (1.0 + 1e-13)
         assert singular_integral_tabulated(f, past, 0.5) == own[-1]
+        # K[f'] too, at a node of a uniform table and by the rule on a
+        # graded one, float and grid alike
+        for g in (f, _table(graded_mesh(1.7, 101, exponent=2.0))):
+            last = derivative_kernel(g, 1.7, 0.5)
+            pasts = [1.7 * (1.0 + 1e-13), 1.7 * (1.0 + 5e-13)]
+            assert [derivative_kernel(g, x, 0.5) for x in pasts] == [last, last]
+            assert np.array_equal(derivative_kernel(g, np.array(pasts), 0.5), [last, last])
         with pytest.raises(DomainError):
             singular_integral_tabulated(f, np.array([0.5, 1.7 * (1.0 + 1e-11)]), 0.5)
         with pytest.raises(DomainError):
             singular_integral_tabulated(f, -1e-300, 0.5)
 
 
-def _fill(name, f, x, p):
-    """A call that reads the cache ``name`` at node x of f."""
-    if name == "_node_integrals":
-        return singular_integral_tabulated(f, x, p)
-    return tabulated_derivative_kernel(f, x, p)
+#: the two kernels that read the node cache, as fill(f, x, p)
+FILLS = {
+    "integral": singular_integral_tabulated,
+    "derivative": tabulated_derivative_kernel,
+}
 
 
 class TestCacheKey:
-    @pytest.mark.parametrize("name", CACHES)
-    def test_equal_samples_do_not_share_an_entry(self, name):
-        cache = getattr(quadrature, name)
+    @pytest.mark.parametrize("kernel", FILLS)
+    def test_equal_samples_do_not_share_an_entry(self, kernel):
+        cache = quadrature._table_nodes
         t = np.linspace(0.0, 1.0, 101)
         f, g = TabulatedFunction(t, np.sqrt(t)), TabulatedFunction(t, np.sqrt(t))
-        _fill(name, f, 0.5, 0.5)
-        _fill(name, g, 0.5, 0.5)
-        info = cache.cache_info()
-        assert (info.misses, info.currsize) == (2, 2)
+        FILLS[kernel](f, 0.5, 0.5)
+        FILLS[kernel](g, 0.5, 0.5)
+        assert _cache_info()[1:] == (2, 2)
         assert cache(f, 0.5) is not cache(g, 0.5)
 
     def test_orders_do_not_share_an_entry(self):
@@ -348,12 +355,13 @@ class TestCacheKey:
         x = float(f.xs[100])
         a = singular_integral_tabulated(f, x, 0.25)
         b = singular_integral_tabulated(f, x, 0.75)
-        assert quadrature._node_integrals.cache_info().misses == 2
+        assert _cache_info()[1] == 2
         assert a == pytest.approx(_cell_sum(f, x, 0.25), rel=1e-13)
         assert b == pytest.approx(_cell_sum(f, x, 0.75), rel=1e-13)
+        # K[f'] at the same orders reads the same two entries
         tabulated_derivative_kernel(f, x, 0.25)
         tabulated_derivative_kernel(f, x, 0.75)
-        assert quadrature._node_derivatives.cache_info().misses == 2
+        assert _cache_info() == (2, 2, 2)
 
     def test_on_node_differences_are_lookups(self, monkeypatch):
         # an on-node derivative does not sum the cells
@@ -366,24 +374,22 @@ class TestCacheKey:
         f = _table(t)
         for x in f.xs[1:]:
             tabulated_derivative_kernel(f, float(x), 0.5)
-        for name in CACHES:
-            info = getattr(quadrature, name).cache_info()
-            assert (info.misses, info.currsize) == (1, 1)
+        assert _cache_info()[1:] == (1, 1)
 
-    @pytest.mark.parametrize("name", CACHES)
-    def test_never_grows_past_maxsize(self, name):
-        cache = getattr(quadrature, name)
+    @pytest.mark.parametrize("kernel", FILLS)
+    def test_never_grows_past_maxsize(self, kernel):
+        cache = quadrature._table_nodes
         maxsize = cache.cache_parameters()["maxsize"]
         for seed in range(maxsize + 3):
             f = _uniform(size=11, seed=seed)
-            _fill(name, f, float(f.xs[5]), 0.5)
+            FILLS[kernel](f, float(f.xs[5]), 0.5)
             assert cache.cache_info().currsize <= maxsize
         assert cache.cache_info().currsize == maxsize
 
-    @pytest.mark.parametrize("name", CACHES)
-    def test_cached_nodes_are_read_only(self, name):
+    @pytest.mark.parametrize("half", [0, 1])
+    def test_cached_nodes_are_read_only(self, half):
         f = _uniform()
-        nodes = getattr(quadrature, name)(f, 0.5)
+        nodes = quadrature._table_nodes(f, 0.5)[half]
         with pytest.raises(ValueError):
             nodes[0] = 1.0
 

@@ -62,9 +62,9 @@ def _rel(got, want):
 
 @pytest.fixture(autouse=True)
 def empty_cache():
-    quadrature._node_integrals.cache_clear()
+    quadrature._table_nodes.cache_clear()
     yield
-    quadrature._node_integrals.cache_clear()
+    quadrature._table_nodes.cache_clear()
 
 
 @pytest.mark.parametrize("p", ORDERS)
@@ -80,6 +80,6 @@ def test_cell_sums_equal_the_closed_form(kind, p):
     assert _rel(floats, want) <= 1e-13
     if kind == "uniform":
         want_nodes = _closed_form(f, nodes, p)
-        assert _rel(quadrature._node_integrals(f, p)[1:], want_nodes) <= 1e-13
+        assert _rel(quadrature._table_nodes(f, p)[0][1:], want_nodes) <= 1e-13
     else:
-        assert quadrature._node_integrals(f, p) is None
+        assert quadrature._table_nodes(f, p) is None
