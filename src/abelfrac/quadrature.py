@@ -84,6 +84,7 @@ Comput. 35, 2013, survey both routes).  Legendre is a = b = 0.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
@@ -159,7 +160,9 @@ class QuadratureConfig:
             raise DomainError(
                 f"node_count must be an int in [2, {MAX_NODES}], got {n!r}"
             )
-        if not (0.0 < self.abs_tol < math.inf and 0.0 < self.rel_tol < math.inf):
+        # a string, None or a list is refused before it meets a comparison
+        if not all(isinstance(t, numbers.Real) and 0.0 < t < math.inf
+                   for t in (self.abs_tol, self.rel_tol)):
             raise DomainError("tolerances must be positive and finite")
         # the route cache of float calls hashes cfg at every call: hash once
         object.__setattr__(self, "_hash", hash((n, self.abs_tol, self.rel_tol)))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +68,8 @@ _CELL_CFG = QuadratureConfig(node_count=16, abs_tol=1e-14, rel_tol=1e-11)
 # the descent's cell integrals are positive, so its relative tolerance
 # alone decides when a cell has converged
 _TINY = float(np.finfo(float).tiny)
+# the descent's default rule, built once: every height reads it
+_DESCENT_CFG = QuadratureConfig(node_count=8, abs_tol=_TINY, rel_tol=1e-9)
 
 
 def solve_ivp(*args, **kwargs):
@@ -356,6 +359,16 @@ def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
     return d
 
 
+def _pchip_inner_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    # _pchip_slopes at the node between cells of widths h0, h1 and
+    # secants m0, m1: 0 unless the secants are nonzero and of one sign
+    if (m0 > 0.0 and m1 > 0.0) or (m0 < 0.0 and m1 < 0.0):
+        w1 = 2.0 * h1 + h0
+        w2 = h1 + 2.0 * h0
+        return 1.0 / ((w1 / m0 + w2 / m1) / (w1 + w2))
+    return 0.0
+
+
 def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Node slopes of the monotone cubic through (x, y), as scipy's
     PchipInterpolator takes them (Fritsch & Carlson, SIAM J. Numer. Anal.
@@ -394,10 +407,16 @@ def simulate_descent(
     cell, the release point included; all cells go through one array
     Gauss-Legendre call, each doubling its rule until it meets rel_tol, and
     every row of nodes reads its own cell's cubic, so no node searches for
-    its cell.
+    its cell.  The cubic of the whole table is built on the curve's first
+    descent and kept on it; a descent computes only the two slopes and
+    two cells next to a, the others being the table's own.
     T is integrated in gravity-free units (speed sqrt(a - x)) and divided
     by sqrt(2g) once at the end, so rescaling g rescales T exactly.
     """
+    if isinstance(rel_tol, float) and rel_tol == 1e-9:
+        cfg = _DESCENT_CFG
+    else:
+        cfg = QuadratureConfig(node_count=8, abs_tol=_TINY, rel_tol=rel_tol)
     a = check_point(a, "release height", at_zero=True)
     if a > curve.x_max * (1.0 + 1e-12):
         raise DomainError(
@@ -406,24 +425,46 @@ def simulate_descent(
     if a == 0.0:
         return DescentResult(0.0, 0.0, 0, 0.0)
     a = min(a, curve.x_max)
-    cfg = QuadratureConfig(node_count=8, abs_tol=_TINY, rel_tol=rel_tol)
 
     # drop samples within float noise of a: a near-duplicate end node would
-    # give the arc interpolant a degenerate final cell
-    inside = curve.xs < a - 1e-12 * curve.x_max
-    x_nodes = np.append(curve.xs[inside], a)
-    if x_nodes.size < 2:
+    # give the arc interpolant a degenerate final cell.  The nodes are
+    # xs[:j] and a.
+    xs, s = curve.xs, curve.s
+    j = int(np.searchsorted(xs, a - 1e-12 * curve.x_max))
+    if j == 0:
         raise DomainError("release height too close to 0 for the sampled grid")
-    s_nodes = np.append(curve.s[inside], _s_at(curve, a))
+    x_nodes = np.append(xs[:j], a)
+    s_nodes = np.append(s[:j], _s_at(curve, a))
     L = float(s_nodes[-1])
+
+    # the slopes at nodes lo .. j and the cells lo .. j-1 read a, in the
+    # operations of _pchip_slopes and _cubic_from_right; the rest are the
+    # table's.  hL is a numpy float, so a last cell of zero width (s(a)
+    # rounding to the node below) gives inf and NaN, not ZeroDivisionError.
+    arc = _arc(curve)
+    lo = max(j - 2, 0)
+    hL = L - s[j - 1]
+    mL = (a - xs.item(j - 1)) / hL
+    if j == 1:
+        d_end = [mL, mL]
+        cells = [(hL, mL)]
+    else:
+        hP = s.item(j - 1) - s.item(j - 2)
+        mP = (xs.item(j - 1) - xs.item(j - 2)) / hP
+        first = arc.d.item(lo) if lo else _pchip_end_slope(hP, hL, mP, mL)
+        d_end = [first, _pchip_inner_slope(hP, hL, mP, mL), _pchip_end_slope(hL, hP, mL, mP)]
+        cells = [(hP, mP), (hL, mL)]
+    ends = list(zip(cells, d_end, d_end[1:]))
+    c2_end, c3_end = zip(*(_cell_cubic(h, m, d0, d1) for (h, m), d0, d1 in ends))
+    d = np.concatenate((arc.d[:lo], d_end))
+    c2 = np.concatenate((arc.c2[:lo], c2_end))
+    c3 = np.concatenate((arc.c3[:lo], c3_end))
 
     # cell k is sigma in [s_k, s_k+1], i.e. r in [sqrt(rho_k), sqrt(L - s_k)]
     # with rho_k = L - s_k+1; on it a - x = drop_k + u (d_k+1 - u (c2 + u c3))
     # in u = s_k+1 - sigma = r**2 - rho_k, so on the last cell
     # (drop = rho = 0) it is r**2 times a positive factor and never a
     # difference of nearly equal numbers
-    d = _pchip_slopes(s_nodes, x_nodes)
-    c2, c3 = _cubic_from_right(s_nodes, x_nodes, d)
     drop = a - x_nodes[1:]
     rho = L - s_nodes[1:]
 
@@ -433,11 +474,13 @@ def simulate_descent(
         return 2.0 * r / np.sqrt(drop[k] + u * (d[k + 1] - u * (c2[k] + u * c3[k])))
 
     tau = indexed_smooth_integral(integrand, np.sqrt(rho), np.sqrt(L - s_nodes[:-1]), cfg)
-    # cubic against linear arc at each cell's midpoint: h |d_k - d_k+1| / 8
-    h = np.diff(s_nodes)
-    max_residual = float(np.max(h * np.abs(np.diff(d))) / (8.0 * a))
+    # cubic against linear arc at each cell's midpoint: h |d_k - d_k+1| / 8,
+    # the table's cells before lo in their running maximum
+    worst = [h * abs(d1 - d0) for (h, _), d0, d1 in ends]
+    if lo:
+        worst.append(arc.residual[lo - 1])
     T = float(np.sum(tau)) / math.sqrt(2.0 * curve.g)
-    return DescentResult(a, T, int(h.size), max_residual)
+    return DescentResult(a, T, j, float(np.max(worst) / (8.0 * a)))
 
 
 def _cubic_from_right(x: np.ndarray, y: np.ndarray, d: np.ndarray):
@@ -449,16 +492,49 @@ def _cubic_from_right(x: np.ndarray, y: np.ndarray, d: np.ndarray):
     return (2.0 * d[1:] + d[:-1] - 3.0 * secant) / h, (2.0 * secant - d[:-1] - d[1:]) / h**2
 
 
+def _cell_cubic(h: float, secant: float, d0: float, d1: float):
+    """_cubic_from_right for one cell of width h, with floats."""
+    return (2.0 * d1 + d0 - 3.0 * secant) / h, (2.0 * secant - d0 - d1) / (h * h)
+
+
+class _ArcData(NamedTuple):
+    """A curve's monotone cubics over its whole table, all read-only: the
+    slopes d of x(sigma) at every node, each cell's (c2, c3) of that
+    cubic, the running maximum of the cells' h |d_k - d_k+1|, and the
+    slopes ds of s(x) at every node."""
+
+    d: np.ndarray
+    c2: np.ndarray
+    c3: np.ndarray
+    residual: np.ndarray
+    ds: np.ndarray
+
+
+def _arc(curve: CurveSamples) -> _ArcData:
+    """The curve's arc data, built on its first descent and kept on the
+    curve, so it is freed with it."""
+    try:
+        return curve._arc
+    except AttributeError:
+        pass
+    xs, s = curve.xs, curve.s
+    d = _pchip_slopes(s, xs)
+    c2, c3 = _cubic_from_right(s, xs, d)
+    residual = np.maximum.accumulate(np.diff(s) * np.abs(np.diff(d)))
+    arc = _ArcData(d, c2, c3, residual, _pchip_slopes(xs, s))
+    for array in arc:
+        array.setflags(write=False)
+    object.__setattr__(curve, "_arc", arc)
+    return arc
+
+
 def _s_at(curve: CurveSamples, a: float) -> float:
     """s(a) on the monotone cubic through the curve's (xs, s) samples,
-    0 < a <= x_max."""
-    xs, s = curve.xs, curve.s
+    0 < a <= x_max, its cell's slopes read from the curve's arc data."""
+    xs, s, ds = curve.xs, curve.s, _arc(curve).ds
     k = int(np.searchsorted(xs, a)) - 1
-    # the slopes at nodes k and k+1 read only their neighbours (the end
-    # rule, two nodes inward, at a table end), so the window of nodes
-    # k-1 .. k+2 gives the whole table's values
-    lo = max(k - 1, 0)
-    d = _pchip_slopes(xs[lo : k + 3], s[lo : k + 3])[k - lo : k - lo + 2]
-    c2, c3 = _cubic_from_right(xs[k : k + 2], s[k : k + 2], d)
-    u = xs[k + 1] - a
-    return float(s[k + 1] - u * (d[1] - u * (c2[0] + u * c3[0])))
+    h = xs.item(k + 1) - xs.item(k)
+    d1 = ds.item(k + 1)
+    c2, c3 = _cell_cubic(h, (s.item(k + 1) - s.item(k)) / h, ds.item(k), d1)
+    u = xs.item(k + 1) - a
+    return s.item(k + 1) - u * (d1 - u * (c2 + u * c3))

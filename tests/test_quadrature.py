@@ -61,6 +61,13 @@ class TestConfig:
             with pytest.raises(DomainError):
                 QuadratureConfig(rel_tol=bad)
 
+    @pytest.mark.parametrize("bad", ["1e-9", None, [1e-9], 1e-9j])
+    def test_rejects_tolerances_that_are_not_numbers(self, bad):
+        # refused as a DomainError, not a TypeError from the range check
+        for field in ("abs_tol", "rel_tol"):
+            with pytest.raises(DomainError, match="tolerances must be positive and finite"):
+                QuadratureConfig(**{field: bad})
+
     def test_equal_configs_hash_equal(self):
         # the hash is taken once, at construction: equal, distinct configs
         # (an int tolerance equals its float) still share one hash, and

@@ -5,16 +5,19 @@ the sampled curve and never sees the closed-form descent-time integral
 of s', so agreement between the two is a genuine cross-check of both.
 """
 
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import abelfrac
+from abelfrac import tautochrone
 from abelfrac import (
     AbelProblem,
     DomainError,
@@ -28,6 +31,7 @@ from abelfrac import (
 )
 from abelfrac.tautochrone import (
     CurveSamples,
+    _arc,
     _cubic_from_right,
     _feasibility_scan,
     _horizontal_increments,
@@ -351,14 +355,76 @@ def _s_at_whole_table(curve, a):
 
 
 class TestReleasePointArc:
-    """_s_at takes the slopes of the cell holding a from a window of at
-    most four nodes; they are local, so s(a) is bit for bit the value the
-    whole table's slopes give."""
+    """_s_at reads the slopes of the cell holding a from the curve's arc
+    data, so s(a) is bit for bit the value the whole table's slopes give."""
 
     @pytest.mark.parametrize("points", [2, 3, 4, 5, 1001])
-    def test_window_matches_whole_table_in_every_cell(self, points):
+    def test_cached_slopes_match_whole_table_in_every_cell(self, points):
         s = PowerSum(((2.0, 0.5), (1.5, 1.0), (0.3, 2.0)))
         curve = reconstruct_curve(s, 1.0, points)
         xs = curve.xs
         for a in np.concatenate((0.5 * (xs[:-1] + xs[1:]), xs[1:])):
             assert _s_at(curve, a) == _s_at_whole_table(curve, a)
+
+
+class TestArcData:
+    """A curve's arc data is built on its first descent, kept on the curve
+    and read by every later descent on it."""
+
+    S = PowerSum(((2.0, 0.5), (1.5, 1.0), (0.3, 2.0)))
+
+    def test_built_once_for_twenty_heights(self, monkeypatch):
+        curve = reconstruct_curve(self.S, 1.0, 1001)
+        assert not hasattr(curve, "_arc")  # not built with the curve
+        sizes = []
+        whole_table = tautochrone._pchip_slopes
+
+        def counted(x, y):
+            sizes.append(x.size)
+            return whole_table(x, y)
+
+        monkeypatch.setattr(tautochrone, "_pchip_slopes", counted)
+        for a in np.linspace(0.05, 1.0, 20).tolist():
+            simulate_descent(curve, a)
+        # the slopes of x(sigma) and of s(x), each over the whole table
+        assert sizes == [curve.xs.size] * 2
+
+    def test_arrays_are_read_only(self):
+        curve = reconstruct_curve(self.S, 1.0, 101)
+        simulate_descent(curve, 0.5)
+        for array in _arc(curve):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_freed_with_its_curve(self):
+        curve = reconstruct_curve(self.S, 1.0, 101)
+        simulate_descent(curve, 0.5)
+        refs = [weakref.ref(array) for array in _arc(curve)]
+        del curve
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_equal_curves_do_not_share_it(self):
+        first, second = (reconstruct_curve(self.S, 1.0, 101) for _ in range(2))
+        assert np.array_equal(first.s, second.s)
+        simulate_descent(first, 0.5)
+        assert not hasattr(second, "_arc")
+        simulate_descent(second, 0.5)
+        for mine, theirs in zip(_arc(first), _arc(second)):
+            assert mine is not theirs and np.array_equal(mine, theirs)
+
+    def test_two_point_curve(self):
+        curve = reconstruct_curve(self.S, 1.0, 2)
+        for a in (0.3, 1.0):
+            res = simulate_descent(curve, a)
+            fresh = simulate_descent(CurveSamples(curve.xs, curve.s, curve.y), a)
+            assert res == fresh and res.steps == 1 and res.max_residual == 0.0
+        assert [array.size for array in _arc(curve)] == [2, 1, 1, 1, 2]
+
+    @pytest.mark.parametrize("bad", ["1e-9", None, [1e-9]])
+    def test_tolerance_that_is_not_a_number(self, bad):
+        # refused as a DomainError, not a TypeError from the range check
+        curve = reconstruct_curve(self.S, 1.0, 11)
+        with pytest.raises(DomainError, match="tolerances must be positive and finite"):
+            simulate_descent(curve, 0.5, rel_tol=bad)
